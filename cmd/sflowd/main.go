@@ -163,6 +163,8 @@ func run(args []string) error {
 	<-sig
 	fmt.Fprintln(os.Stderr, "sflowd: shutting down")
 	srv.Close()
-	fmt.Fprint(os.Stderr, reg.Snapshot().StableText())
+	// The full rendering, volatile levels included: a live daemon's numbers
+	// depend on its load anyway, and the row-cache gauges are among them.
+	fmt.Fprint(os.Stderr, reg.Snapshot().Text())
 	return nil
 }

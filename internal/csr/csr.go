@@ -13,7 +13,9 @@ package csr
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -33,6 +35,12 @@ type Arc struct {
 // Node i's out-arcs occupy positions Off[i] .. Off[i+1] of the parallel
 // To/BW/Lat arrays; To holds dense indexes (not external ids). IDs maps a
 // dense index back to the external node identifier it froze.
+//
+// The node mapping (IDs and the id -> index map behind Index) is immutable
+// once a freeze returns, even across FreezeInto: a re-freeze installs a new
+// mapping or keeps the old one, it never writes into it. Values computed from
+// a frozen graph (routing rows) may therefore keep both halves for as long as
+// they live. The arc arrays carry no such promise.
 type Graph struct {
 	IDs []int   // dense index -> external node id, in Freeze node order
 	Off []int32 // len(IDs)+1 row offsets into To/BW/Lat
@@ -74,10 +82,13 @@ func Freeze(nodes []int, arcs func(u int, emit func(to int, bw, lat int64))) *Gr
 	return FreezeInto(nil, nodes, arcs)
 }
 
-// FreezeInto is Freeze reusing the arrays of a previously frozen graph
-// (which must no longer be in use) so steady-state re-freezes of a mutating
-// graph allocate nothing once capacities have grown to fit. A nil g
-// allocates fresh, exactly like Freeze.
+// FreezeInto is Freeze reusing the arc arrays of a previously frozen graph
+// (whose arcs must no longer be in use) so steady-state re-freezes of a
+// mutating graph allocate nothing once capacities have grown to fit: the
+// common re-freeze changes links, not nodes, and then the node mapping is
+// kept as it is. A changed node list gets a freshly allocated mapping (see
+// Graph for why it is never rewritten). A nil g allocates fresh, exactly like
+// Freeze.
 func FreezeInto(g *Graph, nodes []int, arcs func(u int, emit func(to int, bw, lat int64))) *Graph {
 	if g == nil {
 		g = &Graph{}
@@ -85,17 +96,18 @@ func FreezeInto(g *Graph, nodes []int, arcs func(u int, emit func(to int, bw, la
 	if len(nodes) > math.MaxInt32 {
 		panic(fmt.Sprintf("csr: %d nodes overflow int32 indexing", len(nodes)))
 	}
-	g.IDs = append(g.IDs[:0], nodes...)
-	if g.idx == nil {
+	// kept: the previous mapping is still in place and possibly held by
+	// others, so an implicit node must copy it before extending it.
+	kept := g.idx != nil && slices.Equal(g.IDs, nodes)
+	if !kept {
+		g.IDs = slices.Clone(nodes)
 		g.idx = make(map[int]int32, len(nodes))
-	} else {
-		clear(g.idx)
-	}
-	for i, id := range nodes {
-		if _, dup := g.idx[id]; dup {
-			panic(fmt.Sprintf("csr: duplicate node id %d", id))
+		for i, id := range nodes {
+			if _, dup := g.idx[id]; dup {
+				panic(fmt.Sprintf("csr: duplicate node id %d", id))
+			}
+			g.idx[id] = int32(i)
 		}
-		g.idx[id] = int32(i)
 	}
 	g.Off = append(g.Off[:0], 0)
 	g.To = g.To[:0]
@@ -108,6 +120,9 @@ func FreezeInto(g *Graph, nodes []int, arcs func(u int, emit func(to int, bw, la
 		if !ok {
 			if len(g.IDs) >= math.MaxInt32 {
 				panic("csr: implicit nodes overflow int32 indexing")
+			}
+			if kept {
+				g.IDs, g.idx, kept = slices.Clone(g.IDs), maps.Clone(g.idx), false
 			}
 			j = int32(len(g.IDs))
 			g.idx[to] = j
@@ -157,6 +172,10 @@ func (g *Graph) Index(id int) (int32, bool) {
 	i, ok := g.idx[id]
 	return i, ok
 }
+
+// IndexMap returns the external id -> dense index map behind Index. It is
+// read-only and, like IDs, never rewritten after the freeze that built it.
+func (g *Graph) IndexMap() map[int]int32 { return g.idx }
 
 // Nodes returns the external node ids, sorted ascending (a fresh slice).
 func (g *Graph) Nodes() []int {

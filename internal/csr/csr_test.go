@@ -155,3 +155,46 @@ func TestFreezeDuplicateNodePanics(t *testing.T) {
 	}()
 	csr.Freeze([]int{1, 1}, func(int, func(int, int64, int64)) {})
 }
+
+// TestFreezeIntoNeverRewritesTheMapping pins what routing rows rely on: the
+// IDs slice and index map a freeze handed out stay as they were through any
+// later FreezeInto of the same Graph value — kept when the node list is
+// unchanged, replaced (never rewritten) when it is not, and copied before an
+// implicit node extends a kept one.
+func TestFreezeIntoNeverRewritesTheMapping(t *testing.T) {
+	g := adj{
+		nodes: []int{7, 3, 50},
+		out:   map[int][]csr.Arc{7: {{To: 3, Bandwidth: 10, Latency: 1}}},
+	}
+	cg := g.freeze(nil)
+	ids, idx := cg.IDs, cg.IndexMap()
+	unchanged := func(when string) {
+		t.Helper()
+		if !reflect.DeepEqual(ids, []int{7, 3, 50}) || !reflect.DeepEqual(idx, map[int]int32{7: 0, 3: 1, 50: 2}) {
+			t.Fatalf("%s: the first freeze's mapping became %v / %v", when, ids, idx)
+		}
+	}
+
+	// Links change, nodes do not: the mapping is kept, not rebuilt.
+	g.out[3] = []csr.Arc{{To: 50, Bandwidth: 4, Latency: 4}}
+	g.freeze(cg)
+	if &cg.IDs[0] != &ids[0] || reflect.ValueOf(cg.IndexMap()).Pointer() != reflect.ValueOf(idx).Pointer() {
+		t.Fatal("a re-freeze over the same node list rebuilt the mapping")
+	}
+
+	// An implicit node must not grow the mapping others still hold.
+	g.out[50] = []csr.Arc{{To: 99, Bandwidth: 1, Latency: 1}}
+	g.freeze(cg)
+	unchanged("after an implicit node")
+	if i, ok := cg.Index(99); !ok || i != 3 || cg.Len() != 4 {
+		t.Fatalf("implicit node: Index(99) = %d,%v Len = %d", i, ok, cg.Len())
+	}
+
+	// A different node list gets a mapping of its own.
+	g.nodes, g.out = []int{50, 8}, map[int][]csr.Arc{8: {{To: 50, Bandwidth: 2, Latency: 2}}}
+	g.freeze(cg)
+	unchanged("after a re-freeze over other nodes")
+	if nodes, out := cg.Thaw(); !reflect.DeepEqual(nodes, g.nodes) || !reflect.DeepEqual(out, g.out) {
+		t.Fatalf("re-freeze content: %v %v", nodes, out)
+	}
+}

@@ -84,14 +84,17 @@ func FuzzFreezeRoundTrip(f *testing.F) {
 		for _, src := range ov.Nodes() {
 			want := qos.ShortestWidest(ov, src)
 			got := qos.ShortestWidestCSR(frozen, src, nil)
-			if !reflect.DeepEqual(got.Dist, want.Dist) {
-				t.Fatalf("src %d: Dist diverged: %v vs %v", src, got.Dist, want.Dist)
-			}
-			for dst := range want.Dist {
+			for _, dst := range ov.Nodes() {
+				if g, w := got.Metric(dst), want.Metric(dst); g != w {
+					t.Fatalf("src %d dst %d: metric diverged: %v vs %v", src, dst, g, w)
+				}
 				if !reflect.DeepEqual(got.PathTo(dst), want.PathTo(dst)) {
 					t.Fatalf("src %d dst %d: path diverged: %v vs %v",
 						src, dst, got.PathTo(dst), want.PathTo(dst))
 				}
+			}
+			if !got.Equal(want) {
+				t.Fatalf("src %d: rows not Equal", src)
 			}
 		}
 	})

@@ -100,7 +100,7 @@ func Scale(cfg Config) (*Series, error) {
 			// Spot check: the memoized source row must equal a fresh
 			// dense computation on a fresh freeze of the same overlay.
 			fresh := qos.ShortestWidestCSR(qos.FreezeGraph(s.Overlay), s.SourceNID, qos.NewScratch())
-			if memo := lt.From(s.SourceNID); memo != nil && resultsEqual(memo, fresh) {
+			if memo := lt.From(s.SourceNID); memo != nil && memo.Equal(fresh) {
 				vals["match"] = 1
 			}
 		}
@@ -128,23 +128,4 @@ func Scale(cfg Config) (*Series, error) {
 		Columns: cols,
 		Points:  points,
 	}, nil
-}
-
-// resultsEqual deep-compares two single-source results: same reachable set,
-// metrics and selected paths.
-func resultsEqual(a, b *qos.Result) bool {
-	if len(a.Dist) != len(b.Dist) {
-		return false
-	}
-	for dst, m := range a.Dist {
-		om, ok := b.Dist[dst]
-		if !ok || m != om {
-			return false
-		}
-		p, op := a.PathTo(dst), b.PathTo(dst)
-		if !reflect.DeepEqual(p, op) {
-			return false
-		}
-	}
-	return true
 }

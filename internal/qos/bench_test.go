@@ -198,7 +198,8 @@ func largeTierGraph(n, degree, tiers int) *testGraph {
 // width class costs one (early-exited) phase-2 latency run, so the tier count
 // is the kernel's per-row multiplier. tiers=1 is the single-class floor,
 // tiers=6 the GenerateLarge default the `make bench-kernel` gate watches,
-// tiers=12 the stress end.
+// tiers=12 the stress end. B/row is what the returned row owns
+// (Result.Bytes): more tiers mean more per-class parent overrides.
 func BenchmarkShortestWidestTiers(b *testing.B) {
 	for _, tiers := range []int{1, 3, 6, 12} {
 		g := largeTierGraph(2000, 3, tiers)
@@ -207,9 +208,11 @@ func BenchmarkShortestWidestTiers(b *testing.B) {
 			sc := NewScratch()
 			b.ReportAllocs()
 			b.ResetTimer()
+			rowBytes := 0
 			for i := 0; i < b.N; i++ {
-				ShortestWidestCSR(cg, i%2000, sc)
+				rowBytes += ShortestWidestCSR(cg, i%2000, sc).Bytes()
 			}
+			b.ReportMetric(float64(rowBytes)/float64(b.N), "B/row")
 		})
 	}
 }

@@ -85,8 +85,8 @@ const (
 )
 
 // Scratch holds the per-worker reusable state of the dense kernels: distance
-// and predecessor arrays, the indexed 4-ary heap, the bucket queue, and
-// assembly buffers. A Scratch grows to the largest graph it has seen and is
+// and predecessor arrays, the indexed 4-ary heap, the bucket queue, and the
+// row builder's buffers. A Scratch grows to the largest graph it has seen and is
 // then reused without allocating, so steady-state relaxations allocate
 // nothing. It is owned by exactly one goroutine at a time and must not be
 // shared concurrently; ComputeAllPairsWorkers and Incremental.Flush thread
@@ -125,23 +125,15 @@ type Scratch struct {
 	permLat    []int64
 	permTier   []int32
 
-	arenaHint int // previous row's arena length, pre-sizing the next one
-
 	widths   []int64 // distinct phase-1 width classes, widest first
 	classCnt []int32 // per-class member count, then placement cursor
 	classOff []int32 // class k's members are order[classOff[k]:classOff[k+1]]
 	order    []int32 // reached nodes grouped by width class
 
-	chain []int32 // predecessor-chain buffer for path assembly
-	spans []pathSpan
+	chain []int32 // predecessor-chain buffer of the latency row's width pass
+	row   rowBuilder
 
 	forceKernel int // test hook: kernelAuto (default), kernelHeap, kernelBucket
-}
-
-// pathSpan locates one destination's selected path inside a Result's arena.
-type pathSpan struct {
-	dst    int
-	lo, hi int
 }
 
 // NewScratch returns an empty Scratch, ready for any graph size.
@@ -882,78 +874,35 @@ func (sc *Scratch) groupWidthClasses(g *csr.Graph, src int32) {
 	}
 }
 
-// emitPath appends the selected path to dst (walked back through prev, then
-// reversed) to the arena and records its span. It returns the grown arena.
-func (sc *Scratch) emitPath(g *csr.Graph, src, dst int32, prev []int32, arena []int) []int {
-	chain := sc.chain[:0]
-	for v := dst; ; v = prev[v] {
-		chain = append(chain, v)
-		if v == src {
-			break
-		}
-	}
-	sc.chain = chain
-	lo := len(arena)
-	for i := len(chain) - 1; i >= 0; i-- {
-		arena = append(arena, g.IDs[chain[i]])
-	}
-	sc.spans = append(sc.spans, pathSpan{dst: g.IDs[dst], lo: lo, hi: len(arena)})
-	return arena
-}
-
-// shortestWidestDense is the CSR engine behind ShortestWidest: identical
-// Dist/paths output (see the package comment above for the relaxation-counter
-// invariant), dense arrays and a reusable Scratch instead of per-call maps.
-// Selected paths are carved from a single per-result arena, so a run performs
-// a small constant number of allocations regardless of graph size.
+// shortestWidestDense is the CSR engine behind ShortestWidest: the same row
+// (see the package comment above for the relaxation-counter invariant) from
+// dense arrays and a reusable Scratch instead of per-call maps. The row is
+// laid out over the frozen graph's own index, so a run performs a small
+// constant number of allocations regardless of graph size.
 func shortestWidestDense(g *csr.Graph, src int32, sc *Scratch, ins instr) *Result {
 	var relaxed int64
-	n := g.Len()
-	sc.ensure(n)
+	sc.ensure(g.Len())
 	sc.denseWidest(g, src, &relaxed)
 	sc.groupWidthClasses(g, src)
 
-	srcID := g.IDs[src]
-	res := &Result{
-		Source: srcID,
-		Dist:   make(map[int]Metric, len(sc.order)+1),
-		paths:  make(map[int][]int, len(sc.order)+1),
-	}
-	res.Dist[srcID] = Empty
-	cap0 := 2*len(sc.order) + 1
-	if sc.arenaHint > cap0 {
-		// Rows of one graph have similar path volume; sizing by the previous
-		// row's arena avoids the append-regrow copies mid-assembly.
-		cap0 = sc.arenaHint
-	}
-	arena := make([]int, 0, cap0)
-	sc.spans = sc.spans[:0]
-	arena = sc.emitPath(g, src, src, sc.prev1, arena)
-
-	for k := 0; k < len(sc.widths); k++ {
-		w := sc.widths[k]
-		lo, hi := sc.classOff[k], sc.classOff[k+1]
-		sc.denseLatencyStop(g, src, w, &relaxed, w, int(hi-lo))
-		for _, v := range sc.order[lo:hi] {
-			l := sc.lat[v]
-			if l < 0 {
+	sc.row.begin(newResult(g.IDs, g.IndexMap(), src))
+	for k, w := range sc.widths {
+		members := sc.order[sc.classOff[k]:sc.classOff[k+1]]
+		sc.denseLatencyStop(g, src, w, &relaxed, w, len(members))
+		for _, v := range members {
+			if sc.lat[v] < 0 {
 				// Unreachable on a frozen graph (see package comment).
 				panic("qos: phase 2 missed a phase-1 node on a frozen graph")
 			}
-			res.Dist[g.IDs[v]] = Metric{Bandwidth: w, Latency: l}
-			arena = sc.emitPath(g, src, v, sc.prev2, arena)
 		}
-	}
-	sc.arenaHint = len(arena)
-	for _, s := range sc.spans {
-		res.paths[s.dst] = arena[s.lo:s.hi:s.hi]
+		sc.row.class(w, members, sc.lat, sc.prev2)
 	}
 	ins.runs.Inc()
 	ins.relaxations.Add(relaxed)
 	// The fallback counter stays at zero by construction on a frozen graph;
 	// Add(0) keeps the published counter set identical to the oracle's.
 	ins.fallbacks.Add(0)
-	return res
+	return sc.row.finish()
 }
 
 // ShortestWidestCSR computes shortest-widest paths from src on a frozen
@@ -965,11 +914,7 @@ func ShortestWidestCSR(g *csr.Graph, src int, sc *Scratch) *Result {
 	if !ok {
 		// Same answer the oracle gives for a source the graph doesn't know:
 		// only the empty path to itself.
-		return &Result{
-			Source: src,
-			Dist:   map[int]Metric{src: Empty},
-			paths:  map[int][]int{src: {src}},
-		}
+		return newResult([]int{src}, map[int]int32{src: 0}, 0)
 	}
 	if sc == nil {
 		sc = NewScratch()
@@ -983,58 +928,39 @@ func ShortestWidestCSR(g *csr.Graph, src int, sc *Scratch) *Result {
 func ShortestLatencyCSR(g *csr.Graph, src int, sc *Scratch) *Result {
 	i, ok := g.Index(src)
 	if !ok {
-		return &Result{
-			Source: src,
-			Dist:   map[int]Metric{src: {Bandwidth: InfBandwidth, Latency: 0}},
-			paths:  map[int][]int{src: {src}},
-		}
+		return newResult([]int{src}, map[int]int32{src: 0}, 0)
 	}
 	if sc == nil {
 		sc = NewScratch()
 	}
-	n := g.Len()
-	sc.ensure(n)
+	n := int32(g.Len())
+	sc.ensure(int(n))
 	var relaxed int64
 	sc.denseLatency(g, i, 1, &relaxed)
 
-	reached := 0
-	for v := int32(0); v < int32(n); v++ {
-		if sc.lat[v] >= 0 {
-			reached++
-		}
-	}
-	res := &Result{
-		Source: g.IDs[i],
-		Dist:   make(map[int]Metric, reached),
-		paths:  make(map[int][]int, reached),
-	}
-	cap0 := 2 * reached
-	if sc.arenaHint > cap0 {
-		cap0 = sc.arenaHint
-	}
-	arena := make([]int, 0, cap0)
-	sc.spans = sc.spans[:0]
-	for v := int32(0); v < int32(n); v++ {
+	res := newResult(g.IDs, g.IndexMap(), i)
+	// A path's bottleneck is its parent's path's bottleneck narrowed by the
+	// recorded tree arc into the node — the lowest-latency (then widest)
+	// usable arc, exactly what the oracle's per-hop arcBandwidth rescan
+	// selects. Climb to the nearest node already priced, then come back down.
+	for v := int32(0); v < n; v++ {
 		if sc.lat[v] < 0 {
 			continue
 		}
-		arena = sc.emitPath(g, i, v, sc.prev2, arena)
-		// The chain emitPath just walked is the path in reverse; its
-		// bottleneck is the min over each hop's recorded tree arc — the
-		// lowest-latency (then widest) usable arc into every chain node,
-		// exactly what the oracle's per-hop arcBandwidth rescan selects, at
-		// O(1) per hop instead of an out-row scan.
-		width := InfBandwidth
-		for k := len(sc.chain) - 1; k > 0; k-- {
-			if bw := sc.permBW[sc.arc2[sc.chain[k-1]]]; bw < width {
-				width = bw
-			}
+		chain := sc.chain[:0]
+		x := v
+		for res.metric[x].Bandwidth == 0 {
+			chain = append(chain, x)
+			x = sc.prev2[x]
 		}
-		res.Dist[g.IDs[v]] = Metric{Bandwidth: width, Latency: sc.lat[v]}
-	}
-	sc.arenaHint = len(arena)
-	for _, s := range sc.spans {
-		res.paths[s.dst] = arena[s.lo:s.hi:s.hi]
+		sc.chain = chain
+		width := res.metric[x].Bandwidth
+		for k := len(chain) - 1; k >= 0; k-- {
+			c := chain[k]
+			width = min64(width, sc.permBW[sc.arc2[c]])
+			res.metric[c] = Metric{Bandwidth: width, Latency: sc.lat[c]}
+			res.parent[c] = sc.prev2[c]
+		}
 	}
 	return res
 }

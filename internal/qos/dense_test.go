@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -45,11 +46,17 @@ func requireResultsEqual(t *testing.T, label string, got, want *Result) {
 	if got.Source != want.Source {
 		t.Fatalf("%s: Source = %d, want %d", label, got.Source, want.Source)
 	}
-	if !reflect.DeepEqual(got.Dist, want.Dist) {
-		t.Fatalf("%s: Dist diverged:\n got %v\nwant %v", label, got.Dist, want.Dist)
+	gotDist, wantDist := maps.Collect(got.Reached), maps.Collect(want.Reached)
+	if !reflect.DeepEqual(gotDist, wantDist) {
+		t.Fatalf("%s: metrics diverged:\n got %v\nwant %v", label, gotDist, wantDist)
 	}
-	if !reflect.DeepEqual(got.paths, want.paths) {
-		t.Fatalf("%s: paths diverged:\n got %v\nwant %v", label, got.paths, want.paths)
+	for dst := range wantDist {
+		if g, w := got.PathTo(dst), want.PathTo(dst); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: path to %d diverged:\n got %v\nwant %v", label, dst, g, w)
+		}
+	}
+	if !got.Equal(want) || !want.Equal(got) {
+		t.Fatalf("%s: Equal disagrees with the field-by-field comparison", label)
 	}
 }
 

@@ -173,8 +173,8 @@ func TestShortestLatencyParallelArcs(t *testing.T) {
 		requireResultsEqual(t, "parallel arcs", got, want)
 		// The selected bottleneck must be the widest among the
 		// minimum-latency parallel arcs on every hop: min(70, 60) = 60.
-		if m := got.Dist[3]; m.Bandwidth != 60 || m.Latency != 7 {
-			t.Fatalf("flip=%v: Dist[3] = %+v, want {60 7}", flip, m)
+		if m := got.Metric(3); m.Bandwidth != 60 || m.Latency != 7 {
+			t.Fatalf("flip=%v: Metric(3) = %+v, want {60 7}", flip, m)
 		}
 	}
 }

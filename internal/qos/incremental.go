@@ -6,17 +6,14 @@
 // for nodes u reachable from s (phase 1 pops exactly the reachable set and
 // phase 2 / the fallback walk subsets of it). A mutation that changes Out(u)
 // therefore cannot change — not even in tie-breaking — the result of any
-// source that could not reach u. Tracking, per node, the set of sources whose
-// last run read it (the reverse-dependency "readers" index) turns a mutation
-// into an exact dirty set: recomputing just those sources reproduces the
-// from-scratch table bit for bit, selected paths included.
+// source that could not reach u. Every row records the set its run reached
+// (the nodes with a metric), so a mutation asks each current row whether it
+// reached u, and that is an exact dirty set: recomputing just those sources
+// reproduces the from-scratch table bit for bit, selected paths included.
 package qos
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"sflow/internal/csr"
 	"sflow/internal/metrics"
@@ -33,10 +30,6 @@ type Incremental struct {
 	ins     instr
 
 	ap *AllPairs
-	// readers maps node u -> the sources whose current result was computed
-	// by a run that read Out(u), i.e. the sources that can reach u. Exactly
-	// these sources must be recomputed when Out(u) changes.
-	readers map[int]map[int]struct{}
 	// dirty holds the sources whose cached result may be stale.
 	dirty map[int]struct{}
 
@@ -56,8 +49,7 @@ type Incremental struct {
 	flushes, recomputed, saved *metrics.Counter
 }
 
-// NewIncremental computes the initial all-pairs table of g and the
-// reverse-dependency index behind incremental maintenance. workers bounds the
+// NewIncremental computes the initial all-pairs table of g. workers bounds the
 // per-source fan-out of the initial computation and of every Flush (<= 0
 // means GOMAXPROCS, 1 forces sequential). reg, when non-nil, receives
 // qos_incremental_* counters alongside the usual routing instrumentation.
@@ -68,7 +60,6 @@ func NewIncremental(g Graph, workers int, reg *metrics.Registry) *Incremental {
 		workers: workers,
 		ins:     ins,
 		ap:      computeAllPairs(g, workers, false, ins),
-		readers: make(map[int]map[int]struct{}),
 		dirty:   make(map[int]struct{}),
 		stale:   true,
 	}
@@ -76,9 +67,6 @@ func NewIncremental(g Graph, workers int, reg *metrics.Registry) *Incremental {
 		inc.flushes = reg.Counter("qos_incremental_flushes_total")
 		inc.recomputed = reg.Counter("qos_incremental_recomputed_sources_total")
 		inc.saved = reg.Counter("qos_incremental_saved_sources_total")
-	}
-	for src, res := range inc.ap.results {
-		inc.register(src, res)
 	}
 	return inc
 }
@@ -124,27 +112,13 @@ func (inc *Incremental) Table() Table {
 	return inc.AllPairs()
 }
 
-// register adds src to the readers set of every node its result reached.
-func (inc *Incremental) register(src int, res *Result) {
-	for u := range res.Dist {
-		set, ok := inc.readers[u]
-		if !ok {
-			set = make(map[int]struct{})
-			inc.readers[u] = set
-		}
-		set[src] = struct{}{}
-	}
-}
-
-// unregister removes src from the readers set of every node its previous
-// result reached.
-func (inc *Incremental) unregister(src int, res *Result) {
-	for u := range res.Dist {
-		if set, ok := inc.readers[u]; ok {
-			delete(set, src)
-			if len(set) == 0 {
-				delete(inc.readers, u)
-			}
+// dirtyReaders queues every source whose current row was computed by a run
+// that read Out(u): the sources that reach u, u itself among them (a row
+// reaches its own source).
+func (inc *Incremental) dirtyReaders(u int) {
+	for src, res := range inc.ap.results {
+		if res.Metric(u).Reachable() {
+			inc.dirty[src] = struct{}{}
 		}
 	}
 }
@@ -158,15 +132,7 @@ func (inc *Incremental) OutChanged(u int) {
 		return
 	}
 	inc.stale = true
-	for src := range inc.readers[u] {
-		inc.dirty[src] = struct{}{}
-	}
-	// u's own run reads Out(u) by definition; registration guarantees
-	// u ∈ readers[u] while u has a result, but be defensive about a node
-	// whose links appear before Flush ran after NodeAdded.
-	if _, ok := inc.ap.results[u]; ok {
-		inc.dirty[u] = struct{}{}
-	}
+	inc.dirtyReaders(u)
 }
 
 // NodeAdded records that n joined the graph. The new source needs its own
@@ -192,17 +158,9 @@ func (inc *Incremental) NodeRemoved(n int) {
 		return
 	}
 	inc.stale = true
-	for src := range inc.readers[n] {
-		inc.dirty[src] = struct{}{}
-	}
-	if res, ok := inc.ap.results[n]; ok {
-		inc.unregister(n, res)
-		delete(inc.ap.results, n)
-	}
+	inc.dirtyReaders(n)
+	delete(inc.ap.results, n)
 	delete(inc.dirty, n)
-	// Any readers entry for n itself is now stale; recomputed sources will
-	// simply no longer reach n, and unregister above dropped n's own runs.
-	delete(inc.readers, n)
 }
 
 // Dirty returns the sources currently queued for recomputation (eager mode)
@@ -247,64 +205,22 @@ func (inc *Incremental) Flush() int {
 	for src := range inc.dirty {
 		if _, ok := current[src]; ok {
 			srcs = append(srcs, src)
-		} else if res, ok := inc.ap.results[src]; ok {
+		} else {
 			// A dirty source that left before the flush: drop it.
-			inc.unregister(src, res)
 			delete(inc.ap.results, src)
 		}
 	}
 	sort.Ints(srcs)
 	inc.dirty = make(map[int]struct{})
 
-	fresh := make([]*Result, len(srcs))
-	workers := inc.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(srcs) {
-		workers = len(srcs)
-	}
 	if len(srcs) > 0 && (inc.frozen == nil || inc.stale) {
 		inc.frozen = FreezeGraphInto(inc.frozen, inc.g)
 		inc.stale = false
 	}
-	for len(inc.scratches) < workers {
-		inc.scratches = append(inc.scratches, NewScratch())
-	}
-	if workers <= 1 {
-		if len(inc.scratches) == 0 {
-			inc.scratches = append(inc.scratches, NewScratch())
-		}
-		sc := inc.scratches[0]
-		for i, src := range srcs {
-			idx, _ := inc.frozen.Index(src)
-			fresh[i] = shortestWidestDense(inc.frozen, idx, sc, inc.ins)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(sc *Scratch) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(srcs) {
-						return
-					}
-					idx, _ := inc.frozen.Index(srcs[i])
-					fresh[i] = shortestWidestDense(inc.frozen, idx, sc, inc.ins)
-				}
-			}(inc.scratches[w])
-		}
-		wg.Wait()
-	}
+	var fresh []*Result
+	fresh, inc.scratches = denseRows(inc.frozen, srcs, inc.workers, inc.scratches, inc.ins)
 	for i, src := range srcs {
-		if old, ok := inc.ap.results[src]; ok {
-			inc.unregister(src, old)
-		}
 		inc.ap.results[src] = fresh[i]
-		inc.register(src, fresh[i])
 	}
 	inc.flushes.Inc()
 	inc.recomputed.Add(int64(len(srcs)))
@@ -330,30 +246,4 @@ func (inc *Incremental) AllPairs() *AllPairs {
 
 // Equal reports whether two all-pairs tables are deeply equal: same sources,
 // and per source the same reachable set, metrics and selected paths.
-func (ap *AllPairs) Equal(o *AllPairs) bool {
-	if len(ap.results) != len(o.results) {
-		return false
-	}
-	for src, r := range ap.results {
-		or, ok := o.results[src]
-		if !ok || len(r.Dist) != len(or.Dist) {
-			return false
-		}
-		for dst, m := range r.Dist {
-			om, ok := or.Dist[dst]
-			if !ok || m != om {
-				return false
-			}
-			p, op := r.paths[dst], or.paths[dst]
-			if len(p) != len(op) {
-				return false
-			}
-			for i := range p {
-				if p[i] != op[i] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
+func (ap *AllPairs) Equal(o *AllPairs) bool { return TablesEqual(ap, o) }

@@ -9,9 +9,9 @@
 // reader asks for it, memoized, and — because shortestWidest(g, s) is a pure
 // function of the out-arc lists it actually reads — stays valid until a
 // mutation touches a node the row's run read. Invalidation therefore reuses
-// exactly the reverse-dependency ("readers") argument behind Incremental:
-// OutChanged(u) evicts precisely the materialized rows whose sources reach u,
-// and rows nobody materialized cost nothing to invalidate.
+// exactly the argument behind Incremental: OutChanged(u) asks each resident
+// row whether it reached u and evicts precisely those, and rows nobody
+// materialized cost nothing to invalidate.
 //
 // Concurrency: the read methods (Metric, Path, From, Sources, Prefetch,
 // Materialize) are safe for any number of concurrent readers; a per-source
@@ -26,6 +26,7 @@ package qos
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -62,40 +63,14 @@ var (
 // every row of both tables, materializing lazy ones — an equivalence-test
 // helper, not a hot-path operation.
 func TablesEqual(a, b Table) bool {
-	as, bs := a.Sources(), b.Sources()
-	if len(as) != len(bs) {
+	as := a.Sources()
+	if !slices.Equal(as, b.Sources()) {
 		return false
-	}
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
 	}
 	for _, src := range as {
 		ra, rb := a.From(src), b.From(src)
-		if (ra == nil) != (rb == nil) {
+		if (ra == nil) != (rb == nil) || (ra != nil && !ra.Equal(rb)) {
 			return false
-		}
-		if ra == nil {
-			continue
-		}
-		if len(ra.Dist) != len(rb.Dist) {
-			return false
-		}
-		for dst, m := range ra.Dist {
-			om, ok := rb.Dist[dst]
-			if !ok || m != om {
-				return false
-			}
-			p, op := ra.paths[dst], rb.paths[dst]
-			if len(p) != len(op) {
-				return false
-			}
-			for i := range p {
-				if p[i] != op[i] {
-					return false
-				}
-			}
 		}
 	}
 	return true
@@ -119,14 +94,14 @@ type lruNode struct {
 
 // LazyOptions configures a LazyAllPairs beyond the graph it reads.
 type LazyOptions struct {
-	// Metrics, when non-nil, receives qos_lazy_* counters alongside the
-	// usual routing instrumentation.
+	// Metrics, when non-nil, receives qos_lazy_* counters and the resident
+	// row gauges alongside the usual routing instrumentation.
 	Metrics *metrics.Registry
 	// MaxRows bounds how many completed rows stay memoized; <= 0 means
 	// unbounded. When a row completes and the bound is exceeded, the least
-	// recently read completed rows are evicted (readers-index entries
-	// included) — an evicted row simply recomputes, byte-identically, on its
-	// next read. Rows still in flight never count against the bound.
+	// recently read completed rows are evicted — an evicted row simply
+	// recomputes, byte-identically, on its next read. Rows still in flight
+	// never count against the bound.
 	MaxRows int
 }
 
@@ -160,11 +135,11 @@ type LazyAllPairs struct {
 	// nodes is the frozen graph's node set, ascending. Replaced wholesale on
 	// re-freeze (never mutated in place), so snapshots may share it.
 	nodes []int
-	// rows holds the memoized (or in-flight) per-source results.
-	rows map[int]*lazyRow
-	// readers maps node u -> sources whose materialized row read Out(u):
-	// exactly the rows to evict when Out(u) changes.
-	readers map[int]map[int]struct{}
+	// rows holds the memoized (or in-flight) per-source results; resident
+	// counts the completed ones and residentBytes sums their Result.Bytes.
+	rows          map[int]*lazyRow
+	resident      int
+	residentBytes int64
 	// dirty accumulates sources to evict at the next flush (explicit or
 	// read-triggered); stale marks the frozen graph for re-freeze.
 	dirty map[int]struct{}
@@ -191,6 +166,10 @@ type LazyAllPairs struct {
 	lruEvicted atomic.Int64
 
 	rowsComputed, rowHits, dedups, evictions, lruEvictions *metrics.Counter
+	// The resident gauges are shared with snapshots like the counters, and
+	// show the cache of whichever table last gained or lost a row: the pinned
+	// epoch serving reads, or the live table right after a flush.
+	residentRows, residentSize *metrics.Gauge
 }
 
 // NewLazyAllPairs returns a demand-driven table over g with an unbounded row
@@ -206,7 +185,6 @@ func NewLazyAllPairsOpts(g Graph, opts LazyOptions) *LazyAllPairs {
 	l := &LazyAllPairs{
 		g:       g,
 		rows:    make(map[int]*lazyRow),
-		readers: make(map[int]map[int]struct{}),
 		dirty:   make(map[int]struct{}),
 		stale:   true,
 		maxRows: opts.MaxRows,
@@ -222,6 +200,8 @@ func NewLazyAllPairsOpts(g Graph, opts LazyOptions) *LazyAllPairs {
 		l.dedups = reg.Counter("qos_lazy_dedup_waits_total")
 		l.evictions = reg.Counter("qos_lazy_evicted_rows_total")
 		l.lruEvictions = reg.Counter("qos_lazy_lru_evicted_rows_total")
+		l.residentRows = reg.Gauge("qos_lazy_resident_rows", metrics.Volatile())
+		l.residentSize = reg.Gauge("qos_lazy_resident_bytes", metrics.Volatile())
 	}
 	return l
 }
@@ -282,31 +262,39 @@ func (l *LazyAllPairs) lruUnlinkLocked(n *lruNode) {
 	n.prev, n.next = nil, nil
 }
 
-// lruDropLocked forgets src's recency state (row eviction by other means).
-func (l *LazyAllPairs) lruDropLocked(src int) {
+// lruEnforceLocked evicts least-recently-read completed rows until the cache
+// fits maxRows again. Caller holds l.mu.
+func (l *LazyAllPairs) lruEnforceLocked() {
+	for l.maxRows > 0 && len(l.lru) > l.maxRows {
+		l.dropLocked(l.lruTail.src)
+		l.lruEvicted.Add(1)
+		l.lruEvictions.Inc()
+	}
+}
+
+// dropLocked forgets src's row and its recency state, and reports whether
+// there was a row to forget. Caller holds l.mu.
+func (l *LazyAllPairs) dropLocked(src int) bool {
 	if n, ok := l.lru[src]; ok {
 		l.lruUnlinkLocked(n)
 		delete(l.lru, src)
 	}
+	row, ok := l.rows[src]
+	if !ok {
+		return false
+	}
+	delete(l.rows, src)
+	if row.res != nil {
+		l.resident--
+		l.residentBytes -= int64(row.res.Bytes())
+	}
+	return true
 }
 
-// lruEnforceLocked evicts least-recently-read completed rows until the cache
-// fits maxRows again. Only completed rows are in the list, so an eviction
-// always has a readers registration to undo. Caller holds l.mu.
-func (l *LazyAllPairs) lruEnforceLocked() {
-	for l.maxRows > 0 && len(l.lru) > l.maxRows {
-		victim := l.lruTail
-		l.lruUnlinkLocked(victim)
-		delete(l.lru, victim.src)
-		if row, ok := l.rows[victim.src]; ok {
-			delete(l.rows, victim.src)
-			if row.res != nil {
-				l.unregisterLocked(victim.src, row.res)
-			}
-		}
-		l.lruEvicted.Add(1)
-		l.lruEvictions.Inc()
-	}
+// publishResidentLocked shows this table's cache in the resident gauges.
+func (l *LazyAllPairs) publishResidentLocked() {
+	l.residentRows.Set(int64(l.resident))
+	l.residentSize.Set(l.residentBytes)
 }
 
 // applyPendingLocked evicts the dirty rows and re-freezes a stale graph. The
@@ -314,18 +302,14 @@ func (l *LazyAllPairs) lruEnforceLocked() {
 // reusing storage: snapshots may still be routing on the old arrays.
 func (l *LazyAllPairs) applyPendingLocked() {
 	for src := range l.dirty {
-		if row, ok := l.rows[src]; ok {
-			delete(l.rows, src)
-			if row.res != nil {
-				l.unregisterLocked(src, row.res)
-			}
-			l.lruDropLocked(src)
+		if l.dropLocked(src) {
 			l.evicted.Add(1)
 			l.evictions.Inc()
 		}
 	}
 	if len(l.dirty) > 0 {
 		l.dirty = make(map[int]struct{})
+		l.publishResidentLocked()
 	}
 	if l.stale {
 		if l.g != nil {
@@ -338,26 +322,13 @@ func (l *LazyAllPairs) applyPendingLocked() {
 	}
 }
 
-// registerLocked adds src to the readers set of every node its row reached —
-// the same bookkeeping Incremental keeps eagerly, built here row by row.
-func (l *LazyAllPairs) registerLocked(src int, res *Result) {
-	for u := range res.Dist {
-		set, ok := l.readers[u]
-		if !ok {
-			set = make(map[int]struct{})
-			l.readers[u] = set
-		}
-		set[src] = struct{}{}
-	}
-}
-
-func (l *LazyAllPairs) unregisterLocked(src int, res *Result) {
-	for u := range res.Dist {
-		if set, ok := l.readers[u]; ok {
-			delete(set, src)
-			if len(set) == 0 {
-				delete(l.readers, u)
-			}
+// dirtyReadersLocked queues for eviction every row whose run read Out(u): the
+// rows that reached u, and u's own row, finished or not. Under the
+// single-writer contract no other row is in flight across a mutation.
+func (l *LazyAllPairs) dirtyReadersLocked(u int) {
+	for src, row := range l.rows {
+		if src == u || (row.res != nil && row.res.Metric(u).Reachable()) {
+			l.dirty[src] = struct{}{}
 		}
 	}
 }
@@ -409,13 +380,15 @@ func (l *LazyAllPairs) From(src int) *Result {
 	row.res = res
 	// The row may have been evicted while computing (only possible for a
 	// mutation racing a read, which the single-writer contract forbids on
-	// the live table; be defensive anyway): register only if still current.
-	// Registration, recency and the MaxRows bound move in one critical
+	// the live table; be defensive anyway): count it only if still current.
+	// Accounting, recency and the MaxRows bound move in one critical
 	// section, so no reader can observe a row outside the bound.
 	if l.rows[src] == row {
-		l.registerLocked(src, res)
+		l.resident++
+		l.residentBytes += int64(res.Bytes())
 		l.lruTouchLocked(src)
 		l.lruEnforceLocked()
+		l.publishResidentLocked()
 	}
 	l.mu.Unlock()
 	close(row.done)
@@ -435,8 +408,8 @@ func (l *LazyAllPairs) Metric(src, dst int) Metric {
 }
 
 // Path returns the selected shortest-widest path from src to dst (nil if
-// unreachable), computing the src row on first read. The returned slice is a
-// copy: callers cannot alias the memoized row's arena.
+// unreachable), computing the src row on first read. The returned slice is
+// fresh: the memoized row stores no paths to alias.
 func (l *LazyAllPairs) Path(src, dst int) []int {
 	r := l.From(src)
 	if r == nil {
@@ -477,13 +450,7 @@ func (l *LazyAllPairs) OutChanged(u int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stale = true
-	for src := range l.readers[u] {
-		l.dirty[src] = struct{}{}
-	}
-	// u's own row reads Out(u) by definition.
-	if _, ok := l.rows[u]; ok {
-		l.dirty[u] = struct{}{}
-	}
+	l.dirtyReadersLocked(u)
 }
 
 // NodeAdded records that n joined the graph. No row can have reached a node
@@ -501,13 +468,7 @@ func (l *LazyAllPairs) NodeRemoved(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stale = true
-	for src := range l.readers[n] {
-		l.dirty[src] = struct{}{}
-	}
-	if _, ok := l.rows[n]; ok {
-		l.dirty[n] = struct{}{}
-	}
-	delete(l.readers, n)
+	l.dirtyReadersLocked(n)
 }
 
 // Dirty returns the materialized sources currently queued for eviction,
@@ -540,37 +501,10 @@ func (l *LazyAllPairs) Flush() int {
 // Prefetching never changes any answer — rows are byte-identical whether
 // computed here or on first demand — it only moves the cost onto more cores.
 func (l *LazyAllPairs) Prefetch(srcs []int, workers int) {
-	if len(srcs) == 0 {
-		return
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(srcs) {
-		workers = len(srcs)
-	}
-	if workers <= 1 {
-		for _, src := range srcs {
-			l.From(src)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(srcs) {
-					return
-				}
-				l.From(srcs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(len(srcs), workers, func(_, i int) { l.From(srcs[i]) })
 }
 
 // Materialize computes every missing row and returns the table in eager
@@ -616,11 +550,15 @@ func (l *LazyAllPairs) Snapshot() *LazyAllPairs {
 		frozen:  l.frozen,
 		nodes:   l.nodes,
 		rows:    rows,
-		readers: make(map[int]map[int]struct{}),
 		dirty:   make(map[int]struct{}),
 		maxRows: l.maxRows,
-		pool:    l.pool,
-		ins:     l.ins,
+
+		// In-flight rows are counted on completion, so the totals describe
+		// exactly the rows copied above.
+		resident:      l.resident,
+		residentBytes: l.residentBytes,
+		pool:          l.pool,
+		ins:           l.ins,
 
 		// Counters are shared with the parent (they are concurrency-safe),
 		// so rows computed or evicted while serving a pinned epoch still
@@ -630,6 +568,8 @@ func (l *LazyAllPairs) Snapshot() *LazyAllPairs {
 		dedups:       l.dedups,
 		evictions:    l.evictions,
 		lruEvictions: l.lruEvictions,
+		residentRows: l.residentRows,
+		residentSize: l.residentSize,
 	}
 	if s.maxRows > 0 {
 		s.lru = make(map[int]*lruNode, len(rows))

@@ -197,3 +197,44 @@ func TestLazyUnboundedNeverLRUEvicts(t *testing.T) {
 		t.Fatalf("LRUEvicted = %d, want 0 when unbounded", st.LRUEvicted)
 	}
 }
+
+// TestLazyResidentGauges pins the cache-fullness gauges: they follow the rows
+// held by the table that last gained or lost one, in rows and in the bytes
+// those rows own, through LRU eviction, a pinned snapshot's own reads and a
+// flush that empties the live table.
+func TestLazyResidentGauges(t *testing.T) {
+	g := lruGraph()
+	reg := metrics.New()
+	lt := NewLazyAllPairsOpts(g, LazyOptions{Metrics: reg, MaxRows: 3})
+	rows := reg.Gauge("qos_lazy_resident_rows", metrics.Volatile())
+	size := reg.Gauge("qos_lazy_resident_bytes", metrics.Volatile())
+	held := func(l *LazyAllPairs) (n, bytes int64) {
+		for _, src := range l.ComputedRows() {
+			n++
+			bytes += int64(l.rows[src].res.Bytes())
+		}
+		return n, bytes
+	}
+	check := func(when string, l *LazyAllPairs, wantRows int64) {
+		t.Helper()
+		n, bytes := held(l)
+		if n != wantRows || rows.Value() != n || size.Value() != bytes || (n > 0) != (bytes > 0) {
+			t.Fatalf("%s: gauges say %d rows / %d bytes, table holds %d rows / %d bytes, want %d rows",
+				when, rows.Value(), size.Value(), n, bytes, wantRows)
+		}
+	}
+	for src := 1; src <= 5; src++ {
+		lt.From(src)
+	}
+	check("after five reads under a bound of three", lt, 3)
+
+	snap := lt.Snapshot()
+	snap.From(6) // evicts the snapshot's oldest row, not the parent's
+	check("after the snapshot's own read", snap, 3)
+
+	for _, src := range lt.ComputedRows() {
+		lt.OutChanged(src)
+	}
+	lt.Flush()
+	check("after flushing every live row", lt, 0)
+}

@@ -17,12 +17,15 @@
 package qos
 
 import (
+	"cmp"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"sflow/internal/csr"
 	"sflow/internal/metrics"
 )
 
@@ -83,37 +86,6 @@ func (m Metric) Concat(o Metric) Metric {
 	return Metric{Bandwidth: min64(m.Bandwidth, o.Bandwidth), Latency: m.Latency + o.Latency}
 }
 
-// Result holds the output of a single-source shortest-widest computation.
-type Result struct {
-	Source int
-	// Dist maps each reachable node to the quality of the shortest-widest
-	// path from Source. Unreachable nodes are absent. The map is the
-	// Result's own state, not a copy: callers must treat it as read-only
-	// (writes would corrupt the result for every other reader, including
-	// the incremental maintenance built on top). Prefer the Metric accessor.
-	Dist map[int]Metric
-	// paths maps each reachable node to the selected concrete path
-	// (Source first, node last).
-	paths map[int][]int
-}
-
-// Metric returns the path quality from the source to dst (Unreachable if
-// there is no path).
-func (r *Result) Metric(dst int) Metric { return r.Dist[dst] }
-
-// PathTo returns the selected path from the source to dst, inclusive of both
-// endpoints. It returns nil if dst is unreachable. The returned slice is a
-// copy and is the caller's to keep or modify.
-func (r *Result) PathTo(dst int) []int {
-	p := r.paths[dst]
-	if p == nil {
-		return nil
-	}
-	out := make([]int, len(p))
-	copy(out, p)
-	return out
-}
-
 // instr caches the counter handles of one instrumented routing computation.
 // The zero value (nil handles) is the uninstrumented fast path: hot loops
 // accumulate into locals and the publishing Adds below are nil-check no-ops.
@@ -148,39 +120,55 @@ func ShortestWidestMetrics(g Graph, src int, reg *metrics.Registry) *Result {
 }
 
 func shortestWidest(g Graph, src int, ins instr) *Result {
-	res := &Result{
-		Source: src,
-		Dist:   map[int]Metric{src: Empty},
-		paths:  map[int][]int{src: {src}},
-	}
 	var relaxed, fallbacks int64
 
 	// Phase 1: maximum bottleneck bandwidth to every node.
 	width, wprev := widestDijkstra(g, src, &relaxed)
+	ids, idx := indexNodes(width)
+	srcIdx := idx[src]
+	var b rowBuilder
+	b.begin(newResult(ids, idx, srcIdx))
 
-	// Group nodes by achievable width; one phase-2 run per distinct width.
-	byWidth := make(map[int64][]int)
-	for n, w := range width {
-		if n == src {
-			continue
+	// Group nodes by achievable width, widest first, index order within a
+	// class; one phase-2 run per distinct width.
+	order := make([]int32, 0, len(ids))
+	for i := range ids {
+		if int32(i) != srcIdx {
+			order = append(order, int32(i))
 		}
-		byWidth[w] = append(byWidth[w], n)
 	}
-	widths := make([]int64, 0, len(byWidth))
-	for w := range byWidth {
-		widths = append(widths, w)
-	}
-	sort.Slice(widths, func(i, j int) bool { return widths[i] > widths[j] })
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(width[ids[b]], width[ids[a]]) })
 
 	// Phase 2: for each width class w, find minimum-latency paths using
 	// only links of bandwidth >= w; nodes whose widest width is exactly w
 	// take their final answer from this run.
-	for _, w := range widths {
-		lat, prev := latencyDijkstra(g, src, w, &relaxed)
-		for _, n := range byWidth[w] {
-			if l, ok := lat[n]; ok {
-				res.Dist[n] = Metric{Bandwidth: w, Latency: l}
-				res.paths[n] = rebuild(prev, src, n)
+	lat := make([]int64, len(ids))
+	prev := make([]int32, len(ids))
+	for len(order) > 0 {
+		w := width[ids[order[0]]]
+		k := 1
+		for k < len(order) && width[ids[order[k]]] == w {
+			k++
+		}
+		class := order[:k]
+		order = order[k:]
+
+		latOf, prevOf := latencyDijkstra(g, src, w, &relaxed)
+		for i := range prev {
+			prev[i] = srcIdx
+		}
+		for n, p := range prevOf {
+			i, ok := idx[n]
+			if j, okp := idx[p]; ok && okp {
+				prev[i] = j
+			}
+		}
+		members := class[:0]
+		for _, v := range class {
+			n := ids[v]
+			if l, ok := latOf[n]; ok {
+				lat[v] = l
+				members = append(members, v)
 				continue
 			}
 			// Phase 2 missed a node phase 1 reached. For a Graph
@@ -189,23 +177,51 @@ func shortestWidest(g Graph, src int, ins instr) *Result {
 			// implementation whose Out answers drift between phases
 			// would otherwise see the node silently dropped, i.e.
 			// falsely reported unreachable. Fall back to the phase-1
-			// widest-tree path with a latency recomputed along it.
+			// widest-tree path from the nearest ancestor this run did
+			// reach, with the latency recomputed along that stretch.
 			fallbacks++
-			path := rebuild(wprev, src, n)
-			l, ok := pathLatency(g, path, w)
+			stretch := []int{n}
+			for a := n; ; {
+				a = wprev[a]
+				stretch = append(stretch, a)
+				if _, ok := latOf[a]; ok {
+					break
+				}
+			}
+			slices.Reverse(stretch)
+			l, ok := pathLatency(g, stretch, w)
 			if !ok {
 				// The path itself is gone too; the node really is
 				// unreachable on the graph as currently reported.
 				continue
 			}
-			res.Dist[n] = Metric{Bandwidth: w, Latency: l}
-			res.paths[n] = path
+			lat[v] = latOf[stretch[0]] + l
+			for h := 1; h < len(stretch); h++ {
+				prev[idx[stretch[h]]] = idx[stretch[h-1]]
+			}
+			members = append(members, v)
 		}
+		b.class(w, members, lat, prev)
 	}
 	ins.runs.Inc()
 	ins.relaxations.Add(relaxed)
 	ins.fallbacks.Add(fallbacks)
-	return res
+	return b.finish()
+}
+
+// indexNodes gives the nodes a run reached dense indexes in ascending id
+// order: the mapping an oracle row is laid out over.
+func indexNodes(reached map[int]int64) ([]int, map[int]int32) {
+	ids := make([]int, 0, len(reached))
+	for n := range reached {
+		ids = append(ids, n)
+	}
+	sort.Ints(ids)
+	idx := make(map[int]int32, len(ids))
+	for i, n := range ids {
+		idx[n] = int32(i)
+	}
+	return ids, idx
 }
 
 // pathLatency sums per-hop latencies along path, preferring at each hop the
@@ -313,21 +329,6 @@ func latencyDijkstra(g Graph, src int, minBW int64, relaxed *int64) (map[int]int
 	return lat, prev
 }
 
-func rebuild(prev map[int]int, src, dst int) []int {
-	var rev []int
-	for n := dst; ; {
-		rev = append(rev, n)
-		if n == src {
-			break
-		}
-		n = prev[n]
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // ShortestLatency computes minimum-latency paths from src, the metric an
 // IP-style underlay actually routes by. The returned metrics carry the
 // bottleneck bandwidth of the selected minimum-latency path — which is NOT
@@ -335,21 +336,25 @@ func rebuild(prev map[int]int, src, dst int) []int {
 func ShortestLatency(g Graph, src int) *Result {
 	var relaxed int64
 	lat, prev := latencyDijkstra(g, src, 1, &relaxed)
-	res := &Result{
-		Source: src,
-		Dist:   make(map[int]Metric, len(lat)),
-		paths:  make(map[int][]int, len(lat)),
-	}
-	for n := range lat {
-		path := rebuild(prev, src, n)
-		width := InfBandwidth
-		for i := 0; i+1 < len(path); i++ {
-			if bw := arcBandwidth(g, path[i], path[i+1]); bw < width {
-				width = bw
-			}
+	ids, idx := indexNodes(lat)
+	res := newResult(ids, idx, idx[src])
+	// A path's bottleneck is its parent's path's bottleneck narrowed by the
+	// last hop: climb to the nearest node already priced, then come back down.
+	var chain []int32
+	for i := range ids {
+		chain = chain[:0]
+		x := int32(i)
+		for res.metric[x].Bandwidth == 0 {
+			chain = append(chain, x)
+			x = idx[prev[ids[x]]]
 		}
-		res.Dist[n] = Metric{Bandwidth: width, Latency: lat[n]}
-		res.paths[n] = path
+		width := res.metric[x].Bandwidth
+		for k := len(chain) - 1; k >= 0; k-- {
+			n := ids[chain[k]]
+			width = min64(width, arcBandwidth(g, prev[n], n))
+			res.metric[chain[k]] = Metric{Bandwidth: width, Latency: lat[n]}
+			res.parent[chain[k]] = idx[prev[n]]
+		}
 	}
 	return res
 }
@@ -425,48 +430,58 @@ func ComputeAllPairsWorkersMetrics(g Graph, workers int, reg *metrics.Registry) 
 
 func computeAllPairs(g Graph, workers int, auto bool, ins instr) *AllPairs {
 	nodes := g.Nodes()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if auto && len(nodes) < parallelAllPairsMin {
 		workers = 1
 	}
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-	cg := FreezeGraph(g)
+	rows, _ := denseRows(FreezeGraph(g), nodes, workers, nil, ins)
 	ap := &AllPairs{results: make(map[int]*Result, len(nodes))}
-	if workers <= 1 {
-		sc := NewScratch()
-		for _, n := range nodes {
-			idx, _ := cg.Index(n)
-			ap.results[n] = shortestWidestDense(cg, idx, sc, ins)
-		}
-		return ap
+	for i, n := range nodes {
+		ap.results[n] = rows[i]
 	}
-	perSource := make([]*Result, len(nodes))
+	return ap
+}
+
+// denseRows computes the rows of srcs on a frozen graph and returns them in
+// srcs order, fanned out over up to workers goroutines (<= 0 means
+// GOMAXPROCS) with one Scratch each. scratches is the caller's reusable
+// supply, returned grown to the worker count.
+func denseRows(cg *csr.Graph, srcs []int, workers int, scratches []*Scratch, ins instr) ([]*Result, []*Scratch) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(srcs))
+	for len(scratches) < workers {
+		scratches = append(scratches, NewScratch())
+	}
+	rows := make([]*Result, len(srcs))
+	fanOut(len(srcs), workers, func(w, i int) {
+		idx, _ := cg.Index(srcs[i])
+		rows[i] = shortestWidestDense(cg, idx, scratches[w], ins)
+	})
+	return rows, scratches
+}
+
+// fanOut calls do(w, i) once for every i in [0, n), from workers goroutines
+// numbered w, or inline when one worker is enough.
+func fanOut(n, workers int, do func(w, i int)) {
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			do(0, i)
+		}
+		return
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			sc := NewScratch()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(nodes) {
-					return
-				}
-				idx, _ := cg.Index(nodes[i])
-				perSource[i] = shortestWidestDense(cg, idx, sc, ins)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				do(w, i)
 			}
 		}()
 	}
 	wg.Wait()
-	for i, n := range nodes {
-		ap.results[n] = perSource[i]
-	}
-	return ap
 }
 
 // ComputeAllPairsRef is the sequential map-based reference implementation of

@@ -290,7 +290,8 @@ func TestShortestLatencyMatchesBruteForce(t *testing.T) {
 		src := rng.Intn(n)
 		res := ShortestLatency(g, src)
 		for dst := 0; dst < n; dst++ {
-			got, reachable := res.Dist[dst]
+			got := res.Metric(dst)
+			reachable := got.Reachable()
 			brute := bruteMinLatency(g, src, dst)
 			if reachable != (brute >= 0) {
 				t.Fatalf("trial %d: reachability mismatch %d->%d", trial, src, dst)

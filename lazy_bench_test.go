@@ -5,7 +5,8 @@
 // where an eager all-pairs build would run N Dijkstras to serve the ~10 rows
 // the requirement reads. BenchmarkLazyCalibration is the same solve at an
 // evaluation-adjacent size, used by `make lazy-check` to normalize away
-// runner speed.
+// runner speed. BenchmarkLazyRowHit is the other end of the same table: what a
+// read costs once the row is resident.
 package sflow_test
 
 import (
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"sflow"
+	"sflow/internal/qos"
 )
 
 func benchLazyFederate(b *testing.B, nodes int) {
@@ -49,4 +51,33 @@ func BenchmarkLazyFederate(b *testing.B) {
 // cancels out.
 func BenchmarkLazyCalibration(b *testing.B) {
 	benchLazyFederate(b, 2000)
+}
+
+// BenchmarkLazyRowHit prices a read of a resident row of the 10k-node
+// overlay. read=row is Result.Metric alone, the id lookup and array read a
+// solve repeats per destination once it holds the row; read=table is the
+// whole hit path through a bounded LazyAllPairs: one lock, one row lookup,
+// one LRU touch, then the same read.
+func BenchmarkLazyRowHit(b *testing.B) {
+	sc, err := sflow.GenerateLargeScenario(sflow.LargeScenarioConfig{Seed: 1, Nodes: 10_000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lt := qos.NewLazyAllPairsOpts(sc.Overlay, qos.LazyOptions{MaxRows: 16})
+	row := lt.From(sc.SourceNID)
+	dsts := sc.Overlay.Nodes()
+	var sink qos.Metric
+	b.Run("read=row", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink = row.Metric(dsts[i%len(dsts)])
+		}
+	})
+	b.Run("read=table", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink = lt.Metric(sc.SourceNID, dsts[i%len(dsts)])
+		}
+	})
+	if !sink.Reachable() {
+		b.Fatal("the overlay's last node is unreachable from the source")
+	}
 }
