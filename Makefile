@@ -12,7 +12,7 @@ FUZZTIME ?= 30s
 # artifact when a gate fails (compare against the committed baseline offline).
 FRESHDIR ?= .bench-fresh
 
-.PHONY: all build test race race-hot race-session race-daemon race-admit race-reopt race-lazy check smoke cover cover-check bench bench-hotpath bench-json bench-check bench-kernel bench-admit bench-reopt reopt-check bench-lazy lazy-check serve-bench serve-check vet fmt fmt-check lint staticcheck vulncheck fuzz figures examples clean
+.PHONY: all build test race race-hot race-session race-daemon race-admit race-reopt race-lazy check smoke cover cover-check bench bench-hotpath bench-json bench-check bench-kernel bench-admit bench-reopt reopt-check bench-lazy lazy-check serve-bench serve-check vet fmt fmt-check lint staticcheck vulncheck fuzz figures results-check examples clean
 
 all: build test
 
@@ -261,8 +261,9 @@ vulncheck:
 # Short-budget fuzzing of the codec trust boundaries (TCP frame reader,
 # protocol wire codec and the reliability wrapper, CSR freeze round-trip),
 # the two incremental-invalidation oracles (link-state views, lazy routing
-# rows — the latter with a bounded LRU table running the same trace), and
-# the bucket-vs-heap kernel equivalence over fuzz-built graphs.
+# rows — the latter with a bounded LRU table running the same trace), the
+# bucket-vs-heap kernel equivalence over fuzz-built graphs, and the layered
+# placement DP against the map oracle over fuzz-built tied overlays.
 fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
@@ -272,10 +273,36 @@ fuzz:
 	$(GO) test ./internal/csr -run '^$$' -fuzz FuzzFreezeRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run '^$$' -fuzz FuzzLazyInvalidation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run '^$$' -fuzz FuzzBucketQueue -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/baseline -run '^$$' -fuzz FuzzLayeredDP -fuzztime $(FUZZTIME)
 
-# Regenerate every reproduced figure (tables + CSV + SVG under results/).
+# The committed figures and the sflowbench flags of each: the one list both
+# `figures` and `results-check` read.
+FIGURES ?= results/figures.txt
+
+# run_figures regenerates every figure of $(FIGURES) into $(1) (CSV + SVG).
+define run_figures
+	tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/sflowbench ./cmd/sflowbench || exit 1; \
+	grep -v '^#' $(FIGURES) | while read -r fig flags; do \
+		[ -z "$$fig" ] || $$tmp/sflowbench -fig $$fig $$flags -csv $(1) -svg $(1) >/dev/null || exit 1; \
+	done || exit 1
+endef
+
+# Regenerate every reproduced figure (CSV + SVG under results/).
 figures:
-	$(GO) run ./cmd/sflowbench -fig all -trials 30 -csv results -svg results
+	@$(call run_figures,results)
+
+# The committed figures are a whole-system oracle: every solver, kernel and
+# generator change must leave them byte-identical. Regenerate into a temporary
+# directory and compare every committed CSV and SVG except fig10b's, whose
+# timing columns are wall-clock.
+results-check:
+	@$(call run_figures,$$tmp/out); status=0; \
+	for f in results/*.csv results/*.svg; do \
+		case $$f in results/fig10b.*) continue;; esac; \
+		cmp $$f $$tmp/out/$$(basename $$f) || status=1; \
+	done; \
+	[ $$status -eq 0 ] && echo "results-check: every committed figure regenerates byte-identical"; exit $$status
 
 examples:
 	$(GO) run ./examples/quickstart

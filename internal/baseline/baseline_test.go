@@ -128,47 +128,6 @@ func TestSolveInfeasible(t *testing.T) {
 	if _, err := Solve(ag, 10, nil); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
-	if _, err := SolveBestSource(ag, nil); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("SolveBestSource err = %v, want ErrInfeasible", err)
-	}
-}
-
-func TestSolveBestSource(t *testing.T) {
-	o := overlay.New()
-	for _, in := range [][2]int{{10, 1}, {11, 1}, {20, 2}} {
-		if err := o.AddInstance(in[0], in[1], -1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := o.AddLink(10, 20, 10, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.AddLink(11, 20, 90, 1); err != nil {
-		t.Fatal(err)
-	}
-	req, err := require.NewPath(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ag, err := abstract.Build(o, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SolveBestSource(ag, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nid, _ := res.Flow.Assigned(1); nid != 11 {
-		t.Fatalf("best source = %d, want 11", nid)
-	}
-	// Pinning the source restricts the search.
-	res, err = SolveBestSource(ag, map[int]int{1: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nid, _ := res.Flow.Assigned(1); nid != 10 {
-		t.Fatalf("pinned source = %d, want 10", nid)
-	}
 }
 
 // bruteBest enumerates every instance assignment of a path requirement and

@@ -20,24 +20,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
 	"sflow/internal/abstract"
-	"sflow/internal/baseline"
-	"sflow/internal/control"
 	"sflow/internal/core"
-	"sflow/internal/exact"
 	"sflow/internal/flow"
 	"sflow/internal/metrics"
 	"sflow/internal/overlay"
 	"sflow/internal/provision"
 	"sflow/internal/qos"
-	"sflow/internal/reduce"
 	"sflow/internal/reopt"
 	"sflow/internal/require"
 	"sflow/internal/session"
+	"sflow/internal/solve"
 	"sflow/internal/transport"
 )
 
@@ -369,68 +365,6 @@ func (s *Server) pin() *epoch {
 
 func unpin(e *epoch) { e.readers.Add(-1) }
 
-// solution is one centralised algorithm outcome over an abstract graph.
-type solution struct {
-	flow   *flow.Graph
-	metric qos.Metric
-}
-
-// abstractSolver mirrors the facade's per-algorithm dispatch, rebuilt here
-// over the internal packages (the daemon cannot import the root package).
-// Byte-identical outcomes to sflow.Solve are asserted by the root-level
-// equivalence battery.
-type abstractSolver func(ag *abstract.Graph, src int) (*solution, error)
-
-var solvers = map[string]abstractSolver{
-	"baseline": func(ag *abstract.Graph, src int) (*solution, error) {
-		r, err := baseline.Solve(ag, src, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &solution{flow: r.Flow, metric: r.Metric}, nil
-	},
-	"heuristic": func(ag *abstract.Graph, src int) (*solution, error) {
-		r, err := reduce.Solve(ag, src, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &solution{flow: r.Flow, metric: r.Metric}, nil
-	},
-	"optimal": func(ag *abstract.Graph, src int) (*solution, error) {
-		r, err := exact.Solve(ag, src, exact.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return &solution{flow: r.Flow, metric: r.Metric}, nil
-	},
-	"fixed": func(ag *abstract.Graph, src int) (*solution, error) {
-		r, err := control.Fixed(ag, src)
-		if err != nil {
-			return nil, err
-		}
-		return &solution{flow: r.Flow, metric: r.Metric}, nil
-	},
-	"random": func(ag *abstract.Graph, src int) (*solution, error) {
-		// The facade defaults a nil Rng to a fixed seed per call; match it
-		// so served and stateless solves agree byte for byte.
-		r, err := control.Random(ag, src, rand.New(rand.NewSource(1)))
-		if err != nil {
-			return nil, err
-		}
-		return &solution{flow: r.Flow, metric: r.Metric}, nil
-	},
-	"servicepath": func(ag *abstract.Graph, src int) (*solution, error) {
-		r, err := control.ServicePath(ag, src)
-		if err != nil {
-			return nil, err
-		}
-		if !r.Complete {
-			return nil, &core.PartialFederationError{Flow: r.Flow}
-		}
-		return &solution{flow: r.Flow, metric: r.Metric}, nil
-	},
-}
-
 // solve answers OpSolve against the pinned epoch. Everything on this path is
 // lock-free: one atomic epoch load, atomic reader pin, a pure-computation
 // abstract build and algorithm run, atomic metric updates.
@@ -440,7 +374,7 @@ func (s *Server) solve(r *Request) *Response {
 	defer unpin(e)
 	resp := &Response{Epoch: e.id}
 
-	fn, ok := solvers[r.Algorithm]
+	fn, ok := solve.Lookup(r.Algorithm)
 	if !ok {
 		resp.Err = fmt.Sprintf("daemon: unknown algorithm %q", r.Algorithm)
 		return resp
@@ -449,10 +383,10 @@ func (s *Server) solve(r *Request) *Response {
 		resp.Err = "daemon: solve without a requirement"
 		return resp
 	}
-	sol, err := func() (*solution, error) {
+	sol, err := func() (solve.Solution, error) {
 		ag, err := abstract.FromAllPairs(e.ov, r.Requirement, e.ap)
 		if err != nil {
-			return nil, err
+			return solve.Solution{}, err
 		}
 		return fn(ag, r.Source)
 	}()
@@ -466,13 +400,12 @@ func (s *Server) solve(r *Request) *Response {
 			}
 		}
 	} else {
-		data, merr := json.Marshal(sol.flow)
+		data, merr := json.Marshal(sol.Flow)
 		if merr != nil {
 			resp.Err = fmt.Sprintf("daemon: encoding flow: %v", merr)
 		} else {
 			resp.Flow = data
-			m := sol.metric
-			resp.Metric = &m
+			resp.Metric = &sol.Metric
 		}
 	}
 	s.solves.Inc()
@@ -500,7 +433,7 @@ func (s *Server) info() *Response {
 // the deterministic registry algorithms only ("random" included: its rng is
 // re-seeded per call), so every recorded admission log replays exactly.
 func admissionAlgorithm(name string) (provision.Algorithm, error) {
-	fn, ok := solvers[name]
+	fn, ok := solve.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("daemon: unknown algorithm %q", name)
 	}
@@ -513,7 +446,7 @@ func admissionAlgorithm(name string) (provision.Algorithm, error) {
 		if err != nil {
 			return nil, qos.Unreachable, err
 		}
-		return sol.flow, sol.metric, nil
+		return sol.Flow, sol.Metric, nil
 	}, nil
 }
 

@@ -5,29 +5,28 @@
 //   - Path reduction decomposes the requirement into maximal single-path
 //     fragments (chains) between junction services — the services where
 //     streams split or merge, plus the source and the sinks.
-//   - Split-and-merge reduction isolates the parallel branches between a
-//     splitting and a merging junction; once each branch is solved (by the
-//     baseline algorithm with the junction instances pinned), the whole block
-//     behaves like one edge between the junctions.
+//   - Split-and-merge reduction treats the parallel chains between a
+//     splitting and a merging junction as one edge between the junctions:
+//     as wide as their narrowest, as slow as their slowest.
 //
 // Solve combines the two: the requirement collapses to its junction
 // skeleton, junction instances are chosen by bounded exhaustive search over
 // the skeleton (greedy topological scoring beyond the bound), and with all
-// junctions fixed every fragment is solved optimally by the baseline and the
-// pieces merged into the final service flow graph. As the paper notes, the
-// reductions are best-effort heuristics — the underlying problem is
-// NP-complete (Theorem 1) — but each fragment is individually optimal.
+// junctions fixed every fragment's optimal path, from the baseline's layered
+// DP, joins the final service flow graph. As the paper notes, the reductions
+// are best-effort heuristics — the underlying problem is NP-complete
+// (Theorem 1) — but each fragment is individually optimal.
 package reduce
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sflow/internal/abstract"
 	"sflow/internal/baseline"
 	"sflow/internal/flow"
-	"sflow/internal/graph"
 	"sflow/internal/qos"
 	"sflow/internal/require"
 )
@@ -46,11 +45,8 @@ type Chain struct {
 
 // Services returns the full service chain including both junctions.
 func (c Chain) Services() []int {
-	out := make([]int, 0, len(c.Via)+2)
-	out = append(out, c.From)
-	out = append(out, c.Via...)
-	out = append(out, c.To)
-	return out
+	out := append(make([]int, 0, len(c.Via)+2), c.From)
+	return append(append(out, c.Via...), c.To)
 }
 
 // PathReduction decomposes a validated requirement into its chain fragments
@@ -58,70 +54,33 @@ func (c Chain) Services() []int {
 // every non-junction service appears in exactly one chain's Via list. The
 // result is sorted by (From, To, first Via).
 func PathReduction(req *require.Requirement) []Chain {
-	junction := make(map[int]bool)
-	for _, j := range req.Junctions() {
+	junctions := req.Junctions()
+	junction := make(map[int]bool, len(junctions))
+	for _, j := range junctions {
 		junction[j] = true
 	}
 	var chains []Chain
-	for _, j := range req.Junctions() {
+	for _, j := range junctions {
 		for _, next := range req.Downstream(j) {
 			c := Chain{From: j}
-			cur := next
-			for !junction[cur] {
-				c.Via = append(c.Via, cur)
-				cur = req.Downstream(cur)[0] // non-junction: out-degree exactly 1
+			for ; !junction[next]; next = req.Downstream(next)[0] { // non-junction: out-degree exactly 1
+				c.Via = append(c.Via, next)
 			}
-			c.To = cur
+			c.To = next
 			chains = append(chains, c)
 		}
 	}
-	sort.Slice(chains, func(i, k int) bool {
-		a, b := chains[i], chains[k]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return firstVia(a) < firstVia(b)
+	slices.SortFunc(chains, func(a, b Chain) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), cmp.Compare(firstVia(a), firstVia(b)))
 	})
 	return chains
 }
 
-// Block is a split-and-merge block: >= 2 parallel chains from the same
-// splitting junction to the same merging junction.
-type Block struct {
-	Split, Merge int
-	Branches     []Chain
-}
-
-// SplitMergeBlocks identifies the split-and-merge blocks of a requirement:
-// junction pairs connected by two or more parallel chain fragments. These
-// are the regions the split-and-merge reduction isolates and replaces by a
-// single edge.
-func SplitMergeBlocks(req *require.Requirement) []Block {
-	group := make(map[[2]int][]Chain)
-	for _, c := range PathReduction(req) {
-		key := [2]int{c.From, c.To}
-		group[key] = append(group[key], c)
+func firstVia(c Chain) int {
+	if len(c.Via) == 0 {
+		return -1
 	}
-	keys := make([][2]int, 0, len(group))
-	for k, cs := range group {
-		if len(cs) >= 2 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]Block, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, Block{Split: k[0], Merge: k[1], Branches: group[k]})
-	}
-	return out
+	return c.Via[0]
 }
 
 // Result is the outcome of the reduction-based heuristic.
@@ -147,177 +106,163 @@ const maxJunctionCombos = 50_000
 //
 // Junction services are assigned first: when the combination space is small
 // (the common case — requirements have few junctions), every combination is
-// scored with memoized optimal chain solves under branch-and-bound, which
-// makes the result bandwidth-optimal given that each fragment is realised by
-// its own shortest-widest solution. Large skeletons fall back to a greedy
-// topological scorer. Either way the interiors of the chain fragments are
-// then solved exactly by the baseline algorithm with the junctions pinned.
+// scored under branch-and-bound, which makes the result bandwidth-optimal
+// given that each fragment is realised by its own shortest-widest solution.
+// Large skeletons fall back to a greedy topological scorer. Chain metrics are
+// memoized per (chain, tail instance): one layered-DP sweep answers every
+// head instance. The flow is assembled once, for the chosen junctions.
 func Solve(ag *abstract.Graph, src int, pins map[int]int) (*Result, error) {
 	req := ag.Requirement()
 	if got := ag.Overlay().SIDOf(src); got != req.Source() {
 		return nil, fmt.Errorf("reduce: source instance %d provides service %d, requirement starts at %d",
 			src, got, req.Source())
 	}
-	chains := PathReduction(req)
-
-	s := &solver{
-		ag:     ag,
-		req:    req,
-		chains: chains,
-		pins:   pins,
-		memo:   make(map[chainKey]qos.Metric),
+	s := newSolver(ag, src, pins)
+	defer func() {
+		for _, l := range s.lay {
+			baseline.Put(l)
+		}
+	}()
+	search := s.greedyJunctions
+	if s.combos <= maxJunctionCombos {
+		search = s.exhaustiveJunctions
 	}
-	chosen, err := s.chooseJunctions(src)
+	chosen, err := search()
 	if err != nil {
 		return nil, err
 	}
-
-	// Assembly: with all junction instances fixed, solve every chain
-	// fragment optimally and merge.
 	fg := flow.New()
-	for _, c := range chains {
-		r, err := solveChainPinned(ag, c, chosen[c.From], chosen[c.To], pins)
+	junctions := make(map[int]int, len(s.order))
+	for i, sid := range s.order {
+		junctions[sid] = s.cands[i][chosen[i]]
+	}
+	for ci, c := range s.chains {
+		l := s.lay[ci]
+		err := l.From(junctions[c.From])
+		if err == nil {
+			err = l.Flow(fg, chosen[s.ends[ci][1]])
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: fragment %d->%d: %v", ErrInfeasible, c.From, c.To, err)
-		}
-		if err := fg.Merge(r.Flow); err != nil {
-			return nil, fmt.Errorf("reduce: merge fragment %d->%d: %w", c.From, c.To, err)
 		}
 	}
 	m := fg.Quality(req)
 	if !m.Reachable() {
 		return nil, ErrInfeasible
 	}
-	return &Result{Flow: fg, Metric: m, Junctions: chosen}, nil
+	return &Result{Flow: fg, Metric: m, Junctions: junctions}, nil
 }
 
-// solver carries the state of one reduction solve.
+// solver carries the state of one reduction solve. Junctions are numbered by
+// their place in topological order, their instances by slot: the index among
+// the junction's candidates.
 type solver struct {
-	ag     *abstract.Graph
-	req    *require.Requirement
 	chains []Chain
-	pins   map[int]int
-	memo   map[chainKey]qos.Metric
+	order  []int    // junction services, in topological order
+	cands  [][]int  // per junction, its candidate instances
+	in     [][]int  // per junction, the chains ending there
+	ends   [][2]int // per chain, its From and To junctions
+	combos int      // junction combinations, counted up to maxJunctionCombos
+	lay    []*baseline.Layered
+	// memo[off[ci]+j*len(cands[To])+k] is chain ci's metric from slot j of
+	// its From to slot k of its To; Bandwidth -1 until that row is swept.
+	memo []qos.Metric
+	off  []int
+	dist []int64 // per junction, comboMetric's critical-path latency
 }
 
-type chainKey struct {
-	idx      int // index into chains
-	from, to int // junction instances
+func newSolver(ag *abstract.Graph, src int, pins map[int]int) *solver {
+	req := ag.Requirement()
+	s := &solver{chains: PathReduction(req), combos: 1}
+	junctions := req.Junctions()
+	for _, sid := range req.TopoOrder() {
+		if slices.Contains(junctions, sid) {
+			s.order = append(s.order, sid)
+		}
+	}
+	s.cands, s.in, s.dist = make([][]int, len(s.order)), make([][]int, len(s.order)), make([]int64, len(s.order))
+	for i, sid := range s.order {
+		// Abstract graphs check every required service has an instance.
+		nid, pinned := pins[sid]
+		switch {
+		case sid == req.Source():
+			s.cands[i] = []int{src}
+		case pinned:
+			s.cands[i] = []int{nid}
+		default:
+			s.cands[i] = ag.Slots(sid)
+		}
+		if s.combos <= maxJunctionCombos {
+			s.combos *= len(s.cands[i])
+		}
+	}
+	s.ends, s.off = make([][2]int, len(s.chains)), make([]int, len(s.chains)+1)
+	for ci, c := range s.chains {
+		from, to := slices.Index(s.order, c.From), slices.Index(s.order, c.To)
+		s.ends[ci] = [2]int{from, to}
+		s.in[to] = append(s.in[to], ci)
+		s.lay = append(s.lay, baseline.Get())
+		s.lay[ci].Reset(ag, c.Services(), pins)
+		s.off[ci+1] = s.off[ci] + len(s.cands[from])*len(s.cands[to])
+	}
+	s.memo = make([]qos.Metric, s.off[len(s.chains)])
+	for i := range s.memo {
+		s.memo[i].Bandwidth = -1
+	}
+	return s
 }
 
-// chainMetric returns the optimal metric of chain fragment idx with both
-// junction endpoints fixed (memoized; Unreachable when infeasible).
-func (s *solver) chainMetric(idx, fromNID, toNID int) qos.Metric {
-	key := chainKey{idx: idx, from: fromNID, to: toNID}
-	if m, ok := s.memo[key]; ok {
-		return m
+// chainMetric returns the optimal metric of chain ci from slot j of its From
+// junction to slot k of its To junction (Unreachable when infeasible). The
+// first probe of a (ci, j) row sweeps the whole row.
+func (s *solver) chainMetric(ci, j, k int) qos.Metric {
+	n := len(s.cands[s.ends[ci][1]])
+	row := s.memo[s.off[ci]+j*n:][:n]
+	if row[0].Bandwidth < 0 {
+		clear(row) // Unreachable where From fails
+		if s.lay[ci].From(s.cands[s.ends[ci][0]][j]) == nil {
+			s.lay[ci].Metrics(row)
+		}
 	}
-	m := qos.Unreachable
-	if r, err := solveChainPinned(s.ag, s.chains[idx], fromNID, toNID, s.pins); err == nil {
-		m = r.Metric
+	return row[k]
+}
+
+// inMetric scores slot k of junction i against the chains ending there,
+// whose tails assign has placed: their narrowest width and their largest
+// latency, Unreachable as soon as one is infeasible.
+func (s *solver) inMetric(i, k int, assign []int) qos.Metric {
+	m := qos.Empty
+	for _, ci := range s.in[i] {
+		c := s.chainMetric(ci, assign[s.ends[ci][0]], k)
+		if !c.Reachable() {
+			return qos.Unreachable
+		}
+		m = qos.Metric{Bandwidth: min(m.Bandwidth, c.Bandwidth), Latency: max(m.Latency, c.Latency)}
 	}
-	s.memo[key] = m
 	return m
 }
 
-// chooseJunctions assigns an instance to every junction service.
-func (s *solver) chooseJunctions(src int) (map[int]int, error) {
-	junctions := s.req.Junctions()
-	order := make([]int, 0, len(junctions))
-	isJunction := make(map[int]bool, len(junctions))
-	for _, j := range junctions {
-		isJunction[j] = true
-	}
-	for _, sid := range s.req.TopoOrder() {
-		if isJunction[sid] {
-			order = append(order, sid)
-		}
-	}
-
-	cands := make(map[int][]int, len(order))
-	combos := 1
-	for _, sid := range order {
-		switch {
-		case sid == s.req.Source():
-			cands[sid] = []int{src}
-		default:
-			if nid, ok := s.pins[sid]; ok {
-				cands[sid] = []int{nid}
-			} else {
-				cands[sid] = s.ag.Slots(sid)
-			}
-		}
-		if len(cands[sid]) == 0 {
-			return nil, fmt.Errorf("%w: no instance of junction service %d", ErrInfeasible, sid)
-		}
-		if combos <= maxJunctionCombos {
-			combos *= len(cands[sid])
-		}
-	}
-	if combos <= maxJunctionCombos {
-		return s.exhaustiveJunctions(order, cands)
-	}
-	return s.greedyJunctions(order, cands)
-}
-
 // exhaustiveJunctions enumerates every junction combination in topological
-// order with branch-and-bound on the running bottleneck width. For each
-// complete combination the quality is the bottleneck over all chain
-// fragments plus the critical-path latency over the junction skeleton.
-func (s *solver) exhaustiveJunctions(order []int, cands map[int][]int) (map[int]int, error) {
-	// Chains whose head is a given junction (the tail junction comes
-	// earlier in topological order, so both ends are fixed when the head
-	// is assigned).
-	inChains := make(map[int][]int, len(order))
-	for i, c := range s.chains {
-		inChains[c.To] = append(inChains[c.To], i)
-	}
-
-	var (
-		assign     = make(map[int]int, len(order))
-		best       map[int]int
-		bestMetric = qos.Unreachable
-	)
+// order with branch-and-bound on the running bottleneck width and returns
+// the best, a slot per junction.
+func (s *solver) exhaustiveJunctions() ([]int, error) {
+	assign := make([]int, len(s.order))
+	var best []int
+	bestMetric := qos.Unreachable
 	var walk func(i int, width int64)
 	walk = func(i int, width int64) {
-		if i == len(order) {
-			m := s.comboMetric(assign, width)
-			if m.Reachable() && (best == nil || m.Better(bestMetric)) {
-				bestMetric = m
-				best = make(map[int]int, len(assign))
-				for k, v := range assign {
-					best[k] = v
-				}
+		if i == len(s.order) {
+			if m := s.comboMetric(assign, width); best == nil || m.Better(bestMetric) {
+				bestMetric, best = m, append(best[:0], assign...)
 			}
 			return
 		}
-		sid := order[i]
-		for _, nid := range cands[sid] {
-			w := width
-			feasible := true
-			for _, ci := range inChains[sid] {
-				tail, ok := assign[s.chains[ci].From]
-				if !ok {
-					continue
-				}
-				m := s.chainMetric(ci, tail, nid)
-				if !m.Reachable() {
-					feasible = false
-					break
-				}
-				if m.Bandwidth < w {
-					w = m.Bandwidth
-				}
+		for k := range s.cands[i] {
+			in := s.inMetric(i, k, assign)
+			if w := min(width, in.Bandwidth); in.Reachable() && (best == nil || w >= bestMetric.Bandwidth) {
+				assign[i] = k
+				walk(i+1, w)
 			}
-			if !feasible {
-				continue
-			}
-			if best != nil && w < bestMetric.Bandwidth {
-				continue
-			}
-			assign[sid] = nid
-			walk(i+1, w)
-			delete(assign, sid)
 		}
 	}
 	walk(0, qos.InfBandwidth)
@@ -327,35 +272,19 @@ func (s *solver) exhaustiveJunctions(order []int, cands map[int][]int) (map[int]
 	return best, nil
 }
 
-// comboMetric evaluates a complete junction assignment: width is the already
-// accumulated bottleneck over all chains; the latency is the critical path
-// over the junction skeleton with each skeleton edge weighing the maximum
-// latency among its parallel chain fragments.
-func (s *solver) comboMetric(assign map[int]int, width int64) qos.Metric {
-	skel := graph.New()
-	lat := make(map[[2]int]int64)
-	for i, c := range s.chains {
-		m := s.chainMetric(i, assign[c.From], assign[c.To])
-		if !m.Reachable() {
-			return qos.Unreachable
-		}
-		skel.AddEdge(c.From, c.To)
-		key := [2]int{c.From, c.To}
-		if m.Latency > lat[key] {
-			lat[key] = m.Latency
-		}
-	}
-	dist, err := skel.LongestPathFrom(s.req.Source(), func(u, v int) int64 {
-		return lat[[2]int{u, v}]
-	})
-	if err != nil {
-		return qos.Unreachable
-	}
+// comboMetric evaluates a complete junction assignment whose chains are all
+// feasible: width is their accumulated bottleneck, the latency the critical
+// path over the junction skeleton. Junctions come in topological order, so
+// one pass settles every path.
+func (s *solver) comboMetric(assign []int, width int64) qos.Metric {
 	var worst int64
-	for _, sink := range s.req.Sinks() {
-		if d, ok := dist[sink]; ok && d > worst {
-			worst = d
+	for i := range s.order {
+		s.dist[i] = 0
+		for _, ci := range s.in[i] {
+			from := s.ends[ci][0]
+			s.dist[i] = max(s.dist[i], s.dist[from]+s.chainMetric(ci, assign[from], assign[i]).Latency)
 		}
+		worst = max(worst, s.dist[i])
 	}
 	return qos.Metric{Bandwidth: width, Latency: worst}
 }
@@ -363,70 +292,19 @@ func (s *solver) comboMetric(assign map[int]int, width int64) qos.Metric {
 // greedyJunctions is the fallback for huge junction skeletons: junctions are
 // assigned in topological order, each scored by exactly solving its incoming
 // chain fragments.
-func (s *solver) greedyJunctions(order []int, cands map[int][]int) (map[int]int, error) {
-	inChains := make(map[int][]int, len(order))
-	for i, c := range s.chains {
-		inChains[c.To] = append(inChains[c.To], i)
-	}
-	chosen := make(map[int]int, len(order))
-	for i, sid := range order {
-		if i == 0 {
-			chosen[sid] = cands[sid][0]
-			continue
-		}
-		bestNID, bestScore := -1, qos.Unreachable
-		for _, nid := range cands[sid] {
-			width := qos.InfBandwidth
-			var latency int64
-			ok := true
-			for _, ci := range inChains[sid] {
-				tail, have := chosen[s.chains[ci].From]
-				if !have {
-					continue
-				}
-				m := s.chainMetric(ci, tail, nid)
-				if !m.Reachable() {
-					ok = false
-					break
-				}
-				if m.Bandwidth < width {
-					width = m.Bandwidth
-				}
-				if m.Latency > latency {
-					latency = m.Latency
-				}
-			}
-			if !ok {
-				continue
-			}
-			score := qos.Metric{Bandwidth: width, Latency: latency}
-			if bestNID == -1 || score.Better(bestScore) {
-				bestNID, bestScore = nid, score
+func (s *solver) greedyJunctions() ([]int, error) {
+	chosen := make([]int, len(s.order))
+	for i := 1; i < len(s.order); i++ {
+		best, bestScore := -1, qos.Unreachable
+		for k := range s.cands[i] {
+			if score := s.inMetric(i, k, chosen); score.Reachable() && (best == -1 || score.Better(bestScore)) {
+				best, bestScore = k, score
 			}
 		}
-		if bestNID == -1 {
-			return nil, fmt.Errorf("%w: no instance of junction service %d is reachable", ErrInfeasible, sid)
+		if best == -1 {
+			return nil, fmt.Errorf("%w: no instance of junction service %d is reachable", ErrInfeasible, s.order[i])
 		}
-		chosen[sid] = bestNID
+		chosen[i] = best
 	}
 	return chosen, nil
-}
-
-// solveChainPinned solves one chain fragment with both junction endpoints
-// pinned, honouring any extra pins that fall inside the fragment.
-func solveChainPinned(ag *abstract.Graph, c Chain, fromNID, toNID int, pins map[int]int) (*baseline.Result, error) {
-	p := map[int]int{c.To: toNID}
-	for _, sid := range c.Via {
-		if nid, ok := pins[sid]; ok {
-			p[sid] = nid
-		}
-	}
-	return baseline.SolveChain(ag, c.Services(), fromNID, p)
-}
-
-func firstVia(c Chain) int {
-	if len(c.Via) == 0 {
-		return -1
-	}
-	return c.Via[0]
 }

@@ -65,32 +65,6 @@ func TestPathReductionOnPath(t *testing.T) {
 	}
 }
 
-func TestSplitMergeBlocks(t *testing.T) {
-	// Diamond: 1 -> 2 -> 4, 1 -> 3 -> 4.
-	req, err := require.FromEdges([][2]int{{1, 2}, {2, 4}, {1, 3}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := SplitMergeBlocks(req)
-	if len(blocks) != 1 {
-		t.Fatalf("blocks = %+v", blocks)
-	}
-	b := blocks[0]
-	if b.Split != 1 || b.Merge != 4 || len(b.Branches) != 2 {
-		t.Fatalf("block = %+v", b)
-	}
-	// A pure path has no blocks.
-	p, _ := require.NewPath(1, 2, 3)
-	if got := SplitMergeBlocks(p); len(got) != 0 {
-		t.Fatalf("path blocks = %+v", got)
-	}
-	// paperDAG has no 2-parallel-chain pair (1->4 via 2 and 3->4 direct
-	// have different tails), so no blocks either.
-	if got := SplitMergeBlocks(paperDAG(t)); len(got) != 0 {
-		t.Fatalf("paperDAG blocks = %+v", got)
-	}
-}
-
 // diamondOverlay builds an overlay for requirement 1 -> {2,3} -> 4 where the
 // merge instance choice matters: instance 40 is good for branch 2 but bad
 // for branch 3, instance 41 is balanced and globally best.
@@ -277,5 +251,32 @@ func TestSolveGreedyFallbackOnHugeSkeletons(t *testing.T) {
 	}
 	if err := res.Flow.Validate(s.Req, s.Overlay); err != nil {
 		t.Fatalf("greedy-fallback flow invalid: %v", err)
+	}
+}
+
+// TestSolveAllocations pins the allocation count of one served solve on the
+// benchmark's solve-hot scenario (seed 1, 20 nodes, 5 services x 3
+// instances, general DAG, from its source): 2322 with a map-oracle solve per
+// junction probe, about 150 with the pooled layered DP. It counts, so it
+// cannot flake.
+func TestSolveAllocations(t *testing.T) {
+	s, err := scenario.Generate(scenario.Config{
+		Seed: 1, NetworkSize: 20, Services: 5,
+		InstancesPerService: 3, Kind: scenario.KindGeneral,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, err := abstract.Build(s.Overlay, s.Req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Solve(ag, s.SourceNID, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 250 {
+		t.Fatalf("reduce.Solve allocates %.0f times per solve, want <= 250", allocs)
 	}
 }

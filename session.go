@@ -1,9 +1,6 @@
 package sflow
 
 import (
-	"fmt"
-	"strings"
-
 	"sflow/internal/cluster"
 	"sflow/internal/session"
 )
@@ -73,14 +70,13 @@ func (s *Session) Solve(name string, req *Requirement, src int, opts SolveOption
 		}
 		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
 	}
-	fn, ok := abstractSolvers[name]
-	if !ok {
-		return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownAlgorithm,
-			name, strings.Join(Algorithms(), ", "))
+	fn, err := abstractSolver(name, opts)
+	if err != nil {
+		return nil, err
 	}
 	ag, err := s.Session.Abstract(req)
 	if err != nil {
 		return nil, err
 	}
-	return fn(ag, src, opts)
+	return solveAbstract(fn, ag, src)
 }

@@ -8,14 +8,11 @@ import (
 	"strings"
 
 	"sflow/internal/abstract"
-	"sflow/internal/baseline"
 	"sflow/internal/cluster"
-	"sflow/internal/control"
 	"sflow/internal/core"
-	"sflow/internal/exact"
 	"sflow/internal/metrics"
 	"sflow/internal/qos"
-	"sflow/internal/reduce"
+	"sflow/internal/solve"
 )
 
 // Metrics is a registry of counters, gauges and histograms that the library
@@ -41,11 +38,8 @@ func NewMetrics() *Metrics { return metrics.New() }
 var Unreachable = qos.Unreachable
 
 // Solution is the outcome of one centralised federation algorithm: the
-// computed service flow graph and its end-to-end quality.
-type Solution struct {
-	Flow   *FlowGraph
-	Metric Metric
-}
+// computed service flow graph (Flow) and its end-to-end quality (Metric).
+type Solution = solve.Solution
 
 // SolveOptions tunes Solve. The zero value is ready to use.
 type SolveOptions struct {
@@ -108,71 +102,30 @@ func buildAbstract(ov *Overlay, req *Requirement, opts SolveOptions) (*abstract.
 	return abstract.BuildWorkersMetrics(ov, req, opts.Workers, opts.Metrics)
 }
 
-// abstractSolver runs one named algorithm over a pre-built abstract graph.
-type abstractSolver func(ag *abstract.Graph, src int, opts SolveOptions) (*Solution, error)
+// abstractSolver resolves a registry algorithm (every name but
+// "hierarchical"), with "random" drawing from opts.Rng when one is given.
+func abstractSolver(name string, opts SolveOptions) (solve.Func, error) {
+	if name == "random" && opts.Rng != nil {
+		return solve.Random(opts.Rng), nil
+	}
+	if fn, ok := solve.Lookup(name); ok {
+		return fn, nil
+	}
+	return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownAlgorithm, name, strings.Join(Algorithms(), ", "))
+}
 
-// abstractSolvers maps algorithm names to implementations sharing one
-// abstract-graph build. "hierarchical" is dispatched separately by Solve
-// because the cluster hierarchy works on the raw overlay.
-var abstractSolvers = map[string]abstractSolver{
-	"baseline": func(ag *abstract.Graph, src int, _ SolveOptions) (*Solution, error) {
-		r, err := baseline.Solve(ag, src, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	},
-	"heuristic": func(ag *abstract.Graph, src int, _ SolveOptions) (*Solution, error) {
-		r, err := reduce.Solve(ag, src, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	},
-	"optimal": func(ag *abstract.Graph, src int, _ SolveOptions) (*Solution, error) {
-		r, err := exact.Solve(ag, src, exact.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	},
-	"fixed": func(ag *abstract.Graph, src int, _ SolveOptions) (*Solution, error) {
-		r, err := control.Fixed(ag, src)
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	},
-	"random": func(ag *abstract.Graph, src int, opts SolveOptions) (*Solution, error) {
-		rng := opts.Rng
-		if rng == nil {
-			rng = rand.New(rand.NewSource(1))
-		}
-		r, err := control.Random(ag, src, rng)
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	},
-	"servicepath": func(ag *abstract.Graph, src int, _ SolveOptions) (*Solution, error) {
-		r, err := control.ServicePath(ag, src)
-		if err != nil {
-			return nil, err
-		}
-		if !r.Complete {
-			return nil, &PartialFederationError{Flow: r.Flow}
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
-	},
+// solveAbstract runs fn over ag in the facade's *Solution convention.
+func solveAbstract(fn solve.Func, ag *abstract.Graph, src int) (*Solution, error) {
+	sol, err := fn(ag, src)
+	if err != nil {
+		return nil, err
+	}
+	return &sol, nil
 }
 
 // Algorithms lists the names Solve accepts, sorted.
 func Algorithms() []string {
-	names := make([]string, 0, len(abstractSolvers)+1)
-	for name := range abstractSolvers {
-		names = append(names, name)
-	}
-	names = append(names, "hierarchical")
+	names := append(solve.Names(), "hierarchical")
 	sort.Strings(names)
 	return names
 }
@@ -213,16 +166,15 @@ func Solve(name string, ov *Overlay, req *Requirement, src int, opts SolveOption
 		}
 		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
 	}
-	fn, ok := abstractSolvers[name]
-	if !ok {
-		return nil, fmt.Errorf("%w %q (have %s)", ErrUnknownAlgorithm,
-			name, strings.Join(Algorithms(), ", "))
+	fn, err := abstractSolver(name, opts)
+	if err != nil {
+		return nil, err
 	}
 	ag, err := buildAbstract(ov, req, opts)
 	if err != nil {
 		return nil, err
 	}
-	return fn(ag, src, opts)
+	return solveAbstract(fn, ag, src)
 }
 
 // legacySolve adapts Solve to the historical (flow, metric, error) wrapper
