@@ -274,6 +274,7 @@ fuzz:
 	$(GO) test ./internal/qos -run '^$$' -fuzz FuzzLazyInvalidation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run '^$$' -fuzz FuzzBucketQueue -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/baseline -run '^$$' -fuzz FuzzLayeredDP -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/daemon -run '^$$' -fuzz FuzzDaemonCodec -fuzztime $(FUZZTIME)
 
 # The committed figures and the sflowbench flags of each: the one list both
 # `figures` and `results-check` read.

@@ -395,12 +395,12 @@ func (s *Server) solve(r *Request) *Response {
 		var partial *core.PartialFederationError
 		if errors.As(err, &partial) && partial.Flow != nil {
 			resp.Partial = true
-			if data, merr := json.Marshal(partial.Flow); merr == nil {
+			if data, merr := partial.Flow.MarshalJSON(); merr == nil {
 				resp.Flow = data
 			}
 		}
 	} else {
-		data, merr := json.Marshal(sol.Flow)
+		data, merr := sol.Flow.MarshalJSON()
 		if merr != nil {
 			resp.Err = fmt.Sprintf("daemon: encoding flow: %v", merr)
 		} else {
@@ -489,7 +489,7 @@ func (s *Server) admit(r *Request) *Response {
 	resp.Ticket = tk.ID
 	m := tk.Metric
 	resp.Metric = &m
-	if data, merr := json.Marshal(tk.Flow); merr == nil {
+	if data, merr := tk.Flow.MarshalJSON(); merr == nil {
 		resp.Flow = data
 	} else {
 		resp.Err = fmt.Sprintf("daemon: encoding flow: %v", merr)
@@ -641,7 +641,7 @@ func (s *Server) applyWriter(r *Request) (*Response, bool) {
 			// Removals may have landed before the failure; publish anyway.
 			return resp, true
 		}
-		if data, merr := json.Marshal(res.Flow); merr == nil {
+		if data, merr := res.Flow.MarshalJSON(); merr == nil {
 			resp.Flow = data
 		}
 		m := res.Metric

@@ -3,11 +3,15 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"sflow/internal/provision"
 	"sflow/internal/qos"
 	"sflow/internal/require"
 	"sflow/internal/session"
+	"sflow/internal/solve"
+	"sflow/internal/wirejson"
 )
 
 // The daemon's wire protocol: JSON request/response messages carried over
@@ -107,7 +111,8 @@ type Response struct {
 	Err string `json:"err,omitempty"`
 
 	// Solve / repair results. Flow is the flow graph's canonical JSON —
-	// kept raw so equivalence against a stateless solve is byte-exact.
+	// kept raw so equivalence against a stateless solve is byte-exact, and
+	// copied verbatim by the encoder (it is already compact encoder output).
 	Flow    json.RawMessage `json:"flow,omitempty"`
 	Metric  *qos.Metric     `json:"metric,omitempty"`
 	Partial bool            `json:"partial,omitempty"`
@@ -116,7 +121,7 @@ type Response struct {
 	Affected []int `json:"affected,omitempty"`
 	Moved    []int `json:"moved,omitempty"`
 
-	// Info results.
+	// Info results. Overlay is copied verbatim like Flow.
 	Overlay   json.RawMessage `json:"overlay,omitempty"`
 	Instances int             `json:"instances,omitempty"`
 
@@ -154,21 +159,262 @@ type LinkStatus struct {
 	Hot         bool    `json:"hot,omitempty"`
 }
 
+// The hand codec. Request.UnmarshalJSON and Response.MarshalJSON back every
+// encoding/json caller as well as the server codec, so there is one decoder
+// and one encoder of each message; see package wirejson for the rules that
+// keep both byte- and value-identical to encoding/json.
+
+// requestJSON is Request without its methods: the encoding/json fallback.
+type requestJSON Request
+
+// UnmarshalJSON decodes a request. The canonical shape both clients emit is
+// read by hand; any other input, and any decode into a non-zero Request, is
+// left to encoding/json, so the accepted inputs and every decoded value are
+// encoding/json's.
+func (r *Request) UnmarshalJSON(data []byte) error {
+	if r.isZero() {
+		var v Request
+		rd := wirejson.NewReader(data)
+		if readRequest(&rd, &v); rd.End() {
+			*r = v
+			return nil
+		}
+	}
+	return json.Unmarshal(data, (*requestJSON)(r))
+}
+
+// isZero reports whether r is the zero Request, the only target whose
+// decode the hand path reproduces (encoding/json merges into existing
+// values).
+func (r *Request) isZero() bool {
+	return r.Op == "" && r.Algorithm == "" && r.Requirement == nil && r.Source == 0 &&
+		r.Mutations == nil && r.Unresponsive == nil && r.Demand == 0 && r.Class == 0 &&
+		r.TTLMS == 0 && r.Ticket == 0
+}
+
+var (
+	opNames       = []string{OpSolve, OpMutate, OpRepair, OpInfo, OpStats, OpAdmit, OpRelease, OpTenants, OpLinks}
+	mutationKinds = []string{MutAddInstance, MutRemoveInstance, MutAddLink, MutRemoveLink, MutGrowBandwidth, MutReduceBandwidth}
+	algorithms    = solve.Names()
+)
+
+// readName reads a string, sharing the storage of a known name.
+func readName(rd *wirejson.Reader, known []string) string {
+	b := rd.Bytes()
+	for _, k := range known {
+		if string(b) == k {
+			return k
+		}
+	}
+	return string(b)
+}
+
+// readRequest reads one canonical request object into v. An invalid
+// requirement fails the reader, leaving encoding/json to report it.
+func readRequest(rd *wirejson.Reader, v *Request) {
+	var seen uint32
+	var err error
+	rd.Expect('{')
+	for n := 0; rd.More('}', n); n++ {
+		switch string(rd.Key()) {
+		case "op":
+			rd.Once(&seen, 1<<0)
+			v.Op = readName(rd, opNames)
+		case "algorithm":
+			rd.Once(&seen, 1<<1)
+			v.Algorithm = readName(rd, algorithms)
+		case "requirement":
+			rd.Once(&seen, 1<<2)
+			if v.Requirement, err = require.ReadJSON(rd); err != nil {
+				rd.Fail()
+			}
+		case "source":
+			rd.Once(&seen, 1<<3)
+			v.Source = int(rd.Int(strconv.IntSize))
+		case "mutations":
+			rd.Once(&seen, 1<<4)
+			v.Mutations = []Mutation{}
+			rd.Expect('[')
+			for i := 0; rd.More(']', i); i++ {
+				v.Mutations = append(v.Mutations, readMutation(rd))
+			}
+		case "unresponsive":
+			rd.Once(&seen, 1<<5)
+			v.Unresponsive = rd.Ints()
+		case "demand":
+			rd.Once(&seen, 1<<6)
+			v.Demand = rd.Int(64)
+		case "class":
+			rd.Once(&seen, 1<<7)
+			v.Class = int(rd.Int(strconv.IntSize))
+		case "ttl_ms":
+			rd.Once(&seen, 1<<8)
+			v.TTLMS = rd.Int(64)
+		case "ticket":
+			rd.Once(&seen, 1<<9)
+			v.Ticket = rd.Uint()
+		default:
+			rd.Fail()
+		}
+	}
+}
+
+// readMutation reads one canonical mutation object.
+func readMutation(rd *wirejson.Reader) Mutation {
+	var m Mutation
+	var seen uint32
+	rd.Expect('{')
+	for n := 0; rd.More('}', n); n++ {
+		switch string(rd.Key()) {
+		case "kind":
+			rd.Once(&seen, 1<<0)
+			m.Kind = readName(rd, mutationKinds)
+		case "nid":
+			rd.Once(&seen, 1<<1)
+			m.NID = int(rd.Int(strconv.IntSize))
+		case "sid":
+			rd.Once(&seen, 1<<2)
+			m.SID = int(rd.Int(strconv.IntSize))
+		case "host":
+			rd.Once(&seen, 1<<3)
+			m.Host = int(rd.Int(strconv.IntSize))
+		case "from":
+			rd.Once(&seen, 1<<4)
+			m.From = int(rd.Int(strconv.IntSize))
+		case "to":
+			rd.Once(&seen, 1<<5)
+			m.To = int(rd.Int(strconv.IntSize))
+		case "bandwidth":
+			rd.Once(&seen, 1<<6)
+			m.Bandwidth = rd.Int(64)
+		case "latency":
+			rd.Once(&seen, 1<<7)
+			m.Latency = rd.Int(64)
+		case "delta":
+			rd.Once(&seen, 1<<8)
+			m.Delta = rd.Int(64)
+		default:
+			rd.Fail()
+		}
+	}
+	return m
+}
+
+// MarshalJSON encodes the response as encoding/json would.
+func (r *Response) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
+
+// AppendJSON appends the response's JSON to b: the fields in declaration
+// order under encoding/json's omitempty and escaping rules. Flow and Overlay
+// are copied verbatim, without the re-scan encoding/json gives a RawMessage;
+// they must be compact encoder output, which every handler puts there. The
+// rarely served tenant, class and link lists are left to encoding/json.
+func (r *Response) AppendJSON(b []byte) ([]byte, error) {
+	b = slices.Grow(b, 96+len(r.Flow)+len(r.Overlay))
+	b = append(b, `{"epoch":`...)
+	b = strconv.AppendUint(b, r.Epoch, 10)
+	if r.Err != "" {
+		b = append(b, `,"err":`...)
+		b = wirejson.AppendString(b, r.Err)
+	}
+	if len(r.Flow) > 0 {
+		b = append(b, `,"flow":`...)
+		b = append(b, r.Flow...)
+	}
+	if r.Metric != nil {
+		b = append(b, `,"metric":{"Bandwidth":`...)
+		b = strconv.AppendInt(b, r.Metric.Bandwidth, 10)
+		b = append(b, `,"Latency":`...)
+		b = strconv.AppendInt(b, r.Metric.Latency, 10)
+		b = append(b, '}')
+	}
+	if r.Partial {
+		b = append(b, `,"partial":true`...)
+	}
+	if len(r.Affected) > 0 {
+		b = append(b, `,"affected":`...)
+		b = wirejson.AppendInts(b, r.Affected)
+	}
+	if len(r.Moved) > 0 {
+		b = append(b, `,"moved":`...)
+		b = wirejson.AppendInts(b, r.Moved)
+	}
+	if len(r.Overlay) > 0 {
+		b = append(b, `,"overlay":`...)
+		b = append(b, r.Overlay...)
+	}
+	if r.Instances != 0 {
+		b = append(b, `,"instances":`...)
+		b = strconv.AppendInt(b, int64(r.Instances), 10)
+	}
+	if st := r.Stats; st != nil {
+		b = append(b, `,"stats":{"Events":`...)
+		b = strconv.AppendInt(b, st.Events, 10)
+		b = append(b, `,"Flushes":`...)
+		b = strconv.AppendInt(b, st.Flushes, 10)
+		b = append(b, `,"RecomputedSources":`...)
+		b = strconv.AppendInt(b, st.RecomputedSources, 10)
+		b = append(b, `,"SavedSources":`...)
+		b = strconv.AppendInt(b, st.SavedSources, 10)
+		b = append(b, `,"EvictedRows":`...)
+		b = strconv.AppendInt(b, st.EvictedRows, 10)
+		b = append(b, '}')
+	}
+	if r.Ticket != 0 {
+		b = append(b, `,"ticket":`...)
+		b = strconv.AppendUint(b, r.Ticket, 10)
+	}
+	if r.Reason != "" {
+		b = append(b, `,"reason":`...)
+		b = wirejson.AppendString(b, r.Reason)
+	}
+	var err error
+	if len(r.Tenants) > 0 {
+		b, err = appendMarshal(b, `,"tenants":`, r.Tenants, err)
+	}
+	if len(r.Classes) > 0 {
+		b, err = appendMarshal(b, `,"classes":`, r.Classes, err)
+	}
+	if r.Utilization != 0 {
+		b = append(b, `,"utilization":`...)
+		b = strconv.AppendInt(b, r.Utilization, 10)
+	}
+	if len(r.Links) > 0 {
+		b, err = appendMarshal(b, `,"links":`, r.Links, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
+}
+
+// appendMarshal appends key and encoding/json's encoding of v, keeping the
+// first error.
+func appendMarshal(b []byte, key string, v any, err error) ([]byte, error) {
+	data, merr := json.Marshal(v)
+	if err == nil {
+		err = merr
+	}
+	b = append(b, key...)
+	return append(b, data...), err
+}
+
 // serverCodec frames the daemon side of the protocol: requests in, responses
-// out.
+// out. It appends each response straight behind the transport's frame header.
 type serverCodec struct{}
 
-func (serverCodec) Encode(msg any) ([]byte, error) {
+func (c serverCodec) Encode(msg any) ([]byte, error) { return c.AppendEncode(nil, msg) }
+
+func (serverCodec) AppendEncode(dst []byte, msg any) ([]byte, error) {
 	resp, ok := msg.(*Response)
 	if !ok {
 		return nil, fmt.Errorf("daemon: server encoding %T, want *Response", msg)
 	}
-	return json.Marshal(resp)
+	return resp.AppendJSON(dst)
 }
 
 func (serverCodec) Decode(data []byte) (any, error) {
 	req := new(Request)
-	if err := json.Unmarshal(data, req); err != nil {
+	if err := req.UnmarshalJSON(data); err != nil {
 		return nil, fmt.Errorf("daemon: decoding request: %w", err)
 	}
 	return req, nil

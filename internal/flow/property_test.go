@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sflow/internal/qos"
@@ -123,4 +124,49 @@ func TestPropertyCorrectnessCoefficientBounds(t *testing.T) {
 			t.Fatalf("trial %d: self coefficient %v", trial, got)
 		}
 	}
+}
+
+// TestMarshalJSONMatchesEncodingJSON holds the hand encoder to the bytes
+// encoding/json produces for the wire form, including the negative and
+// extreme integers and the empty graph.
+func TestMarshalJSONMatchesEncodingJSON(t *testing.T) {
+	reflective := func(g *Graph) []byte {
+		as := make([]assignJSON, 0, len(g.assign))
+		for _, sid := range sortedKeys(g.assign) {
+			as = append(as, assignJSON{SID: sid, NID: g.assign[sid]})
+		}
+		data, err := json.Marshal(flowJSON{Assign: as, Edges: g.Edges()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	graphs := []*Graph{New()}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		graphs = append(graphs, randomFlow(rng, 2+rng.Intn(8)))
+	}
+	extreme := New()
+	_ = extreme.AddEdge(Edge{FromSID: -3, ToSID: 1 << 62, FromNID: -1 << 63, ToNID: 1<<63 - 1,
+		Path: []int{-1 << 63, 0, 1<<63 - 1}, Metric: qos.Metric{Bandwidth: 1<<63 - 1, Latency: -1 << 63}})
+	_ = extreme.Assign(7, 0)
+	graphs = append(graphs, extreme)
+	for i, g := range graphs {
+		got, err := g.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := reflective(g); string(got) != string(want) {
+			t.Fatalf("graph %d:\n got %s\nwant %s", i, got, want)
+		}
+	}
+}
+
+func sortedKeys(m map[int]int) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

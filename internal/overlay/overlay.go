@@ -10,7 +10,10 @@
 package overlay
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"sflow/internal/qos"
@@ -345,16 +348,40 @@ func (o *Overlay) LocalView(nid, hops int) *Overlay {
 	return view
 }
 
-// Clone returns a deep copy of the overlay.
+// Clone returns a deep copy of the overlay in canonical form: every
+// adjacency list sorted by neighbour id and no entry for an empty one — the
+// overlay that replaying Instances and Links into New would build, copied
+// directly.
 func (o *Overlay) Clone() *Overlay {
-	c := New()
-	for _, inst := range o.Instances() {
-		_ = c.AddInstance(inst.NID, inst.SID, inst.Host)
+	c := &Overlay{
+		instances: maps.Clone(o.instances),
+		bySID:     make(map[int][]int, len(o.bySID)),
+		out:       cloneArcs(o.out),
+		in:        cloneArcs(o.in),
+		numLinks:  o.numLinks,
 	}
-	for _, l := range o.Links() {
-		_ = c.AddLink(l.From, l.To, l.Bandwidth, l.Latency)
+	for sid, nids := range o.bySID {
+		c.bySID[sid] = slices.Clone(nids)
 	}
 	return c
+}
+
+// cloneArcs deep-copies an adjacency map, dropping empty lists and sorting
+// each list by neighbour id unless it already is.
+func cloneArcs(adj map[int][]qos.Arc) map[int][]qos.Arc {
+	out := make(map[int][]qos.Arc, len(adj))
+	byTo := func(a, b qos.Arc) int { return cmp.Compare(a.To, b.To) }
+	for u, arcs := range adj {
+		if len(arcs) == 0 {
+			continue
+		}
+		arcs = slices.Clone(arcs)
+		if !slices.IsSortedFunc(arcs, byTo) {
+			slices.SortFunc(arcs, byTo)
+		}
+		out[u] = arcs
+	}
+	return out
 }
 
 // Compatibility is the directed relation "output of service a feeds service

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -22,6 +23,19 @@ import (
 // connections, each served by its own goroutine. The payload is opaque bytes
 // produced by a Codec — the serving layer owns the message types, exactly as
 // the protocol layer owns them for the Transport implementations.
+//
+// Each frame costs one syscall on each side: it is written with a single
+// Write (an AppendEncoder codec encodes straight behind the header slot), and
+// read through one bufio.Reader per connection, which takes a whole frame
+// that fits its buffer in one Read.
+
+// rpcReadBuffer is each connection's read buffer; a frame that fits it
+// arrives in one Read.
+const rpcReadBuffer = 16 << 10
+
+// maxKeptFrame bounds the frame buffer a connection keeps between calls; a
+// larger frame's buffer is dropped after it is sent.
+const maxKeptFrame = 64 << 10
 
 // RPCHandler answers one decoded request. It runs on the connection's
 // goroutine; returning an error closes that connection (protocol-level
@@ -50,10 +64,15 @@ func NewRPCServer(addr string, codec Codec, handler RPCHandler) (*RPCServer, err
 	if err != nil {
 		return nil, fmt.Errorf("transport: rpc listen %s: %w", addr, err)
 	}
+	return serveRPC(ln, codec, handler), nil
+}
+
+// serveRPC serves every connection ln accepts until Close.
+func serveRPC(ln net.Listener, codec Codec, handler RPCHandler) *RPCServer {
 	s := &RPCServer{ln: ln, codec: codec, handler: handler, live: make(map[net.Conn]struct{})}
 	s.conns.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the address the server accepts connections on.
@@ -97,8 +116,10 @@ func (s *RPCServer) serveConn(conn net.Conn) {
 		delete(s.live, conn)
 		s.mu.Unlock()
 	}()
+	r := bufio.NewReaderSize(conn, rpcReadBuffer)
+	var frame []byte
 	for {
-		id, payload, err := readFrame(conn)
+		id, payload, err := readFrame(r)
 		if err != nil {
 			return // EOF, client went away, or server closing
 		}
@@ -110,12 +131,14 @@ func (s *RPCServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		data, err := s.codec.Encode(resp)
-		if err != nil {
+		if frame, err = encodeFrame(frame, s.codec, id, resp); err != nil {
 			return
 		}
-		if err := writeFrame(conn, id, data); err != nil {
+		if _, err := conn.Write(frame); err != nil {
 			return
+		}
+		if cap(frame) > maxKeptFrame {
+			frame = nil
 		}
 	}
 }
@@ -146,9 +169,10 @@ type clientFrame struct {
 type RPCClient struct {
 	conn    net.Conn
 	codec   Codec
-	mu      sync.Mutex // serializes Call; guards next and timeout
+	mu      sync.Mutex // serializes Call; guards next, timeout and frame
 	next    int
 	timeout time.Duration
+	frame   []byte // the last request frame's storage, reused by the next
 
 	frames chan clientFrame
 	closed chan struct{}
@@ -161,6 +185,11 @@ func DialRPC(addr string, codec Codec) (*RPCClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: rpc dial %s: %w", addr, err)
 	}
+	return newRPCClient(conn, codec), nil
+}
+
+// newRPCClient runs the client side of the protocol over conn.
+func newRPCClient(conn net.Conn, codec Codec) *RPCClient {
 	c := &RPCClient{
 		conn:   conn,
 		codec:  codec,
@@ -168,15 +197,16 @@ func DialRPC(addr string, codec Codec) (*RPCClient, error) {
 		closed: make(chan struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // readLoop delivers every incoming frame to the (single) caller blocked in
 // Call. A read error is delivered once and ends the loop; Close ends it even
 // when no Call is waiting to receive.
 func (c *RPCClient) readLoop() {
+	r := bufio.NewReaderSize(c.conn, rpcReadBuffer)
 	for {
-		id, payload, err := readFrame(c.conn)
+		id, payload, err := readFrame(r)
 		select {
 		case c.frames <- clientFrame{id: id, payload: payload, err: err}:
 		case <-c.closed:
@@ -204,13 +234,16 @@ func (c *RPCClient) SetTimeout(d time.Duration) {
 func (c *RPCClient) Call(req any) (any, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	payload, err := c.codec.Encode(req)
+	id := c.next + 1
+	frame, err := encodeFrame(c.frame, c.codec, id, req)
 	if err != nil {
 		return nil, fmt.Errorf("transport: rpc encode: %w", err)
 	}
-	c.next++
-	id := c.next
-	if err := writeFrame(c.conn, id, payload); err != nil {
+	c.next = id
+	if cap(frame) <= maxKeptFrame {
+		c.frame = frame
+	}
+	if _, err := c.conn.Write(frame); err != nil {
 		return nil, fmt.Errorf("transport: rpc send: %w", err)
 	}
 	var timeoutC <-chan time.Time

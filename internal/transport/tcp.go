@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +17,13 @@ import (
 type Codec interface {
 	Encode(msg any) ([]byte, error)
 	Decode(data []byte) (any, error)
+}
+
+// AppendEncoder is a Codec that can append a message's encoding to dst. The
+// RPC layer uses it to encode straight behind a reserved frame header, so a
+// frame is built without copying its payload.
+type AppendEncoder interface {
+	AppendEncode(dst []byte, msg any) ([]byte, error)
 }
 
 // maxFrame bounds a single message frame (16 MiB) as a corruption guard.
@@ -289,40 +297,82 @@ func (t *TCP) acceptLoop(nid int, ln net.Listener) {
 	}
 }
 
-// writeFrame writes [len u32][from i64][payload].
+// frameHeader is the length of a frame header: [len u32][from i64].
+const frameHeader = 12
+
+// readChunk is how much payload readFrame allocates before any of it has
+// arrived; the buffer then doubles as bytes come in, up to the announced
+// length.
+const readChunk = 64 << 10
+
+// writeFrame writes [len u32][from i64][payload] with a single Write.
 func writeFrame(w io.Writer, from int, payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("frame too large: %d bytes", len(payload))
 	}
-	header := make([]byte, 12)
-	binary.BigEndian.PutUint32(header[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(header[4:], uint64(int64(from)))
-	if _, err := w.Write(header); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	frame := make([]byte, frameHeader, frameHeader+len(payload))
+	putHeader(frame, from, len(payload))
+	_, err := w.Write(append(frame, payload...))
 	return err
 }
 
-// readFrame reads one frame written by writeFrame.
+// putHeader fills the header slot at the front of frame.
+func putHeader(frame []byte, from, n int) {
+	binary.BigEndian.PutUint32(frame[:4], uint32(n))
+	binary.BigEndian.PutUint64(frame[4:frameHeader], uint64(int64(from)))
+}
+
+// encodeFrame encodes msg as one complete frame into buf's storage: the
+// header slot first, then the payload appended behind it.
+func encodeFrame(buf []byte, codec Codec, id int, msg any) ([]byte, error) {
+	frame := append(buf[:0], make([]byte, frameHeader)...)
+	var err error
+	if ae, ok := codec.(AppendEncoder); ok {
+		frame, err = ae.AppendEncode(frame, msg)
+	} else {
+		var payload []byte
+		if payload, err = codec.Encode(msg); err == nil {
+			frame = append(frame, payload...)
+		}
+	}
+	if err != nil {
+		return buf, err
+	}
+	if n := len(frame) - frameHeader; n > maxFrame {
+		return buf, fmt.Errorf("frame too large: %d bytes", n)
+	}
+	putHeader(frame, id, len(frame)-frameHeader)
+	return frame, nil
+}
+
+// readFrame reads one frame written by writeFrame. The payload buffer grows
+// as bytes arrive, so a peer that announces a large frame and stalls holds
+// at most readChunk of memory, not the announced length.
 func readFrame(r io.Reader) (from int, payload []byte, err error) {
-	header := make([]byte, 12)
+	header := make([]byte, frameHeader)
 	if _, err := io.ReadFull(r, header); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(header[:4])
+	n := int(binary.BigEndian.Uint32(header[:4]))
 	if n > maxFrame {
 		return 0, nil, errors.New("oversized frame")
 	}
 	from = int(int64(binary.BigEndian.Uint64(header[4:])))
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			// A stream ending exactly after a header that promised a
-			// payload is a truncated frame, not a clean shutdown.
-			err = io.ErrUnexpectedEOF
+	payload = make([]byte, 0, min(n, readChunk))
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(n-len(payload), len(payload)))
 		}
-		return 0, nil, err
+		got, err := io.ReadFull(r, payload[len(payload):min(n, cap(payload))])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			if err == io.EOF {
+				// A stream ending exactly after a header that promised a
+				// payload is a truncated frame, not a clean shutdown.
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
 	}
 	return from, payload, nil
 }
