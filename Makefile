@@ -56,9 +56,11 @@ race-daemon:
 
 # Race-instrumented multi-tenant admission oracle: many goroutines admitting,
 # releasing and preempting through the capacity allocator — locally and over
-# sflowd RPCs — must serialize to a sequential replay of the recorded log.
+# sflowd RPCs — must serialize to a sequential replay of the recorded log, and
+# the allocator's incrementally maintained residual table must equal a
+# from-scratch all-pairs computation after every operation.
 race-admit:
-	$(GO) test -race ./internal/provision/ -run 'TestAllocator|TestConcurrentAdmissionMatchesSequentialReplay|TestReplay|TestSeededAdmitRelease'
+	$(GO) test -race ./internal/provision/ -run 'TestAllocator|TestConcurrentAdmissionMatchesSequentialReplay|TestReplay|TestSeededAdmitRelease|TestResidualTable'
 	$(GO) test -race ./internal/daemon/ -run 'TestAdmitReleaseTenantsRPC|TestConcurrentAdmitRPCMatchesSequentialReplay'
 	$(GO) test -race . -run 'TestAllocatorPublicAPI|TestReplayAdmissionsWithNilAlgFor'
 

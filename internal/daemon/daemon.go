@@ -77,8 +77,13 @@ type Options struct {
 	// allocator accounts against a private residual copy of the boot
 	// overlay: admissions reserve capacity from the boot-time substrate,
 	// independent of later epoch mutations, so admission decisions stay
-	// replayable from the recorded log alone. Admission.Metrics defaults to
-	// Options.Metrics.
+	// replayable from the recorded log alone. Admissions read the
+	// allocator's incrementally maintained residual table
+	// (provision.Allocator.Placement): the first admit builds it, and each
+	// later one recomputes only the rows the reservations and releases
+	// since could have changed (alloc_table_rows_recomputed_total and
+	// alloc_table_rows_kept_total count them); a server that never admits
+	// never builds it. Admission.Metrics defaults to Options.Metrics.
 	Admission provision.AllocatorOptions
 	// Reopt configures the congestion-driven reoptimizer. The link-load
 	// ledger behind the `links` RPC is always on; the background migration
@@ -428,25 +433,40 @@ func (s *Server) info() *Response {
 
 // --- admission path --------------------------------------------------------
 
-// admissionAlgorithm adapts one named solver to the allocator's Algorithm
-// shape, federating over the allocator's residual overlay. The daemon serves
-// the deterministic registry algorithms only ("random" included: its rng is
-// re-seeded per call), so every recorded admission log replays exactly.
-func admissionAlgorithm(name string) (provision.Algorithm, error) {
+// admissionPlacement adapts one named solver to the allocator's Place shape.
+// The daemon serves the deterministic registry algorithms only ("random"
+// included: its rng is re-seeded per call), so every recorded admission log
+// replays exactly.
+func admissionPlacement(name string) (provision.Place, error) {
 	fn, ok := solve.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("daemon: unknown algorithm %q", name)
+	}
+	return func(ag *abstract.Graph, src int) (*flow.Graph, qos.Metric, error) {
+		sol, err := fn(ag, src)
+		if err != nil {
+			return nil, qos.Unreachable, err
+		}
+		return sol.Flow, sol.Metric, nil
+	}, nil
+}
+
+// admissionAlgorithm is one named solver as a provision.Algorithm that
+// builds its abstract graph from scratch over whatever overlay it is handed:
+// what Replay of a daemon's admission log runs. The server itself admits
+// through s.alloc.Placement, which reads the allocator's maintained residual
+// table instead and answers byte-identically.
+func admissionAlgorithm(name string) (provision.Algorithm, error) {
+	place, err := admissionPlacement(name)
+	if err != nil {
+		return nil, err
 	}
 	return func(ov *overlay.Overlay, req *require.Requirement, src int) (*flow.Graph, qos.Metric, error) {
 		ag, err := abstract.Build(ov, req)
 		if err != nil {
 			return nil, qos.Unreachable, err
 		}
-		sol, err := fn(ag, src)
-		if err != nil {
-			return nil, qos.Unreachable, err
-		}
-		return sol.Flow, sol.Metric, nil
+		return place(ag, src)
 	}, nil
 }
 
@@ -464,7 +484,7 @@ func (s *Server) admit(r *Request) *Response {
 	if name == "" {
 		name = "heuristic"
 	}
-	alg, err := admissionAlgorithm(name)
+	place, err := admissionPlacement(name)
 	if err != nil {
 		resp.Err = err.Error()
 		return resp
@@ -476,7 +496,7 @@ func (s *Server) admit(r *Request) *Response {
 		Class:  r.Class,
 		TTL:    time.Duration(r.TTLMS) * time.Millisecond,
 		Tag:    name,
-		Alg:    alg,
+		Alg:    s.alloc.Placement(place),
 	})
 	if err != nil {
 		resp.Err = err.Error()

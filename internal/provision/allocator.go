@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sflow/internal/abstract"
 	"sflow/internal/flow"
 	"sflow/internal/metrics"
 	"sflow/internal/overlay"
@@ -245,8 +246,9 @@ type Allocator struct {
 	timers  map[uint64]*time.Timer
 
 	// Pre-resolved metric handles (nil-safe without a registry).
-	activeGauge *metrics.Gauge
-	utilization *metrics.Histogram
+	activeGauge              *metrics.Gauge
+	utilization              *metrics.Histogram
+	rowsRecomputed, rowsKept *metrics.Counter
 }
 
 // NewAllocator starts a multi-tenant allocator over a private residual copy
@@ -286,6 +288,8 @@ func newAllocator(ov *overlay.Overlay, opts AllocatorOptions, async bool) *Alloc
 		// scheduling, so it must stay out of the stable snapshot.
 		a.activeGauge = reg.Gauge("alloc_active_tenants", metrics.Volatile())
 		a.utilization = reg.Histogram("alloc_utilization_pct", metrics.LinearBounds(10, 10, 10))
+		a.rowsRecomputed = reg.Counter("alloc_table_rows_recomputed_total")
+		a.rowsKept = reg.Counter("alloc_table_rows_kept_total")
 	}
 	return a
 }
@@ -469,6 +473,43 @@ func (a *Allocator) InstanceLoad(nid int) int {
 	var out int
 	_ = a.exec(func() { out = a.mgr.InstanceLoad(nid) })
 	return out
+}
+
+// Place chooses one instance per service slot of an abstract graph, from the
+// source instance src: a federation algorithm minus its graph build.
+type Place func(ag *abstract.Graph, src int) (*flow.Graph, qos.Metric, error)
+
+// Placement binds place to this allocator's residual routing table. The
+// returned Algorithm, handed the allocator's live residual, builds its
+// abstract graph over the maintained all-pairs table (abstract.FromAllPairs)
+// after recomputing only the rows the reservations and releases since its
+// last call could have changed; handed any other overlay — the per-admit
+// clone an instance-capacity bound makes, another allocator's residual
+// under Replay — it builds from scratch with abstract.Build. Either way the
+// abstract graph is byte-identical to abstract.Build's on the same overlay.
+//
+// The Algorithm reads writer-owned state: pass it to this allocator's Admit
+// or Migrate (or to Replay, which hands it another overlay), never call it
+// directly.
+func (a *Allocator) Placement(place Place) Algorithm {
+	return func(ov *overlay.Overlay, req *require.Requirement, src int) (*flow.Graph, qos.Metric, error) {
+		var (
+			ag  *abstract.Graph
+			err error
+		)
+		if ov == a.mgr.residual {
+			ap, recomputed := a.mgr.allPairs()
+			a.rowsRecomputed.Add(int64(recomputed))
+			a.rowsKept.Add(int64(ov.NumInstances() - recomputed))
+			ag, err = abstract.FromAllPairs(ov, req, ap)
+		} else {
+			ag, err = abstract.Build(ov, req)
+		}
+		if err != nil {
+			return nil, qos.Unreachable, err
+		}
+		return place(ag, src)
+	}
 }
 
 // --- writer-side core ------------------------------------------------------

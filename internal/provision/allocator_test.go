@@ -21,12 +21,19 @@ import (
 )
 
 // heuristicAlg adapts the deterministic reduction heuristic to the Algorithm
-// shape; the oracle tests depend on its determinism.
+// shape, building its abstract graph from scratch; the oracle tests depend
+// on its determinism.
 func heuristicAlg(ov *overlay.Overlay, req *require.Requirement, src int) (*flow.Graph, qos.Metric, error) {
 	ag, err := abstract.Build(ov, req)
 	if err != nil {
 		return nil, qos.Unreachable, err
 	}
+	return heuristicPlace(ag, src)
+}
+
+// heuristicPlace is heuristicAlg without its graph build: the placement an
+// allocator's Placement binds to the maintained residual table.
+func heuristicPlace(ag *abstract.Graph, src int) (*flow.Graph, qos.Metric, error) {
 	r, err := reduce.Solve(ag, src, nil)
 	if err != nil {
 		return nil, qos.Unreachable, err
@@ -610,6 +617,31 @@ func BenchmarkAllocatorAdmitRelease(b *testing.B) {
 		tk, err := a.Admit(AdmitRequest{
 			Req: sc.Req, Src: sc.SourceNID, Demand: 50,
 			Class: i % 3, Alg: heuristicAlg,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := a.Release(tk.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAllocatorAdmitReleaseTable is BenchmarkAllocatorAdmitRelease with
+// the algorithm bound to the allocator's maintained residual table: each
+// admit recomputes only the rows the previous release dirtied instead of
+// running abstract.Build's full all-pairs.
+func BenchmarkAllocatorAdmitReleaseTable(b *testing.B) {
+	sc := allocScenario(b, 7)
+	a := NewAllocator(sc.Overlay, AllocatorOptions{Classes: 3})
+	defer a.Close()
+	alg := a.Placement(heuristicPlace)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tk, err := a.Admit(AdmitRequest{
+			Req: sc.Req, Src: sc.SourceNID, Demand: 50,
+			Class: i % 3, Alg: alg,
 		})
 		if err != nil {
 			b.Fatal(err)

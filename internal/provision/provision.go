@@ -9,8 +9,10 @@
 package provision
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"sflow/internal/flow"
 	"sflow/internal/metrics"
@@ -74,11 +76,21 @@ type Admission struct {
 	Metric qos.Metric
 	Demand int64
 
-	// reserved maps each (from, to) link to the bandwidth this admission
-	// holds on it and the link's latency (needed to re-create a link that
-	// saturated away when the admission is released).
-	reserved map[[2]int]Reservation
+	// holds lists each (from, to) link this admission reserves bandwidth on,
+	// with the link's latency (needed to re-create a link that saturated away
+	// when the admission is released), ascending by link. Release and restore
+	// walk it in that order, so a release that re-creates several saturated
+	// links out of one node appends them to its out-arcs in one fixed order —
+	// arc order decides shortest-widest tie-breaks, and Replay must see the
+	// same residual the live run did.
+	holds    []hold
 	released bool
+}
+
+// hold is one entry of Admission.holds.
+type hold struct {
+	link [2]int
+	Reservation
 }
 
 // Reservation is one admission's hold on one link: the bandwidth amount it
@@ -93,9 +105,9 @@ type Reservation struct {
 // (from, to). The copy stays valid after the admission is released — it is
 // the raw material for link-load accounting (see internal/reopt).
 func (a *Admission) Reservations() map[[2]int]Reservation {
-	out := make(map[[2]int]Reservation, len(a.reserved))
-	for link, r := range a.reserved {
-		out[link] = r
+	out := make(map[[2]int]Reservation, len(a.holds))
+	for _, h := range a.holds {
+		out[h.link] = h.Reservation
 	}
 	return out
 }
@@ -114,6 +126,11 @@ type Manager struct {
 	totalBW    int64
 	reservedBW int64
 	metrics    *metrics.Registry
+	// table is the shortest-widest all-pairs table of residual, created by
+	// the first allPairs call and kept current through outChanged reports
+	// from every residual writer (Admit's reserve loop, Release, restore).
+	// Managers whose algorithms never ask for it never build it.
+	table *qos.Incremental
 }
 
 // NewManager starts provisioning on a copy of the given overlay; the
@@ -153,10 +170,10 @@ func (m *Manager) Admitted() []Admission {
 	out := make([]Admission, 0, len(m.admitted))
 	for _, a := range m.admitted {
 		cp := *a
-		// The live reserved map must not leak: a copy aliasing it would let
+		// The live holds must not leak: a copy aliasing them would let
 		// Release(&copy) return bandwidth while the live admission still
 		// holds it, double-releasing on the next Release(live).
-		cp.reserved = nil
+		cp.holds = nil
 		out = append(out, cp)
 	}
 	return out
@@ -221,30 +238,37 @@ func (m *Manager) Admit(req *require.Requirement, src int, demand int64, alg Alg
 			needs[[2]int{e.Path[i], e.Path[i+1]}] += demand
 		}
 	}
-	reserved := make(map[[2]int]Reservation, len(needs))
-	for link, need := range needs {
+	// Walk the links in (from, to) order, so the rejection names the same
+	// failing link on every run and the holds come out sorted.
+	holds := make([]hold, 0, len(needs))
+	for link := range needs {
+		holds = append(holds, hold{link: link})
+	}
+	slices.SortFunc(holds, func(x, y hold) int {
+		return cmp.Or(cmp.Compare(x.link[0], y.link[0]), cmp.Compare(x.link[1], y.link[1]))
+	})
+	for i := range holds {
+		link, need := holds[i].link, needs[holds[i].link]
 		cur, ok := m.residual.LinkMetric(link[0], link[1])
 		if !ok || cur.Bandwidth < need {
 			return nil, m.reject(&AdmissionError{Reason: ReasonBandwidth,
 				Detail: fmt.Sprintf("link %d->%d carries %d streams needing %d, has %d",
 					link[0], link[1], need/demand, need, cur.Bandwidth)})
 		}
-		reserved[link] = Reservation{Amount: need, Latency: cur.Latency}
+		holds[i].Reservation = Reservation{Amount: need, Latency: cur.Latency}
 	}
-	for link, need := range needs {
-		if err := m.residual.ReduceLinkBandwidth(link[0], link[1], need); err != nil {
+	for _, h := range holds {
+		if err := m.reduce(h.link, h.Amount); err != nil {
 			return nil, fmt.Errorf("provision: reserve %d on %d->%d: %w",
-				need, link[0], link[1], err)
+				h.Amount, h.link[0], h.link[1], err)
 		}
+		m.reservedBW += h.Amount
 	}
 	for _, nid := range fg.Assignment() {
 		m.inUse[nid]++
 	}
-	a := &Admission{Req: req, Flow: fg, Metric: metric, Demand: demand, reserved: reserved}
+	a := &Admission{Req: req, Flow: fg, Metric: metric, Demand: demand, holds: holds}
 	m.admitted = append(m.admitted, a)
-	for _, need := range needs {
-		m.reservedBW += need
-	}
 	m.metrics.Counter("provision_admitted_total").Inc()
 	m.observeUtilization()
 	return a, nil
@@ -283,7 +307,7 @@ func (m *Manager) utilizationPct() int64 {
 // saturated away are re-created with their original latency. Releasing the
 // same admission twice is an error.
 func (m *Manager) Release(a *Admission) error {
-	if a == nil || a.reserved == nil {
+	if a == nil || a.holds == nil {
 		return fmt.Errorf("provision: release of an admission without reservations")
 	}
 	if a.released {
@@ -295,21 +319,21 @@ func (m *Manager) Release(a *Admission) error {
 			m.inUse[nid]--
 		}
 	}
-	for link, r := range a.reserved {
-		if _, ok := m.residual.LinkMetric(link[0], link[1]); ok {
-			if err := m.residual.GrowLinkBandwidth(link[0], link[1], r.Amount); err != nil {
+	for _, h := range a.holds {
+		from, to := h.link[0], h.link[1]
+		m.outChanged(from)
+		m.reservedBW -= h.Amount
+		if _, ok := m.residual.LinkMetric(from, to); ok {
+			if err := m.residual.GrowLinkBandwidth(from, to, h.Amount); err != nil {
 				return err
 			}
 			continue
 		}
 		// The link saturated away: re-create it with the returned
 		// capacity.
-		if err := m.residual.AddLink(link[0], link[1], r.Amount, r.Latency); err != nil {
-			return fmt.Errorf("provision: restore link %d->%d: %w", link[0], link[1], err)
+		if err := m.residual.AddLink(from, to, h.Amount, h.Latency); err != nil {
+			return fmt.Errorf("provision: restore link %d->%d: %w", from, to, err)
 		}
-	}
-	for _, r := range a.reserved {
-		m.reservedBW -= r.Amount
 	}
 	m.metrics.Counter("provision_released_total").Inc()
 	m.observeUtilization()
@@ -324,27 +348,59 @@ func (m *Manager) Release(a *Admission) error {
 // It must only be called on an admission this manager released, while the
 // residual still has the released capacity available.
 func (m *Manager) restore(a *Admission) error {
-	if a == nil || a.reserved == nil || !a.released {
+	if a == nil || a.holds == nil || !a.released {
 		return fmt.Errorf("provision: restore of an admission that is not released")
 	}
-	for link, r := range a.reserved {
-		cur, ok := m.residual.LinkMetric(link[0], link[1])
-		if !ok || cur.Bandwidth < r.Amount {
+	for _, h := range a.holds {
+		cur, ok := m.residual.LinkMetric(h.link[0], h.link[1])
+		if !ok || cur.Bandwidth < h.Amount {
 			return fmt.Errorf("provision: restore %d on %d->%d: capacity no longer available",
-				r.Amount, link[0], link[1])
+				h.Amount, h.link[0], h.link[1])
 		}
 	}
-	for link, r := range a.reserved {
-		if err := m.residual.ReduceLinkBandwidth(link[0], link[1], r.Amount); err != nil {
-			return fmt.Errorf("provision: restore %d on %d->%d: %w", r.Amount, link[0], link[1], err)
+	for _, h := range a.holds {
+		if err := m.reduce(h.link, h.Amount); err != nil {
+			return fmt.Errorf("provision: restore %d on %d->%d: %w", h.Amount, h.link[0], h.link[1], err)
 		}
-		m.reservedBW += r.Amount
+		m.reservedBW += h.Amount
 	}
 	for _, nid := range a.Flow.Assignment() {
 		m.inUse[nid]++
 	}
 	a.released = false
 	return nil
+}
+
+// reduce reserves amount on one residual link (a link that saturates
+// disappears) and reports the change to the maintained table.
+func (m *Manager) reduce(link [2]int, amount int64) error {
+	m.outChanged(link[0])
+	return m.residual.ReduceLinkBandwidth(link[0], link[1], amount)
+}
+
+// outChanged tells the maintained table, if there is one, that from's
+// out-arcs changed: the rows that reached from recompute at the next
+// allPairs.
+func (m *Manager) outChanged(from int) {
+	if m.table != nil {
+		m.table.OutChanged(from)
+	}
+}
+
+// allPairs returns the shortest-widest all-pairs table of the live residual
+// and how many of its rows this call recomputed. The first call builds every
+// row; later calls recompute only the rows that reached a node whose
+// out-arcs a reservation or release changed since — the flushed table is
+// byte-identical to qos.ComputeAllPairs(m.Residual()). The table is updated
+// in place by later calls. Rows are computed one after another: the dozen
+// or so a reservation dirties cost less than a worker fan-out.
+func (m *Manager) allPairs() (*qos.AllPairs, int) {
+	if m.table == nil {
+		m.table = qos.NewIncremental(m.residual, 1, nil)
+		return m.table.AllPairs(), m.residual.NumInstances()
+	}
+	n := m.table.Flush()
+	return m.table.AllPairs(), n
 }
 
 // AdmitUntilRejected submits up to maxRequests identical requests and stops
