@@ -49,8 +49,11 @@ race-session:
 
 # Race-instrumented serving smoke: concurrent TCP clients solving against
 # sflowd's epoch machinery while another client streams mutations, plus the
-# root-level byte-equivalence battery between served and stateless solves.
+# root-level byte-equivalence battery between served and stateless solves,
+# and the read-only contract every request's requirement is shared under
+# (structural queries and Validate from many goroutines on one requirement).
 race-daemon:
+	$(GO) test -race ./internal/require/ -run 'TestSharedRequirementIsReadOnly|TestMutatingFrozenRequirementDropsViews'
 	$(GO) test -race ./internal/daemon/ -run 'TestConcurrentClientsUnderChurn|TestSolveOverTCPMatchesDirectComputation'
 	$(GO) test -race . -run 'TestDaemonServingEquivalenceBattery'
 
@@ -264,8 +267,9 @@ vulncheck:
 # protocol wire codec and the reliability wrapper, CSR freeze round-trip),
 # the two incremental-invalidation oracles (link-state views, lazy routing
 # rows — the latter with a bounded LRU table running the same trace), the
-# bucket-vs-heap kernel equivalence over fuzz-built graphs, and the layered
-# placement DP against the map oracle over fuzz-built tied overlays.
+# bucket-vs-heap kernel equivalence over fuzz-built graphs, the layered
+# placement DP against the map oracle over fuzz-built tied overlays, and the
+# slice-backed digraph against its map-backed oracle over fuzzed edits.
 fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
@@ -277,6 +281,7 @@ fuzz:
 	$(GO) test ./internal/qos -run '^$$' -fuzz FuzzBucketQueue -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/baseline -run '^$$' -fuzz FuzzLayeredDP -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/daemon -run '^$$' -fuzz FuzzDaemonCodec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzDigraphOps -fuzztime $(FUZZTIME)
 
 # The committed figures and the sflowbench flags of each: the one list both
 # `figures` and `results-check` read.

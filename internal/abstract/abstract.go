@@ -246,17 +246,15 @@ func (g *Graph) AssignmentMetric(assign map[int]int) qos.Metric {
 	}
 	// Critical-path latency over the requirement DAG with the assignment's
 	// edge latencies.
-	lat, err := g.req.DAG().LongestPathFrom(g.req.Source(), func(u, v int) int64 {
+	lat := g.req.CriticalPath(func(u, v int) int64 {
 		return g.EdgeMetric(assign[u], assign[v]).Latency
 	})
-	if err != nil {
+	if lat == nil {
 		return qos.Unreachable
 	}
 	var worst int64
 	for _, sink := range g.req.Sinks() {
-		if lat[sink] > worst {
-			worst = lat[sink]
-		}
+		worst = max(worst, lat[g.req.Index(sink)])
 	}
 	return qos.Metric{Bandwidth: width, Latency: worst}
 }

@@ -106,14 +106,15 @@ func (s *Spec) Expand() ([]*require.Requirement, error) {
 	)
 	assign = func(i int) {
 		if i == len(terms) {
-			req := require.New()
-			for _, t := range terms {
-				req.AddService(pick[t])
+			services := make([]int, len(terms))
+			for i, t := range terms {
+				services[i] = pick[t]
 			}
+			var edges [][2]int
 			for _, e := range s.dag.Edges() {
-				req.AddDependency(pick[e[0]], pick[e[1]])
+				edges = append(edges, [2]int{pick[e[0]], pick[e[1]]})
 			}
-			if req.Validate() == nil {
+			if req, err := require.Build(services, edges); err == nil {
 				out = append(out, req)
 			}
 			return

@@ -104,9 +104,10 @@ func place(ag *abstract.Graph, src int, choose func(sid int, feasible []int, ass
 			continue
 		}
 		var feasible []int
+		upstream := req.Upstream(sid)
 		for _, nid := range ag.Slots(sid) {
 			ok := true
-			for _, up := range req.Upstream(sid) {
+			for _, up := range upstream {
 				if _, direct := ov.LinkMetric(assign[up], nid); !direct {
 					ok = false
 					break
@@ -183,15 +184,16 @@ func ServicePath(ag *abstract.Graph, src int) (*Result, error) {
 // mainChain returns the longest (most hops) source-to-sink path of the
 // requirement, deterministically.
 func mainChain(req *require.Requirement) []int {
-	dag := req.DAG()
-	hops, err := dag.LongestPathFrom(req.Source(), func(u, v int) int64 { return 1 })
-	if err != nil {
+	hops := req.CriticalPath(func(u, v int) int64 { return 1 })
+	if hops == nil {
 		return nil
 	}
-	// Pick the sink with the most hops (ties: smaller SID).
+	hopsOf := func(sid int) int64 { return hops[req.Index(sid)] }
+	// Pick the sink with the most hops (ties: smaller SID); unreached
+	// services read -1.
 	bestSink, bestHops := -1, int64(-1)
 	for _, s := range req.Sinks() {
-		if h, ok := hops[s]; ok && h > bestHops {
+		if h := hopsOf(s); h > bestHops {
 			bestSink, bestHops = s, h
 		}
 	}
@@ -203,10 +205,10 @@ func mainChain(req *require.Requirement) []int {
 	cur := bestSink
 	for cur != req.Source() {
 		next := -1
-		for _, p := range dag.Pred(cur) {
-			if h, ok := hops[p]; ok && h == hops[cur]-1 {
+		for _, p := range req.Upstream(cur) {
+			if hopsOf(p) == hopsOf(cur)-1 {
 				next = p
-				break // Pred is sorted: smallest SID wins ties
+				break // Upstream is sorted: smallest SID wins ties
 			}
 		}
 		if next < 0 {

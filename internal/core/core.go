@@ -740,14 +740,8 @@ func (e *engine) localRequirement(ns *nodeState, view *overlay.Overlay, pins map
 	keep := dag.Reachable(ns.sid)
 	dag = dag.InducedSubgraph(keep)
 
-	local := require.New()
-	for _, sid := range dag.Nodes() {
-		local.AddService(sid)
-	}
-	for _, ed := range dag.Edges() {
-		local.AddDependency(ed[0], ed[1])
-	}
-	if err := local.Validate(); err != nil {
+	local, err := require.Build(dag.Nodes(), dag.Edges())
+	if err != nil {
 		return nil, fmt.Errorf("core: node %d local requirement: %w", ns.nid, err)
 	}
 	for _, d := range e.req.Downstream(ns.sid) {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 
-	"sflow/internal/graph"
 	"sflow/internal/overlay"
 	"sflow/internal/qos"
 	"sflow/internal/require"
@@ -242,21 +241,15 @@ func (g *Graph) Quality(req *require.Requirement) qos.Metric {
 			width = e.Metric.Bandwidth
 		}
 	}
-	dag := graph.New()
-	for _, re := range req.Edges() {
-		dag.AddEdge(re[0], re[1])
-	}
-	lat, err := dag.LongestPathFrom(req.Source(), func(u, v int) int64 {
+	lat := req.CriticalPath(func(u, v int) int64 {
 		return g.edges[[2]int{u, v}].Metric.Latency
 	})
-	if err != nil {
+	if lat == nil {
 		return qos.Unreachable
 	}
 	var worst int64
 	for _, sink := range req.Sinks() {
-		if lat[sink] > worst {
-			worst = lat[sink]
-		}
+		worst = max(worst, lat[req.Index(sink)])
 	}
 	return qos.Metric{Bandwidth: width, Latency: worst}
 }

@@ -10,82 +10,140 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
 // Digraph is a simple directed graph (no parallel edges, no self-loops by
-// construction unless explicitly added). The zero value is not usable; use New.
+// construction unless explicitly added). The zero value is an empty graph.
+//
+// Nodes are kept in ascending order, and every node's successors and
+// predecessors are ascending id slices, so the accessors copy instead of
+// sorting. A node's position in that order is its dense index (Index).
 type Digraph struct {
-	succ map[int]map[int]struct{}
-	pred map[int]map[int]struct{}
+	nodes []int   // ascending
+	succ  [][]int // succ[i]: successors of nodes[i], ascending
+	pred  [][]int // pred[i]: predecessors of nodes[i], ascending
 }
 
 // New returns an empty directed graph.
-func New() *Digraph {
-	return &Digraph{
-		succ: make(map[int]map[int]struct{}),
-		pred: make(map[int]map[int]struct{}),
+func New() *Digraph { return &Digraph{} }
+
+// Build returns the graph over nodes plus every endpoint of edges, with the
+// given edges. Duplicates in either list are ignored; neither list is
+// modified. The adjacency lists share one backing array, each capped at its
+// own range, so later edits never write into a neighbour's list.
+func Build(nodes []int, edges [][2]int) *Digraph {
+	var idBuf [64]int
+	ids := append(idBuf[:0], nodes...)
+	for _, e := range edges {
+		ids = append(ids, e[0], e[1])
 	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	n, m := len(ids), len(edges)
+	if n == 0 {
+		return &Digraph{}
+	}
+	// One array: the nodes, then the successor lists, then the predecessor
+	// lists, each list a run of its node's degree.
+	backing := make([]int, n+2*m)
+	adj := make([][]int, 2*n)
+	g := &Digraph{nodes: backing[:n:n], succ: adj[:n:n], pred: adj[n:]}
+	copy(g.nodes, ids)
+	var degBuf [64]int
+	deg := degBuf[:]
+	if 2*n > len(deg) {
+		deg = make([]int, 2*n)
+	}
+	deg = deg[:2*n]
+	for _, e := range edges {
+		deg[g.Index(e[0])]++
+		deg[n+g.Index(e[1])]++
+	}
+	at := n
+	for i, d := range deg {
+		adj[i] = backing[at : at : at+d]
+		at += d
+	}
+	for _, e := range edges {
+		u, v := g.Index(e[0]), g.Index(e[1])
+		g.succ[u] = append(g.succ[u], e[1])
+		g.pred[v] = append(g.pred[v], e[0])
+	}
+	for i, l := range adj {
+		slices.Sort(l)
+		adj[i] = slices.Compact(l)
+	}
+	return g
 }
+
+// Index returns n's position in Nodes(), or -1 if n is not a node.
+func (g *Digraph) Index(n int) int {
+	if i, ok := slices.BinarySearch(g.nodes, n); ok {
+		return i
+	}
+	return -1
+}
+
+// SuccAt returns the successors of the node at position i of Nodes(),
+// ascending. The slice is the graph's own: callers must not modify it.
+func (g *Digraph) SuccAt(i int) []int { return g.succ[i] }
 
 // AddNode inserts node n if not already present.
 func (g *Digraph) AddNode(n int) {
-	if _, ok := g.succ[n]; ok {
+	i, ok := slices.BinarySearch(g.nodes, n)
+	if ok {
 		return
 	}
-	g.succ[n] = make(map[int]struct{})
-	g.pred[n] = make(map[int]struct{})
+	g.nodes = slices.Insert(g.nodes, i, n)
+	g.succ = slices.Insert(g.succ, i, nil)
+	g.pred = slices.Insert(g.pred, i, nil)
 }
 
 // HasNode reports whether n is a node of g.
-func (g *Digraph) HasNode(n int) bool {
-	_, ok := g.succ[n]
-	return ok
-}
+func (g *Digraph) HasNode(n int) bool { return g.Index(n) >= 0 }
 
 // AddEdge inserts the edge u -> v, adding the endpoints as needed.
 func (g *Digraph) AddEdge(u, v int) {
 	g.AddNode(u)
 	g.AddNode(v)
-	g.succ[u][v] = struct{}{}
-	g.pred[v][u] = struct{}{}
+	iu, iv := g.Index(u), g.Index(v)
+	g.succ[iu] = insertSorted(g.succ[iu], v)
+	g.pred[iv] = insertSorted(g.pred[iv], u)
 }
 
 // HasEdge reports whether the edge u -> v exists.
 func (g *Digraph) HasEdge(u, v int) bool {
-	s, ok := g.succ[u]
-	if !ok {
+	i := g.Index(u)
+	if i < 0 {
 		return false
 	}
-	_, ok = s[v]
+	_, ok := slices.BinarySearch(g.succ[i], v)
 	return ok
-}
-
-// RemoveEdge deletes the edge u -> v if present. The endpoints remain.
-func (g *Digraph) RemoveEdge(u, v int) {
-	if s, ok := g.succ[u]; ok {
-		delete(s, v)
-	}
-	if p, ok := g.pred[v]; ok {
-		delete(p, u)
-	}
 }
 
 // RemoveNode deletes node n and all incident edges.
 func (g *Digraph) RemoveNode(n int) {
-	for v := range g.succ[n] {
-		delete(g.pred[v], n)
+	i := g.Index(n)
+	if i < 0 {
+		return
 	}
-	for u := range g.pred[n] {
-		delete(g.succ[u], n)
+	for _, v := range g.succ[i] {
+		j := g.Index(v)
+		g.pred[j] = deleteSorted(g.pred[j], n)
 	}
-	delete(g.succ, n)
-	delete(g.pred, n)
+	for _, u := range g.pred[i] {
+		j := g.Index(u)
+		g.succ[j] = deleteSorted(g.succ[j], n)
+	}
+	g.nodes = slices.Delete(g.nodes, i, i+1)
+	g.succ = slices.Delete(g.succ, i, i+1)
+	g.pred = slices.Delete(g.pred, i, i+1)
 }
 
 // NumNodes returns the number of nodes.
-func (g *Digraph) NumNodes() int { return len(g.succ) }
+func (g *Digraph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the number of edges.
 func (g *Digraph) NumEdges() int {
@@ -97,244 +155,171 @@ func (g *Digraph) NumEdges() int {
 }
 
 // Nodes returns all nodes in ascending order.
-func (g *Digraph) Nodes() []int {
-	out := make([]int, 0, len(g.succ))
-	for n := range g.succ {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
+func (g *Digraph) Nodes() []int { return clone(g.nodes) }
 
 // Succ returns the successors of n in ascending order.
-func (g *Digraph) Succ(n int) []int { return sortedKeys(g.succ[n]) }
-
-// Pred returns the predecessors of n in ascending order.
-func (g *Digraph) Pred(n int) []int { return sortedKeys(g.pred[n]) }
-
-// OutDegree returns the out-degree of n.
-func (g *Digraph) OutDegree(n int) int { return len(g.succ[n]) }
-
-// InDegree returns the in-degree of n.
-func (g *Digraph) InDegree(n int) int { return len(g.pred[n]) }
-
-// Sources returns all nodes with in-degree zero, ascending.
-func (g *Digraph) Sources() []int {
-	var out []int
-	for n, p := range g.pred {
-		if len(p) == 0 {
-			out = append(out, n)
-		}
+func (g *Digraph) Succ(n int) []int {
+	if i := g.Index(n); i >= 0 {
+		return clone(g.succ[i])
 	}
-	sort.Ints(out)
-	return out
+	return []int{}
 }
 
+// Pred returns the predecessors of n in ascending order.
+func (g *Digraph) Pred(n int) []int {
+	if i := g.Index(n); i >= 0 {
+		return clone(g.pred[i])
+	}
+	return []int{}
+}
+
+// OutDegree returns the out-degree of n.
+func (g *Digraph) OutDegree(n int) int {
+	if i := g.Index(n); i >= 0 {
+		return len(g.succ[i])
+	}
+	return 0
+}
+
+// InDegree returns the in-degree of n.
+func (g *Digraph) InDegree(n int) int {
+	if i := g.Index(n); i >= 0 {
+		return len(g.pred[i])
+	}
+	return 0
+}
+
+// Sources returns all nodes with in-degree zero, ascending.
+func (g *Digraph) Sources() []int { return g.nodesWithout(g.pred) }
+
 // Sinks returns all nodes with out-degree zero, ascending.
-func (g *Digraph) Sinks() []int {
+func (g *Digraph) Sinks() []int { return g.nodesWithout(g.succ) }
+
+// nodesWithout returns the nodes whose list in adj is empty, ascending.
+func (g *Digraph) nodesWithout(adj [][]int) []int {
 	var out []int
-	for n, s := range g.succ {
-		if len(s) == 0 {
-			out = append(out, n)
+	for i, l := range adj {
+		if len(l) == 0 {
+			out = append(out, g.nodes[i])
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // Edges returns all edges as [2]int{u, v} pairs in lexicographic order.
 func (g *Digraph) Edges() [][2]int {
 	out := make([][2]int, 0, g.NumEdges())
-	for _, u := range g.Nodes() {
-		for _, v := range g.Succ(u) {
-			out = append(out, [2]int{u, v})
+	for i, s := range g.succ {
+		for _, v := range s {
+			out = append(out, [2]int{g.nodes[i], v})
 		}
 	}
 	return out
 }
 
 // Clone returns a deep copy of g.
-func (g *Digraph) Clone() *Digraph {
-	c := New()
-	for n := range g.succ {
-		c.AddNode(n)
-	}
-	for u, s := range g.succ {
-		for v := range s {
-			c.AddEdge(u, v)
-		}
-	}
-	return c
-}
-
-// Reverse returns a copy of g with every edge direction flipped.
-func (g *Digraph) Reverse() *Digraph {
-	r := New()
-	for n := range g.succ {
-		r.AddNode(n)
-	}
-	for u, s := range g.succ {
-		for v := range s {
-			r.AddEdge(v, u)
-		}
-	}
-	return r
-}
+func (g *Digraph) Clone() *Digraph { return Build(g.nodes, g.Edges()) }
 
 // InducedSubgraph returns the subgraph of g induced by the given node set.
 func (g *Digraph) InducedSubgraph(nodes []int) *Digraph {
-	keep := make(map[int]struct{}, len(nodes))
+	keep := make([]bool, len(g.nodes))
 	for _, n := range nodes {
-		if g.HasNode(n) {
-			keep[n] = struct{}{}
+		if i := g.Index(n); i >= 0 {
+			keep[i] = true
 		}
 	}
-	sub := New()
-	for n := range keep {
-		sub.AddNode(n)
-	}
-	for u := range keep {
-		for v := range g.succ[u] {
-			if _, ok := keep[v]; ok {
-				sub.AddEdge(u, v)
+	var ids []int
+	var edges [][2]int
+	for i, u := range g.nodes {
+		if !keep[i] {
+			continue
+		}
+		ids = append(ids, u)
+		for _, v := range g.succ[i] {
+			if keep[g.Index(v)] {
+				edges = append(edges, [2]int{u, v})
 			}
 		}
 	}
-	return sub
+	return Build(ids, edges)
 }
 
 // TopoSort returns a topological order of g, preferring smaller node
 // identifiers first (deterministic Kahn's algorithm). It returns an error if
 // the graph contains a cycle.
 func (g *Digraph) TopoSort() ([]int, error) {
-	indeg := make(map[int]int, len(g.succ))
-	for n, p := range g.pred {
-		indeg[n] = len(p)
-	}
-	var ready intHeap
-	for n, d := range indeg {
-		if d == 0 {
-			ready.push(n)
+	n := len(g.nodes)
+	var indegBuf, heapBuf [64]int
+	indeg, ready := indegBuf[:0], heapBuf[:0]
+	// Positions are ordered like ids, so the heap holds positions.
+	for i, p := range g.pred {
+		indeg = append(indeg, len(p))
+		if len(p) == 0 {
+			ready = heapPush(ready, i)
 		}
 	}
-	order := make([]int, 0, len(g.succ))
-	for ready.len() > 0 {
-		n := ready.pop()
-		order = append(order, n)
-		for _, v := range g.Succ(n) {
-			indeg[v]--
-			if indeg[v] == 0 {
-				ready.push(v)
+	order := make([]int, 0, n)
+	for len(ready) > 0 {
+		var i int
+		i, ready = heapPop(ready)
+		order = append(order, g.nodes[i])
+		for _, v := range g.succ[i] {
+			j := g.Index(v)
+			indeg[j]--
+			if indeg[j] == 0 {
+				ready = heapPush(ready, j)
 			}
 		}
 	}
-	if len(order) != len(g.succ) {
-		return nil, fmt.Errorf("graph: cycle detected (%d of %d nodes ordered)", len(order), len(g.succ))
+	if len(order) != n {
+		return nil, fmt.Errorf("graph: cycle detected (%d of %d nodes ordered)", len(order), n)
 	}
 	return order, nil
-}
-
-// IsDAG reports whether g is acyclic.
-func (g *Digraph) IsDAG() bool {
-	_, err := g.TopoSort()
-	return err == nil
 }
 
 // Reachable returns the set of nodes reachable from src (including src),
 // ascending.
 func (g *Digraph) Reachable(src int) []int {
-	if !g.HasNode(src) {
+	s := g.Index(src)
+	if s < 0 {
 		return nil
 	}
-	seen := map[int]struct{}{src: {}}
-	stack := []int{src}
+	seen := make([]bool, len(g.nodes))
+	seen[s] = true
+	count := 1
+	stack := []int{s}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for v := range g.succ[u] {
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				stack = append(stack, v)
+		for _, v := range g.succ[u] {
+			if j := g.Index(v); !seen[j] {
+				seen[j] = true
+				count++
+				stack = append(stack, j)
 			}
 		}
 	}
-	return sortedKeys(seen)
-}
-
-// CanReach reports whether there is a directed path from src to dst.
-func (g *Digraph) CanReach(src, dst int) bool {
-	if !g.HasNode(src) || !g.HasNode(dst) {
-		return false
-	}
-	if src == dst {
-		return true
-	}
-	seen := map[int]struct{}{src: {}}
-	stack := []int{src}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for v := range g.succ[u] {
-			if v == dst {
-				return true
-			}
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				stack = append(stack, v)
-			}
+	out := make([]int, 0, count)
+	for i, ok := range seen {
+		if ok {
+			out = append(out, g.nodes[i])
 		}
 	}
-	return false
-}
-
-// WithinHops returns all nodes reachable from src by following at most h
-// edges forward (including src), ascending.
-func (g *Digraph) WithinHops(src, h int) []int {
-	if !g.HasNode(src) {
-		return nil
-	}
-	dist := map[int]int{src: 0}
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if dist[u] == h {
-			continue
-		}
-		for v := range g.succ[u] {
-			if _, ok := dist[v]; !ok {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return sortedKeys2(dist)
+	return out
 }
 
 // Equal reports whether g and o have identical node and edge sets.
 func (g *Digraph) Equal(o *Digraph) bool {
-	if g.NumNodes() != o.NumNodes() || g.NumEdges() != o.NumEdges() {
-		return false
-	}
-	for n := range g.succ {
-		if !o.HasNode(n) {
-			return false
-		}
-		for v := range g.succ[n] {
-			if !o.HasEdge(n, v) {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.Equal(g.nodes, o.nodes) &&
+		slices.EqualFunc(g.succ, o.succ, func(a, b []int) bool { return slices.Equal(a, b) })
 }
 
 // String renders the graph as "n: succ..." lines, for debugging.
 func (g *Digraph) String() string {
 	var b strings.Builder
-	for _, n := range g.Nodes() {
+	for i, n := range g.nodes {
 		fmt.Fprintf(&b, "%d:", n)
-		for _, v := range g.Succ(n) {
+		for _, v := range g.succ[i] {
 			fmt.Fprintf(&b, " %d", v)
 		}
 		b.WriteByte('\n')
@@ -342,63 +327,66 @@ func (g *Digraph) String() string {
 	return b.String()
 }
 
-func sortedKeys(m map[int]struct{}) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
+// clone returns a copy of s that is never nil.
+func clone(s []int) []int {
+	out := make([]int, len(s))
+	copy(out, s)
 	return out
 }
 
-func sortedKeys2(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// insertSorted adds x to the ascending list s unless present.
+func insertSorted(s []int, x int) []int {
+	i, ok := slices.BinarySearch(s, x)
+	if ok {
+		return s
 	}
-	sort.Ints(out)
-	return out
+	return slices.Insert(s, i, x)
 }
 
-// intHeap is a tiny min-heap of ints used by TopoSort for deterministic
-// tie-breaking.
-type intHeap struct{ a []int }
+// deleteSorted removes x from the ascending list s if present.
+func deleteSorted(s []int, x int) []int {
+	if i, ok := slices.BinarySearch(s, x); ok {
+		return slices.Delete(s, i, i+1)
+	}
+	return s
+}
 
-func (h *intHeap) len() int { return len(h.a) }
-
-func (h *intHeap) push(x int) {
-	h.a = append(h.a, x)
-	i := len(h.a) - 1
+// heapPush and heapPop keep a tiny min-heap of ints in a slice, the
+// deterministic tie-break of TopoSort.
+func heapPush(a []int, x int) []int {
+	a = append(a, x)
+	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if h.a[p] <= h.a[i] {
+		if a[p] <= a[i] {
 			break
 		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
+		a[p], a[i] = a[i], a[p]
 		i = p
 	}
+	return a
 }
 
-func (h *intHeap) pop() int {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
+func heapPop(a []int) (int, []int) {
+	top := a[0]
+	last := len(a) - 1
+	a[0] = a[last]
+	a = a[:last]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < len(h.a) && h.a[l] < h.a[small] {
+		if l < len(a) && a[l] < a[small] {
 			small = l
 		}
-		if r < len(h.a) && h.a[r] < h.a[small] {
+		if r < len(a) && a[r] < a[small] {
 			small = r
 		}
 		if small == i {
 			break
 		}
-		h.a[i], h.a[small] = h.a[small], h.a[i]
+		a[i], a[small] = a[small], a[i]
 		i = small
 	}
-	return top
+	return top, a
 }

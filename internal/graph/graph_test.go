@@ -50,18 +50,11 @@ func TestAddNodeIdempotent(t *testing.T) {
 
 func TestRemoveEdgeAndNode(t *testing.T) {
 	g := diamond()
-	g.RemoveEdge(1, 2)
-	if g.HasEdge(1, 2) {
-		t.Fatal("edge not removed")
-	}
-	if g.NumNodes() != 4 {
-		t.Fatal("RemoveEdge must not remove nodes")
-	}
 	g.RemoveNode(3)
 	if g.HasNode(3) || g.HasEdge(1, 3) || g.HasEdge(3, 4) {
 		t.Fatal("RemoveNode left incident state")
 	}
-	if want := []int{2}; !reflect.DeepEqual(g.Pred(4), want) {
+	if want := []int{2}; !reflect.DeepEqual(g.Pred(4), want) || g.NumEdges() != 2 {
 		t.Fatalf("Pred(4) after removal = %v, want %v", g.Pred(4), want)
 	}
 }
@@ -92,11 +85,8 @@ func TestTopoSortCycle(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 1)
-	if _, err := g.TopoSort(); err == nil {
-		t.Fatal("expected cycle error")
-	}
-	if g.IsDAG() {
-		t.Fatal("IsDAG on a cycle")
+	if order, err := g.TopoSort(); err == nil || order != nil {
+		t.Fatalf("TopoSort on a cycle = %v, %v; want a cycle error", order, err)
 	}
 }
 
@@ -106,24 +96,11 @@ func TestReachable(t *testing.T) {
 	if want := []int{1, 2, 3, 4}; !reflect.DeepEqual(g.Reachable(1), want) {
 		t.Fatalf("Reachable(1) = %v, want %v", g.Reachable(1), want)
 	}
-	if !g.CanReach(1, 4) || g.CanReach(4, 1) || g.CanReach(1, 6) {
-		t.Fatal("CanReach wrong")
+	if want := []int{4}; !reflect.DeepEqual(g.Reachable(4), want) {
+		t.Fatalf("Reachable(4) = %v, want %v", g.Reachable(4), want)
 	}
 	if g.Reachable(99) != nil {
 		t.Fatal("Reachable of missing node should be nil")
-	}
-}
-
-func TestWithinHops(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	if want := []int{1, 2, 3}; !reflect.DeepEqual(g.WithinHops(1, 2), want) {
-		t.Fatalf("WithinHops(1,2) = %v, want %v", g.WithinHops(1, 2), want)
-	}
-	if want := []int{1}; !reflect.DeepEqual(g.WithinHops(1, 0), want) {
-		t.Fatalf("WithinHops(1,0) = %v, want %v", g.WithinHops(1, 0), want)
 	}
 }
 
@@ -137,12 +114,13 @@ func TestCloneReverseEqual(t *testing.T) {
 	if g.Equal(c) || g.HasNode(5) {
 		t.Fatal("clone aliases original")
 	}
-	r := g.Reverse()
-	if !r.HasEdge(2, 1) || r.HasEdge(1, 2) {
-		t.Fatal("reverse wrong")
+	// Same nodes, same edge count, every edge flipped: Equal must tell.
+	r := New()
+	for _, e := range g.Edges() {
+		r.AddEdge(e[1], e[0])
 	}
-	if !r.Reverse().Equal(g) {
-		t.Fatal("double reverse differs")
+	if r.Equal(g) || g.Equal(r) {
+		t.Fatal("Equal ignores edge direction")
 	}
 }
 
@@ -154,67 +132,6 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 	if !sub.HasEdge(1, 2) || !sub.HasEdge(2, 4) || sub.HasEdge(1, 3) {
 		t.Fatal("subgraph edges wrong")
-	}
-}
-
-func TestLongestPathFrom(t *testing.T) {
-	g := diamond()
-	w := func(u, v int) int64 {
-		return int64(u*10 + v) // 1->2=12, 1->3=13, 2->4=24, 3->4=34
-	}
-	dist, err := g.LongestPathFrom(1, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist[4] != 13+34 {
-		t.Fatalf("longest to 4 = %d, want %d", dist[4], 13+34)
-	}
-	if dist[1] != 0 {
-		t.Fatalf("dist to src = %d, want 0", dist[1])
-	}
-}
-
-func TestAllPaths(t *testing.T) {
-	g := diamond()
-	paths := g.AllPaths(1, 4, 0)
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths, want 2", len(paths))
-	}
-	for _, p := range paths {
-		if err := g.ValidatePath(p); err != nil {
-			t.Fatalf("invalid path %v: %v", p, err)
-		}
-	}
-	if got := g.AllPaths(1, 4, 1); len(got) != 1 {
-		t.Fatalf("limit ignored: %d paths", len(got))
-	}
-}
-
-func TestChainFrom(t *testing.T) {
-	g := New()
-	// 1 -> 2 -> 3 -> 4, with 3 also feeding 5.
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	g.AddEdge(3, 5)
-	if want := []int{1, 2, 3}; !reflect.DeepEqual(g.ChainFrom(1), want) {
-		t.Fatalf("ChainFrom(1) = %v, want %v", g.ChainFrom(1), want)
-	}
-	if want := []int{4}; !reflect.DeepEqual(g.ChainFrom(4), want) {
-		t.Fatalf("ChainFrom(4) = %v, want %v", g.ChainFrom(4), want)
-	}
-}
-
-func TestValidatePath(t *testing.T) {
-	g := diamond()
-	if err := g.ValidatePath([]int{1, 2, 4}); err != nil {
-		t.Fatalf("valid path rejected: %v", err)
-	}
-	if err := g.ValidatePath([]int{1, 4}); err == nil {
-		t.Fatal("invalid path accepted")
-	}
-	if err := g.ValidatePath(nil); err == nil {
-		t.Fatal("empty path accepted")
 	}
 }
 
@@ -267,13 +184,45 @@ func TestReachablePropertyMatchesAllPaths(t *testing.T) {
 			reach[n] = true
 		}
 		for _, dst := range nodes {
-			hasPath := len(g.AllPaths(src, dst, 1)) > 0
+			hasPath := len(allPaths(g, src, dst, 1)) > 0
 			if hasPath != reach[dst] {
 				t.Fatalf("trial %d: reachability mismatch %d->%d: paths=%v reach=%v",
 					trial, src, dst, hasPath, reach[dst])
 			}
 		}
 	}
+}
+
+// allPaths enumerates simple directed paths from src to dst, up to limit
+// (limit <= 0 means no limit): an exhaustive reachability oracle for small
+// graphs.
+func allPaths(g *Digraph, src, dst, limit int) [][]int {
+	var out [][]int
+	var path []int
+	onPath := make(map[int]bool)
+	var walk func(u int) bool
+	walk = func(u int) bool {
+		path = append(path, u)
+		onPath[u] = true
+		defer func() {
+			path = path[:len(path)-1]
+			onPath[u] = false
+		}()
+		if u == dst {
+			out = append(out, append([]int(nil), path...))
+			return limit > 0 && len(out) >= limit
+		}
+		for _, v := range g.Succ(u) {
+			if !onPath[v] && walk(v) {
+				return true
+			}
+		}
+		return false
+	}
+	if g.HasNode(src) && g.HasNode(dst) {
+		walk(src)
+	}
+	return out
 }
 
 func TestQuickCloneEqual(t *testing.T) {

@@ -85,13 +85,14 @@ func Reduce(f *sat.Formula) (*Instance, error) {
 			}
 		}
 	}
-	req := require.New()
+	var edges [][2]int
 	for i := 1; i <= len(clauses); i++ {
 		for j := i + 1; j <= len(clauses); j++ {
-			req.AddDependency(i, j)
+			edges = append(edges, [2]int{i, j})
 		}
 	}
-	if err := req.Validate(); err != nil {
+	req, err := require.FromEdges(edges)
+	if err != nil {
 		return nil, fmt.Errorf("npc: gadget requirement: %w", err)
 	}
 	return &Instance{Overlay: ov, Req: req, LitOf: litOf, Formula: f}, nil

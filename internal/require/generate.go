@@ -27,7 +27,7 @@ func GenerateDisjoint(rng *rand.Rand, branches, minLen, maxLen int) (*Requiremen
 	if minLen < 1 || maxLen < minLen {
 		return nil, fmt.Errorf("require: bad branch length range [%d,%d]", minLen, maxLen)
 	}
-	r := New()
+	var edges [][2]int
 	src := 1
 	next := 2
 	var branchEnds []int
@@ -35,7 +35,7 @@ func GenerateDisjoint(rng *rand.Rand, branches, minLen, maxLen int) (*Requiremen
 		length := minLen + rng.Intn(maxLen-minLen+1)
 		prev := src
 		for i := 0; i < length; i++ {
-			r.AddDependency(prev, next)
+			edges = append(edges, [2]int{prev, next})
 			prev = next
 			next++
 		}
@@ -43,12 +43,9 @@ func GenerateDisjoint(rng *rand.Rand, branches, minLen, maxLen int) (*Requiremen
 	}
 	sink := next
 	for _, e := range branchEnds {
-		r.AddDependency(e, sink)
+		edges = append(edges, [2]int{e, sink})
 	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return Build(nil, edges)
 }
 
 // GenerateSplitMerge returns a diamond-style requirement: a chain of `lead`
@@ -62,12 +59,12 @@ func GenerateSplitMerge(lead, branches, tail int) (*Requirement, error) {
 	if lead < 1 || tail < 1 {
 		return nil, fmt.Errorf("require: lead and tail must be >= 1")
 	}
-	r := New()
+	var edges [][2]int
 	next := 1
 	prev := next
 	next++
 	for i := 1; i < lead; i++ {
-		r.AddDependency(prev, next)
+		edges = append(edges, [2]int{prev, next})
 		prev = next
 		next++
 	}
@@ -76,20 +73,16 @@ func GenerateSplitMerge(lead, branches, tail int) (*Requirement, error) {
 	for b := 0; b < branches; b++ {
 		mid := next
 		next++
-		r.AddDependency(split, mid)
-		r.AddDependency(mid, merge)
+		edges = append(edges, [2]int{split, mid}, [2]int{mid, merge})
 	}
 	prev = merge
 	next = merge + 1
 	for i := 0; i < tail; i++ {
-		r.AddDependency(prev, next)
+		edges = append(edges, [2]int{prev, next})
 		prev = next
 		next++
 	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return Build(nil, edges)
 }
 
 // GenerateTree returns a service multicast tree over services 1..n: every
@@ -101,21 +94,17 @@ func GenerateTree(rng *rand.Rand, n, maxFanout int) (*Requirement, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("require: tree needs >= 2 services, got %d", n)
 	}
-	r := New()
-	for s := 1; s <= n; s++ {
-		r.AddService(s)
-	}
+	outDeg := make([]int, n+1)
+	edges := make([][2]int, 0, n-1)
 	for s := 2; s <= n; s++ {
 		parent := 1 + rng.Intn(s-1)
-		for maxFanout > 0 && r.OutDegree(parent) >= maxFanout {
+		for maxFanout > 0 && outDeg[parent] >= maxFanout {
 			parent = 1 + rng.Intn(s-1)
 		}
-		r.AddDependency(parent, s)
+		outDeg[parent]++
+		edges = append(edges, [2]int{parent, s})
 	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return Build(nil, edges)
 }
 
 // DAGConfig controls GenerateDAG.
@@ -143,42 +132,46 @@ func GenerateDAG(rng *rand.Rand, cfg DAGConfig) (*Requirement, error) {
 		return nil, fmt.Errorf("require: EdgeProb %v out of [0,1]", cfg.EdgeProb)
 	}
 	fanOK := func(deg int) bool { return cfg.MaxFan == 0 || deg < cfg.MaxFan }
-	r := New()
-	for s := 1; s <= n; s++ {
-		r.AddService(s)
+	// The graph is tracked here and built once at the end: degrees and an
+	// adjacency matrix over services 1..n.
+	outDeg, inDeg := make([]int, n+1), make([]int, n+1)
+	has := make([]bool, (n+1)*(n+1))
+	var edges [][2]int
+	add := func(a, b int) {
+		edges = append(edges, [2]int{a, b})
+		outDeg[a]++
+		inDeg[b]++
+		has[a*(n+1)+b] = true
 	}
 	// Backbone: each service after the first consumes one random earlier
 	// service (keeps everything reachable from service 1, the source).
 	for s := 2; s <= n; s++ {
 		from := 1 + rng.Intn(s-1)
-		for !fanOK(r.OutDegree(from)) {
+		for !fanOK(outDeg[from]) {
 			from = 1 + rng.Intn(s-1)
 		}
-		r.AddDependency(from, s)
+		add(from, s)
 	}
 	// Extra forward edges.
 	for a := 1; a < n; a++ {
 		for b := a + 1; b <= n; b++ {
-			if r.HasDependency(a, b) {
+			if has[a*(n+1)+b] {
 				continue
 			}
-			if !fanOK(r.OutDegree(a)) || !fanOK(r.InDegree(b)) {
+			if !fanOK(outDeg[a]) || !fanOK(inDeg[b]) {
 				continue
 			}
 			if rng.Float64() < cfg.EdgeProb {
-				r.AddDependency(a, b)
+				add(a, b)
 			}
 		}
 	}
 	// Funnel every dangling sink (other than n) into n so the requirement
 	// has a single sink, matching the paper's examples.
 	for s := 1; s < n; s++ {
-		if r.OutDegree(s) == 0 {
-			r.AddDependency(s, n)
+		if outDeg[s] == 0 {
+			add(s, n)
 		}
 	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return Build(nil, edges)
 }

@@ -29,7 +29,7 @@ func (r *Requirement) UnmarshalJSON(data []byte) error {
 		if err := json.Unmarshal(data, &w); err != nil {
 			return fmt.Errorf("require: decode: %w", err)
 		}
-		dec, err = build(w.Services, w.Edges)
+		dec, err = Build(w.Services, w.Edges)
 	}
 	if err != nil {
 		return err
@@ -79,21 +79,5 @@ func ReadJSON(rd *wirejson.Reader) (*Requirement, error) {
 	if rd.Failed() {
 		return nil, nil
 	}
-	return build(services, edges)
-}
-
-// build replays a decoded wire form into a validated requirement, services
-// first, in wire order.
-func build(services []int, edges [][2]int) (*Requirement, error) {
-	dec := New()
-	for _, s := range services {
-		dec.AddService(s)
-	}
-	for _, e := range edges {
-		dec.AddDependency(e[0], e[1])
-	}
-	if err := dec.Validate(); err != nil {
-		return nil, err
-	}
-	return dec, nil
+	return Build(services, edges)
 }

@@ -10,15 +10,27 @@ package require
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sflow/internal/graph"
 )
 
-// Requirement is a service requirement DAG. Build one with the Add methods
-// or a constructor, then call Validate (constructors validate for you).
+// Requirement is a service requirement DAG. Build one with a constructor, or
+// with New and the Add methods followed by Validate.
+//
+// A constructor returns a frozen requirement: it validates the graph once and
+// caches the views solvers ask for (source, sinks, topological order,
+// junctions), so those queries copy instead of recomputing. The views are
+// never written after construction, so any number of goroutines may query a
+// frozen requirement. AddService and AddDependency drop them; the queries then
+// recompute on every call. Validate only reads.
 type Requirement struct {
 	dag *graph.Digraph
+
+	frozen bool
+	source int
+	// topo, sinks and junctions are immutable once set; Clone shares them.
+	topo, sinks, junctions []int
 }
 
 // New returns an empty requirement.
@@ -26,18 +38,16 @@ func New() *Requirement {
 	return &Requirement{dag: graph.New()}
 }
 
+// Build returns the validated requirement over services plus every endpoint
+// of edges (duplicates ignored). The graph is laid out in one pass and the
+// result is frozen. Neither slice is retained.
+func Build(services []int, edges [][2]int) (*Requirement, error) {
+	return freeze(graph.Build(services, edges))
+}
+
 // FromEdges builds and validates a requirement from a list of service
 // dependency edges (from -> to).
-func FromEdges(edges [][2]int) (*Requirement, error) {
-	r := New()
-	for _, e := range edges {
-		r.AddDependency(e[0], e[1])
-	}
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
+func FromEdges(edges [][2]int) (*Requirement, error) { return Build(nil, edges) }
 
 // NewPath builds and validates a single-chain requirement
 // sids[0] -> sids[1] -> ... (the paper's most primitive form, Fig 1).
@@ -45,55 +55,110 @@ func NewPath(sids ...int) (*Requirement, error) {
 	if len(sids) < 2 {
 		return nil, fmt.Errorf("require: a path needs at least 2 services, got %d", len(sids))
 	}
-	r := New()
+	var buf [16][2]int
+	edges := buf[:0]
 	for i := 0; i+1 < len(sids); i++ {
-		r.AddDependency(sids[i], sids[i+1])
+		edges = append(edges, [2]int{sids[i], sids[i+1]})
 	}
-	if err := r.Validate(); err != nil {
+	return Build(nil, edges)
+}
+
+// freeze validates g and returns it as a frozen requirement.
+func freeze(g *graph.Digraph) (*Requirement, error) {
+	topo, source, err := check(g)
+	if err != nil {
 		return nil, err
 	}
+	// A junction is where streams split or merge, or the source or a sink:
+	// in a valid requirement, exactly the services without in- and
+	// out-degree one.
+	nSinks, nJunctions := 0, 0
+	for _, s := range topo {
+		in, out := g.InDegree(s), g.OutDegree(s)
+		if out == 0 {
+			nSinks++
+		}
+		if in != 1 || out != 1 {
+			nJunctions++
+		}
+	}
+	views := make([]int, 0, nSinks+nJunctions)
+	for _, s := range topo {
+		if g.OutDegree(s) == 0 {
+			views = append(views, s)
+		}
+	}
+	for _, s := range topo {
+		if g.InDegree(s) != 1 || g.OutDegree(s) != 1 {
+			views = append(views, s)
+		}
+	}
+	r := &Requirement{dag: g, frozen: true, source: source, topo: topo,
+		sinks: views[:nSinks:nSinks], junctions: views[nSinks:]}
+	slices.Sort(r.sinks)
+	slices.Sort(r.junctions)
 	return r, nil
 }
 
-// AddService inserts a service with no dependencies yet.
-func (r *Requirement) AddService(sid int) { r.dag.AddNode(sid) }
+// check applies the structural rules of Sec 2.2 to g and returns its
+// topological order and its source.
+func check(g *graph.Digraph) (topo []int, source int, err error) {
+	if g.NumNodes() == 0 {
+		return nil, -1, fmt.Errorf("require: empty requirement")
+	}
+	topo, err = g.TopoSort()
+	if err != nil {
+		return nil, -1, fmt.Errorf("require: requirement contains a cycle")
+	}
+	sources := 0
+	for _, s := range topo {
+		if g.InDegree(s) == 0 {
+			sources, source = sources+1, s
+		}
+	}
+	if sources != 1 {
+		all := g.Sources()
+		return nil, -1, fmt.Errorf("require: need exactly one source service, found %d (%v)", len(all), all)
+	}
+	// A non-empty DAG has a sink, and following predecessors from any
+	// service ends at a source, so with one source every service lies on a
+	// source-to-sink path.
+	return topo, source, nil
+}
+
+// AddService inserts a service with no dependencies yet. It drops the cached
+// views of a frozen requirement.
+func (r *Requirement) AddService(sid int) {
+	r.dag.AddNode(sid)
+	r.thaw()
+}
 
 // AddDependency records that service `to` consumes the output of service
-// `from`.
-func (r *Requirement) AddDependency(from, to int) { r.dag.AddEdge(from, to) }
+// `from`. It drops the cached views of a frozen requirement.
+func (r *Requirement) AddDependency(from, to int) {
+	r.dag.AddEdge(from, to)
+	r.thaw()
+}
+
+func (r *Requirement) thaw() { *r = Requirement{dag: r.dag} }
 
 // Validate checks the structural rules of Sec 2.2: the graph must be a DAG
 // with exactly one source, at least one sink, and every service on some
-// source-to-sink path.
+// source-to-sink path. It only reads r.
 func (r *Requirement) Validate() error {
-	if r.dag.NumNodes() == 0 {
-		return fmt.Errorf("require: empty requirement")
+	if r.frozen {
+		return nil
 	}
-	if !r.dag.IsDAG() {
-		return fmt.Errorf("require: requirement contains a cycle")
-	}
-	sources := r.dag.Sources()
-	if len(sources) != 1 {
-		return fmt.Errorf("require: need exactly one source service, found %d (%v)", len(sources), sources)
-	}
-	if len(r.dag.Sinks()) == 0 {
-		return fmt.Errorf("require: no sink service")
-	}
-	// Every service reachable from the source...
-	reach := r.dag.Reachable(sources[0])
-	if len(reach) != r.dag.NumNodes() {
-		return fmt.Errorf("require: %d services unreachable from source %d",
-			r.dag.NumNodes()-len(reach), sources[0])
-	}
-	// ...and every service reaches some sink (true for any DAG where all
-	// nodes are reachable: follow successors until out-degree 0), so no
-	// extra check is needed.
-	return nil
+	_, _, err := check(r.dag)
+	return err
 }
 
 // Source returns the unique source service. Call only on validated
 // requirements.
 func (r *Requirement) Source() int {
+	if r.frozen {
+		return r.source
+	}
 	s := r.dag.Sources()
 	if len(s) != 1 {
 		return -1
@@ -102,10 +167,19 @@ func (r *Requirement) Source() int {
 }
 
 // Sinks returns the sink services, ascending.
-func (r *Requirement) Sinks() []int { return r.dag.Sinks() }
+func (r *Requirement) Sinks() []int {
+	if r.frozen {
+		return slices.Clone(r.sinks)
+	}
+	return r.dag.Sinks()
+}
 
 // Services returns all required services, ascending.
 func (r *Requirement) Services() []int { return r.dag.Nodes() }
+
+// Index returns sid's position in Services(), or -1 if sid is not a
+// required service: the dense index CriticalPath answers by.
+func (r *Requirement) Index(sid int) int { return r.dag.Index(sid) }
 
 // NumServices returns the number of required services.
 func (r *Requirement) NumServices() int { return r.dag.NumNodes() }
@@ -136,6 +210,18 @@ func (r *Requirement) Edges() [][2]int { return r.dag.Edges() }
 
 // TopoOrder returns the services in a deterministic topological order.
 func (r *Requirement) TopoOrder() []int {
+	if r.frozen {
+		return slices.Clone(r.topo)
+	}
+	return r.order()
+}
+
+// order is TopoOrder without the copy: the cached order of a frozen
+// requirement, which callers must not modify. It is nil on a cycle.
+func (r *Requirement) order() []int {
+	if r.frozen {
+		return r.topo
+	}
 	order, err := r.dag.TopoSort()
 	if err != nil {
 		return nil
@@ -143,11 +229,45 @@ func (r *Requirement) TopoOrder() []int {
 	return order
 }
 
+// CriticalPath returns, for every service, the largest total weight of a
+// dependency path from the source to it, indexed like Services() (see Index).
+// weight gives each dependency's non-negative weight. A service the source
+// does not reach gets -1. The result is nil if the requirement has a cycle.
+func (r *Requirement) CriticalPath(weight func(from, to int) int64) []int64 {
+	order := r.order()
+	if order == nil {
+		return nil
+	}
+	dist := make([]int64, r.dag.NumNodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	if s := r.dag.Index(r.Source()); s >= 0 {
+		dist[s] = 0
+	}
+	for _, u := range order {
+		i := r.dag.Index(u)
+		if dist[i] < 0 {
+			continue
+		}
+		for _, v := range r.dag.SuccAt(i) {
+			if w, j := dist[i]+weight(u, v), r.dag.Index(v); w > dist[j] {
+				dist[j] = w
+			}
+		}
+	}
+	return dist
+}
+
 // DAG returns a copy of the underlying dependency graph.
 func (r *Requirement) DAG() *graph.Digraph { return r.dag.Clone() }
 
-// Clone returns a deep copy of r.
-func (r *Requirement) Clone() *Requirement { return &Requirement{dag: r.dag.Clone()} }
+// Clone returns a deep copy of r. The copy of a frozen requirement is frozen.
+func (r *Requirement) Clone() *Requirement {
+	c := *r
+	c.dag = r.dag.Clone()
+	return &c
+}
 
 // Equal reports whether two requirements have identical services and edges.
 func (r *Requirement) Equal(o *Requirement) bool { return r.dag.Equal(o.dag) }
@@ -158,7 +278,11 @@ func (r *Requirement) Equal(o *Requirement) bool { return r.dag.Equal(o.dag) }
 // service inside the result can lose in-edges whose tails are outside the
 // reachable set; the protocol tracks the original in-degrees separately.
 func (r *Requirement) SubFrom(sid int) *Requirement {
-	return &Requirement{dag: r.dag.InducedSubgraph(r.dag.Reachable(sid))}
+	sub := r.dag.InducedSubgraph(r.dag.Reachable(sid))
+	if f, err := freeze(sub); err == nil {
+		return f
+	}
+	return &Requirement{dag: sub}
 }
 
 // String renders the requirement as its edge list.
@@ -271,19 +395,15 @@ func (r *Requirement) PathServices() []int {
 // in-degree above one), plus the source and all sinks — the anchor points of
 // the reduction heuristics. Ascending order.
 func (r *Requirement) Junctions() []int {
-	set := map[int]struct{}{r.Source(): {}}
-	for _, s := range r.Sinks() {
-		set[s] = struct{}{}
+	if r.frozen {
+		return slices.Clone(r.junctions)
 	}
+	out := append([]int{r.Source()}, r.Sinks()...)
 	for _, s := range r.Services() {
 		if r.InDegree(s) > 1 || r.OutDegree(s) > 1 {
-			set[s] = struct{}{}
+			out = append(out, s)
 		}
 	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
