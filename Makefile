@@ -42,10 +42,11 @@ race-hot:
 
 # Race-instrumented equivalence-oracle tests: the session's incremental
 # flushes fan per-source recomputation out over a worker pool, so the oracle
-# traces run under the race detector on every check (-short keeps the gate
+# traces, the churn-eager pair-stream count pin and the lazy arc-delta
+# property run under the race detector on every check (-short keeps the gate
 # fast; the full 5x1000-event traces run in `make race-hot` and CI).
 race-session:
-	$(GO) test -race -short ./internal/session/ -run 'TestEquivalenceOracleTrace|TestBatchedEventsSingleFlush'
+	$(GO) test -race -short ./internal/session/ -run 'TestEquivalenceOracleTrace|TestBatchedEventsSingleFlush|TestChurnPairStreamCounts|TestArcRulesKeepOnlyUnchangedRows'
 
 # Race-instrumented serving smoke: concurrent TCP clients solving against
 # sflowd's epoch machinery while another client streams mutations, plus the
@@ -61,9 +62,10 @@ race-daemon:
 # releasing and preempting through the capacity allocator — locally and over
 # sflowd RPCs — must serialize to a sequential replay of the recorded log, and
 # the allocator's incrementally maintained residual table must equal a
-# from-scratch all-pairs computation after every operation.
+# from-scratch all-pairs computation after every operation and recompute
+# exactly the pinned row count over the admit-mix stream.
 race-admit:
-	$(GO) test -race ./internal/provision/ -run 'TestAllocator|TestConcurrentAdmissionMatchesSequentialReplay|TestReplay|TestSeededAdmitRelease|TestResidualTable'
+	$(GO) test -race ./internal/provision/ -run 'TestAllocator|TestConcurrentAdmissionMatchesSequentialReplay|TestReplay|TestSeededAdmitRelease|TestResidualTable|TestAdmitMixTableCounts'
 	$(GO) test -race ./internal/daemon/ -run 'TestAdmitReleaseTenantsRPC|TestConcurrentAdmitRPCMatchesSequentialReplay'
 	$(GO) test -race . -run 'TestAllocatorPublicAPI|TestReplayAdmissionsWithNilAlgFor'
 
@@ -265,8 +267,9 @@ vulncheck:
 
 # Short-budget fuzzing of the codec trust boundaries (TCP frame reader,
 # protocol wire codec and the reliability wrapper, CSR freeze round-trip),
-# the two incremental-invalidation oracles (link-state views, lazy routing
-# rows — the latter with a bounded LRU table running the same trace), the
+# the incremental-invalidation oracles (link-state views, lazy routing rows
+# with a bounded LRU table running the same trace, and the eager table's
+# arc-delta rules with its patched freeze), the
 # bucket-vs-heap kernel equivalence over fuzz-built graphs, the layered
 # placement DP against the map oracle over fuzz-built tied overlays, and the
 # slice-backed digraph against its map-backed oracle over fuzzed edits.
@@ -278,6 +281,7 @@ fuzz:
 	$(GO) test ./internal/linkstate -run '^$$' -fuzz FuzzLinkstateIncremental -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csr -run '^$$' -fuzz FuzzFreezeRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run '^$$' -fuzz FuzzLazyInvalidation -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/qos -run '^$$' -fuzz FuzzIncrementalArcChanged -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run '^$$' -fuzz FuzzBucketQueue -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/baseline -run '^$$' -fuzz FuzzLayeredDP -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/daemon -run '^$$' -fuzz FuzzDaemonCodec -fuzztime $(FUZZTIME)

@@ -37,10 +37,10 @@ type Arc struct {
 // dense index back to the external node identifier it froze.
 //
 // The node mapping (IDs and the id -> index map behind Index) is immutable
-// once a freeze returns, even across FreezeInto: a re-freeze installs a new
-// mapping or keeps the old one, it never writes into it. Values computed from
-// a frozen graph (routing rows) may therefore keep both halves for as long as
-// they live. The arc arrays carry no such promise.
+// once a freeze returns, even across FreezeInto and SetArc: a re-freeze
+// installs a new mapping or keeps the old one, it never writes into it.
+// Values computed from a frozen graph (routing rows) may therefore keep both
+// halves for as long as they live. The arc arrays carry no such promise.
 type Graph struct {
 	IDs []int   // dense index -> external node id, in Freeze node order
 	Off []int32 // len(IDs)+1 row offsets into To/BW/Lat
@@ -55,10 +55,11 @@ type Graph struct {
 	MinLat int64
 	MaxLat int64
 
-	// Gen is a process-unique freeze generation, bumped on every (re-)freeze.
-	// FreezeInto reuses Graph values in place, so callers caching data derived
-	// from a frozen graph key their caches on (pointer, Gen), not the pointer
-	// alone. Never consulted by any computation — purely a cache-validity tag.
+	// Gen is a process-unique freeze generation, bumped on every (re-)freeze
+	// and every SetArc. FreezeInto and SetArc reuse Graph values in place, so
+	// callers caching data derived from a frozen graph key their caches on
+	// (pointer, Gen), not the pointer alone. Never consulted by any
+	// computation — purely a cache-validity tag.
 	Gen uint64
 
 	idx map[int]int32 // external node id -> dense index
@@ -156,6 +157,37 @@ func FreezeInto(g *Graph, nodes []int, arcs func(u int, emit func(to int, bw, la
 	}
 	g.Gen = freezeGen.Add(1)
 	return g
+}
+
+// Slot returns the position of arc u -> v (dense indexes) in u's out-row,
+// and false when the row holds no such arc or more than one: a slot names an
+// arc only while it is the row's one arc to v.
+func (g *Graph) Slot(u, v int32) (int32, bool) {
+	e := int32(-1)
+	for i := g.Off[u]; i < g.Off[u+1]; i++ {
+		if g.To[i] == v {
+			if e >= 0 {
+				return -1, false
+			}
+			e = i
+		}
+	}
+	return e, e >= 0
+}
+
+// SetArc overwrites the bandwidth and latency of arc slot e in place: a
+// bandwidth <= 0 keeps the slot as a dead arc, so a link that saturates and
+// comes back reuses it. The node mapping and the arc layout are untouched.
+// MinLat and MaxLat widen to cover a usable arc's latency but never narrow,
+// so after a SetArc they bound the usable latencies without being tight.
+// Gen moves on: data derived from the arcs must be brought up to date.
+func (g *Graph) SetArc(e int32, bw, lat int64) {
+	g.BW[e], g.Lat[e] = bw, lat
+	if bw > 0 {
+		g.MinLat = min(g.MinLat, lat)
+		g.MaxLat = max(g.MaxLat, lat)
+	}
+	g.Gen = freezeGen.Add(1)
 }
 
 // Len returns the number of nodes (declared plus implicit).

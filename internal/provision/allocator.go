@@ -246,9 +246,12 @@ type Allocator struct {
 	timers  map[uint64]*time.Timer
 
 	// Pre-resolved metric handles (nil-safe without a registry).
-	activeGauge              *metrics.Gauge
-	utilization              *metrics.Histogram
-	rowsRecomputed, rowsKept *metrics.Counter
+	activeGauge                 *metrics.Gauge
+	utilization                 *metrics.Histogram
+	rowsRecomputed, rowsKept    *metrics.Counter
+	dirtiedWorse, dirtiedBetter *metrics.Counter
+	refreezeNodes, refreezeArc  *metrics.Counter
+	tableSeen                   qos.IncrementalStats
 }
 
 // NewAllocator starts a multi-tenant allocator over a private residual copy
@@ -290,6 +293,16 @@ func newAllocator(ov *overlay.Overlay, opts AllocatorOptions, async bool) *Alloc
 		a.utilization = reg.Histogram("alloc_utilization_pct", metrics.LinearBounds(10, 10, 10))
 		a.rowsRecomputed = reg.Counter("alloc_table_rows_recomputed_total")
 		a.rowsKept = reg.Counter("alloc_table_rows_kept_total")
+		// The residual table's invalidation counts, by the rule that dirtied
+		// a row and the cause of a re-freeze: qos_incremental_*'s labels
+		// under the alloc_table_ prefix, so that a registry shared with a
+		// session keeps the two tables apart.
+		rule := func(r string) metrics.Option { return metrics.WithLabels(metrics.Label{Name: "rule", Value: r}) }
+		cause := func(c string) metrics.Option { return metrics.WithLabels(metrics.Label{Name: "cause", Value: c}) }
+		a.dirtiedWorse = reg.Counter("alloc_table_rows_dirtied_total", rule("worsening"))
+		a.dirtiedBetter = reg.Counter("alloc_table_rows_dirtied_total", rule("improvement"))
+		a.refreezeNodes = reg.Counter("alloc_table_refreezes_total", cause("nodes"))
+		a.refreezeArc = reg.Counter("alloc_table_refreezes_total", cause("arc"))
 	}
 	return a
 }
@@ -501,6 +514,12 @@ func (a *Allocator) Placement(place Place) Algorithm {
 			ap, recomputed := a.mgr.allPairs()
 			a.rowsRecomputed.Add(int64(recomputed))
 			a.rowsKept.Add(int64(ov.NumInstances() - recomputed))
+			st := a.mgr.table.Stats()
+			a.dirtiedWorse.Add(st.DirtiedWorsening - a.tableSeen.DirtiedWorsening)
+			a.dirtiedBetter.Add(st.DirtiedImprovement - a.tableSeen.DirtiedImprovement)
+			a.refreezeNodes.Add(st.RefreezesNodes - a.tableSeen.RefreezesNodes)
+			a.refreezeArc.Add(st.RefreezesArc - a.tableSeen.RefreezesArc)
+			a.tableSeen = st
 			ag, err = abstract.FromAllPairs(ov, req, ap)
 		} else {
 			ag, err = abstract.Build(ov, req)

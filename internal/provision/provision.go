@@ -127,7 +127,7 @@ type Manager struct {
 	reservedBW int64
 	metrics    *metrics.Registry
 	// table is the shortest-widest all-pairs table of residual, created by
-	// the first allPairs call and kept current through outChanged reports
+	// the first allPairs call and kept current through arcChanged reports
 	// from every residual writer (Admit's reserve loop, Release, restore).
 	// Managers whose algorithms never ask for it never build it.
 	table *qos.Incremental
@@ -321,12 +321,12 @@ func (m *Manager) Release(a *Admission) error {
 	}
 	for _, h := range a.holds {
 		from, to := h.link[0], h.link[1]
-		m.outChanged(from)
 		m.reservedBW -= h.Amount
-		if _, ok := m.residual.LinkMetric(from, to); ok {
+		if cur, ok := m.residual.LinkMetric(from, to); ok {
 			if err := m.residual.GrowLinkBandwidth(from, to, h.Amount); err != nil {
 				return err
 			}
+			m.arcChanged(h.link, cur.Bandwidth, cur.Bandwidth+h.Amount)
 			continue
 		}
 		// The link saturated away: re-create it with the returned
@@ -334,6 +334,7 @@ func (m *Manager) Release(a *Admission) error {
 		if err := m.residual.AddLink(from, to, h.Amount, h.Latency); err != nil {
 			return fmt.Errorf("provision: restore link %d->%d: %w", from, to, err)
 		}
+		m.arcChanged(h.link, 0, h.Amount)
 	}
 	m.metrics.Counter("provision_released_total").Inc()
 	m.observeUtilization()
@@ -374,23 +375,27 @@ func (m *Manager) restore(a *Admission) error {
 // reduce reserves amount on one residual link (a link that saturates
 // disappears) and reports the change to the maintained table.
 func (m *Manager) reduce(link [2]int, amount int64) error {
-	m.outChanged(link[0])
-	return m.residual.ReduceLinkBandwidth(link[0], link[1], amount)
+	cur, _ := m.residual.LinkMetric(link[0], link[1])
+	if err := m.residual.ReduceLinkBandwidth(link[0], link[1], amount); err != nil {
+		return err
+	}
+	m.arcChanged(link, cur.Bandwidth, max(cur.Bandwidth-amount, 0))
+	return nil
 }
 
-// outChanged tells the maintained table, if there is one, that from's
-// out-arcs changed: the rows that reached from recompute at the next
-// allPairs.
-func (m *Manager) outChanged(from int) {
+// arcChanged tells the maintained table, if there is one, that link's
+// bandwidth went from b to b2 (0 = absent): the rows the change could move
+// recompute at the next allPairs.
+func (m *Manager) arcChanged(link [2]int, b, b2 int64) {
 	if m.table != nil {
-		m.table.OutChanged(from)
+		m.table.ArcChanged(link[0], link[1], b, b2)
 	}
 }
 
 // allPairs returns the shortest-widest all-pairs table of the live residual
 // and how many of its rows this call recomputed. The first call builds every
-// row; later calls recompute only the rows that reached a node whose
-// out-arcs a reservation or release changed since — the flushed table is
+// row; later calls recompute only the rows the reservations and releases
+// since could have moved (qos.Incremental.ArcChanged) — the flushed table is
 // byte-identical to qos.ComputeAllPairs(m.Residual()). The table is updated
 // in place by later calls. Rows are computed one after another: the dozen
 // or so a reservation dirties cost less than a worker fan-out.

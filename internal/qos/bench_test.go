@@ -218,16 +218,34 @@ func BenchmarkShortestWidestTiers(b *testing.B) {
 }
 
 // BenchmarkIncrementalFlush prices the steady-state single-link-churn flush
-// the sessions run on: one out-list re-weighted, exact dirty set recomputed
-// on the re-frozen CSR with persistent per-worker scratches.
+// the sessions run on: one tree arc out of a source halved and restored in
+// turn, the rows it moves recomputed on the patched CSR with persistent
+// per-worker scratches.
 func BenchmarkIncrementalFlush(b *testing.B) {
 	g := benchGraph(120)
 	u := g.Nodes()[0]
 	inc := NewIncremental(g, 1, nil)
+	row := inc.AllPairs().From(u)
+	var arc *Arc
+	for i, a := range g.adj[u] {
+		if len(row.PathTo(a.To)) == 2 && a.Bandwidth > 1 {
+			arc = &g.adj[u][i]
+			break
+		}
+	}
+	if arc == nil {
+		b.Fatal("no direct tree arc out of the source")
+	}
+	full := arc.Bandwidth
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inc.OutChanged(u)
+		old := arc.Bandwidth
+		arc.Bandwidth = full
+		if old == full {
+			arc.Bandwidth = full / 2
+		}
+		inc.ArcChanged(u, arc.To, old, arc.Bandwidth)
 		if inc.Flush() == 0 {
 			b.Fatal("nothing recomputed")
 		}

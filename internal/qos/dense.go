@@ -44,6 +44,8 @@
 package qos
 
 import (
+	"slices"
+
 	"sflow/internal/csr"
 )
 
@@ -51,12 +53,12 @@ import (
 // g.Out(u) must be empty for nodes u not in g.Nodes() (true for every
 // implementation in this module); arcs to undeclared nodes freeze as dead
 // ends.
-func FreezeGraph(g Graph) *csr.Graph { return FreezeGraphInto(nil, g) }
+func FreezeGraph(g Graph) *csr.Graph { return freezeNodes(nil, g, g.Nodes()) }
 
-// FreezeGraphInto is FreezeGraph reusing a previously frozen graph's arrays
-// (see csr.FreezeInto).
-func FreezeGraphInto(cg *csr.Graph, g Graph) *csr.Graph {
-	return csr.FreezeInto(cg, g.Nodes(), func(u int, emit func(to int, bw, lat int64)) {
+// freezeNodes freezes g over a node list the caller already holds (g.Nodes(),
+// in that order), reusing cg's arrays when non-nil (see csr.FreezeInto).
+func freezeNodes(cg *csr.Graph, g Graph, nodes []int) *csr.Graph {
+	return csr.FreezeInto(cg, nodes, func(u int, emit func(to int, bw, lat int64)) {
 		for _, a := range g.Out(u) {
 			emit(a.To, a.Bandwidth, a.Latency)
 		}
@@ -105,25 +107,11 @@ type Scratch struct {
 	buckets [][]int32 // circular distance buckets of the Dial queue
 	cur     []int32   // external-id min-heap draining the current bucket
 
-	// Derived per-frozen-graph data, rebuilt when (graph, Gen) changes: the
-	// distinct-bandwidth palette (InfBandwidth first, then widest to
-	// narrowest; empty when the graph has more than maxWidthTiers distinct
-	// bandwidths, sending the widest kernel to its heap fallback), and the
-	// graph's arc arrays re-materialized with each out-row sorted widest
-	// first — a restricted latency run stops scanning a row at the first arc
-	// below its width floor instead of filtering the whole row, and the scan
-	// stays a sequential walk (no permutation gather). permTier is each
-	// permuted arc's palette index, making the widest kernel's bucket
-	// placement an array lookup. Arc indexes recorded in arc2 address these
-	// permuted arrays, not the graph's.
-	derived    *csr.Graph
-	derivedGen uint64
-	palette    []int64
-	arcPerm    []int32 // build-time scratch for the row sort
-	permTo     []int32
-	permBW     []int64
-	permLat    []int64
-	permTier   []int32
+	// view is the derived arc data of the graph the kernels last ran on:
+	// either own, rebuilt here when (graph, Gen) changes, or a view its
+	// owner derived once and shares read-only with every worker's Scratch.
+	view *arcView
+	own  arcView
 
 	widths   []int64 // distinct phase-1 width classes, widest first
 	classCnt []int32 // per-class member count, then placement cursor
@@ -233,32 +221,63 @@ func (sc *Scratch) popHeap(g *csr.Graph) int32 {
 	return top
 }
 
-// prepare rebuilds the per-graph derived data when the frozen graph under
-// this Scratch changes (FreezeInto reuses Graph values in place, hence the
-// generation check). One linear pass with a binary search per arc against
-// the growing palette; steady-state calls on an unchanged graph are two
-// comparisons.
-func (sc *Scratch) prepare(g *csr.Graph) {
-	if sc.derived == g && sc.derivedGen == g.Gen {
-		return
+// arcView is what the kernels derive from a frozen graph's arcs: the
+// distinct-bandwidth palette (InfBandwidth first, then widest to narrowest;
+// empty when the graph has more than maxWidthTiers distinct bandwidths,
+// sending the widest kernel to its heap fallback), and the arc arrays
+// re-materialized with each out-row sorted widest first — a restricted
+// latency run stops scanning a row at the first arc below its width floor
+// instead of filtering the whole row, and the scan stays a sequential walk
+// (no permutation gather). tier is each permuted arc's palette index, making
+// the widest kernel's bucket placement an array lookup. Arc indexes recorded
+// in Scratch.arc2 address these permuted arrays, not the graph's.
+//
+// A view is read-only while kernels run on it, so one view serves every
+// worker of a flush. The palette may be a superset of the graph's live
+// bandwidths after patch (it only gains values until the next derive): the
+// extra values are buckets that stay empty, and a palette that overflows
+// only sends the widest kernel to the heap, which FuzzBucketQueue pins
+// bit-identical.
+type arcView struct {
+	g   *csr.Graph
+	gen uint64
+
+	palette []int64
+	perm    []int32 // build-time scratch for the row sort
+	to      []int32
+	bw      []int64
+	lat     []int64
+	tier    []int32
+	arcTier []int32 // tier of each arc in the graph's own order
+}
+
+// palettePos returns where bw sits, or would be inserted, in the descending
+// palette pal.
+func palettePos(pal []int64, bw int64) int {
+	lo, hi := 0, len(pal)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pal[mid] > bw {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	sc.derived, sc.derivedGen = g, g.Gen
+	return lo
+}
+
+// derive rebuilds the view for g: one linear pass with a binary search per
+// arc against the growing palette, then every row sorted.
+func (v *arcView) derive(g *csr.Graph) {
+	v.g, v.gen = g, g.Gen
 	m := len(g.BW)
-	pal := sc.palette[:0]
+	pal := v.palette[:0]
 	pal = append(pal, InfBandwidth)
 	for _, bw := range g.BW {
 		if bw <= 0 || len(pal) > maxWidthTiers {
 			continue
 		}
-		lo, hi := 0, len(pal)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if pal[mid] > bw {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
+		lo := palettePos(pal, bw)
 		if lo < len(pal) && pal[lo] == bw {
 			continue
 		}
@@ -269,61 +288,111 @@ func (sc *Scratch) prepare(g *csr.Graph) {
 	if len(pal) > maxWidthTiers {
 		pal = pal[:0] // too many tiers: the widest kernel falls back to the heap
 	}
-	sc.palette = pal
+	v.palette = pal
 
-	// Re-sort each out-row widest-first (original index breaks ties, keeping
-	// the permutation deterministic) and materialize the permuted to/bw/lat
-	// copies so kernel scans stay sequential. Rows are short, so an insertion
-	// sort per row beats a general sort and allocates nothing steady-state.
-	if cap(sc.arcPerm) < m {
-		sc.arcPerm = make([]int32, m)
-		sc.permTo = make([]int32, m)
-		sc.permBW = make([]int64, m)
-		sc.permLat = make([]int64, m)
-		sc.permTier = make([]int32, m)
+	if cap(v.perm) < m {
+		v.perm = make([]int32, m)
+		v.to = make([]int32, m)
+		v.bw = make([]int64, m)
+		v.lat = make([]int64, m)
+		v.tier = make([]int32, m)
+		v.arcTier = make([]int32, m)
 	} else {
-		sc.arcPerm = sc.arcPerm[:m]
-		sc.permTo = sc.permTo[:m]
-		sc.permBW = sc.permBW[:m]
-		sc.permLat = sc.permLat[:m]
-		sc.permTier = sc.permTier[:m]
+		v.perm = v.perm[:m]
+		v.to = v.to[:m]
+		v.bw = v.bw[:m]
+		v.lat = v.lat[:m]
+		v.tier = v.tier[:m]
+		v.arcTier = v.arcTier[:m]
 	}
-	perm, bws := sc.arcPerm, g.BW
-	for u := 0; u < g.Len(); u++ {
-		lo, hi := g.Off[u], g.Off[u+1]
-		for e := lo; e < hi; e++ {
-			perm[e] = e
-		}
-		for i := lo + 1; i < hi; i++ {
-			x := perm[i]
-			j := i - 1
-			for j >= lo && bws[perm[j]] < bws[x] {
-				perm[j+1] = perm[j]
-				j--
-			}
-			perm[j+1] = x
+	for e, bw := range g.BW {
+		v.arcTier[e] = -1
+		if bw > 0 && len(pal) > 0 {
+			v.arcTier[e] = int32(palettePos(pal, bw))
 		}
 	}
-	for pe, e := range perm {
+	for u := int32(0); u < int32(g.Len()); u++ {
+		v.sortRow(u)
+	}
+}
+
+// sortRow re-sorts out-row u widest-first (original index breaks ties,
+// keeping the permutation deterministic) and materializes its permuted
+// to/bw/lat/tier copies. Rows are short, so an insertion sort per row beats
+// a general sort and allocates nothing.
+func (v *arcView) sortRow(u int32) {
+	g := v.g
+	lo, hi := g.Off[u], g.Off[u+1]
+	perm, bws := v.perm, g.BW
+	for e := lo; e < hi; e++ {
+		perm[e] = e
+	}
+	for i := lo + 1; i < hi; i++ {
+		x := perm[i]
+		j := i - 1
+		for j >= lo && bws[perm[j]] < bws[x] {
+			perm[j+1] = perm[j]
+			j--
+		}
+		perm[j+1] = x
+	}
+	for pe := lo; pe < hi; pe++ {
+		e := perm[pe]
+		v.to[pe] = g.To[e]
+		v.bw[pe] = g.BW[e]
+		v.lat[pe] = g.Lat[e]
+		v.tier[pe] = v.arcTier[e]
+	}
+}
+
+// patch brings the view up to date after csr.Graph.SetArc rewrote the given
+// arc slots: a bandwidth the palette lacks is inserted (shifting the tiers
+// below it) — or, when that would overflow maxWidthTiers, the whole view is
+// derived afresh — and each row holding a slot is re-sorted. rows lists
+// those rows, each once. In heap mode (an empty palette) the palette stays
+// empty until the next derive.
+func (v *arcView) patch(slots, rows []int32) {
+	g := v.g
+	for _, e := range slots {
 		bw := g.BW[e]
-		sc.permTo[pe] = g.To[e]
-		sc.permBW[pe] = bw
-		sc.permLat[pe] = g.Lat[e]
-		if bw <= 0 {
-			sc.permTier[pe] = -1
+		if bw <= 0 || len(v.palette) == 0 {
+			v.arcTier[e] = -1
 			continue
 		}
-		lo, hi := 0, len(pal)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if pal[mid] > bw {
-				lo = mid + 1
-			} else {
-				hi = mid
+		lo := palettePos(v.palette, bw)
+		if lo == len(v.palette) || v.palette[lo] != bw {
+			if len(v.palette) >= maxWidthTiers {
+				v.derive(g)
+				return
+			}
+			v.palette = slices.Insert(v.palette, lo, bw)
+			for _, ts := range [][]int32{v.tier, v.arcTier} {
+				for i, t := range ts {
+					if t >= int32(lo) {
+						ts[i] = t + 1
+					}
+				}
 			}
 		}
-		sc.permTier[pe] = int32(lo)
+		v.arcTier[e] = int32(lo)
 	}
+	for _, u := range rows {
+		v.sortRow(u)
+	}
+	v.gen = g.Gen
+}
+
+// prepare points the Scratch at the derived view of g, deriving its own
+// copy when the view it holds belongs to another graph or an older
+// generation (FreezeInto and SetArc reuse Graph values in place, hence the
+// generation check). Steady-state calls on an unchanged graph are two
+// comparisons.
+func (sc *Scratch) prepare(g *csr.Graph) {
+	if v := sc.view; v != nil && v.g == g && v.gen == g.Gen {
+		return
+	}
+	sc.own.derive(g)
+	sc.view = &sc.own
 }
 
 // denseWidest is the CSR rewrite of widestDijkstra: maximum bottleneck
@@ -333,7 +402,7 @@ func (sc *Scratch) prepare(g *csr.Graph) {
 // bandwidth palette is small (the norm), the 4-ary heap otherwise.
 func (sc *Scratch) denseWidest(g *csr.Graph, src int32, relaxed *int64) {
 	sc.prepare(g)
-	if sc.forceKernel != kernelHeap && len(sc.palette) > 0 {
+	if sc.forceKernel != kernelHeap && len(sc.view.palette) > 0 {
 		sc.denseWidestBucket(g, src, relaxed)
 		return
 	}
@@ -356,7 +425,7 @@ func (sc *Scratch) denseWidestBucket(g *csr.Graph, src int32, relaxed *int64) {
 		sc.prev1[i] = -1
 		sc.done[i] = false
 	}
-	pal, tier := sc.palette, sc.permTier
+	pal, tier := sc.view.palette, sc.view.tier
 	nt := len(pal)
 	if cap(sc.buckets) < nt {
 		sc.buckets = append(sc.buckets[:cap(sc.buckets)], make([][]int32, nt-cap(sc.buckets))...)
@@ -369,7 +438,7 @@ func (sc *Scratch) denseWidestBucket(g *csr.Graph, src int32, relaxed *int64) {
 	sc.buckets[0] = append(sc.buckets[0], src)
 	pending := 1
 
-	off, to, bws := g.Off, sc.permTo, sc.permBW
+	off, to, bws := g.Off, sc.view.to, sc.view.bw
 	ids := g.IDs
 	for k := 0; pending > 0; k++ {
 		bkt := sc.buckets[k]
@@ -547,7 +616,7 @@ func (sc *Scratch) denseLatencyHeap(g *csr.Graph, src int32, minBW int64, relaxe
 	sc.heap = sc.heap[:0]
 	sc.lat[src] = 0
 	sc.heapFix(g, src, 0)
-	off, to, bws, lats := g.Off, sc.permTo, sc.permBW, sc.permLat
+	off, to, bws, lats := g.Off, sc.view.to, sc.view.bw, sc.view.lat
 	for len(sc.heap) > 0 {
 		u := sc.popHeap(g)
 		sc.done[u] = true
@@ -626,7 +695,7 @@ func (sc *Scratch) denseLatencyBucket(g *csr.Graph, src int32, minBW int64, rela
 	sc.buckets[0] = append(sc.buckets[0], src)
 	pending := 1
 
-	off, to, bws, lats := g.Off, sc.permTo, sc.permBW, sc.permLat
+	off, to, bws, lats := g.Off, sc.view.to, sc.view.bw, sc.view.lat
 	ids := g.IDs
 	bi := 0
 	for d := int64(0); pending > 0; d++ {
@@ -957,7 +1026,7 @@ func ShortestLatencyCSR(g *csr.Graph, src int, sc *Scratch) *Result {
 		width := res.metric[x].Bandwidth
 		for k := len(chain) - 1; k >= 0; k-- {
 			c := chain[k]
-			width = min64(width, sc.permBW[sc.arc2[c]])
+			width = min64(width, sc.view.bw[sc.arc2[c]])
 			res.metric[c] = Metric{Bandwidth: width, Latency: sc.lat[c]}
 			res.parent[c] = sc.prev2[c]
 		}

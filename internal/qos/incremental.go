@@ -1,27 +1,55 @@
 // Incremental maintenance of an all-pairs shortest-widest table under graph
 // mutations.
 //
-// The key observation is that shortestWidest(g, s) is a deterministic pure
-// function of the out-arc lists it actually reads, and it reads Out(u) only
-// for nodes u reachable from s (phase 1 pops exactly the reachable set and
-// phase 2 / the fallback walk subsets of it). A mutation that changes Out(u)
-// therefore cannot change — not even in tie-breaking — the result of any
-// source that could not reach u. Every row records the set its run reached
-// (the nodes with a metric), so a mutation asks each current row whether it
-// reached u, and that is an exact dirty set: recomputing just those sources
-// reproduces the from-scratch table bit for bit, selected paths included.
+// Every mutation this module makes changes one arc's bandwidth, with 0
+// meaning absent: a link is re-weighted, added or removed, and an instance
+// leaving is every incident arc going to 0. The owner reports each one as
+// ArcChanged(u, v, b, b2), and each row decides from its own stored widths
+// and tree arcs whether that change can move it (Result.canMove: the
+// worsening and improvement rules). A row the rules keep is byte-identical to
+// a fresh row, selected paths included; checking a batch's changes one after
+// another is sound because a kept row equals the fresh row after every step.
+//
+// The dense kernels run on a private CSR freeze of the graph. A flush whose
+// batch kept the node set, and whose every changed arc already has a slot in
+// the freeze (a saturated arc keeps its slot as a dead arc), patches those
+// slots in place and re-derives the widest-first order of the touched rows
+// only; anything else re-freezes.
 package qos
 
 import (
-	"sort"
+	"slices"
 
 	"sflow/internal/csr"
 	"sflow/internal/metrics"
 )
 
+// IncrementalStats counts what an eager Incremental's invalidation and
+// freeze upkeep did. Every field is deterministic for a deterministic
+// mutation stream.
+type IncrementalStats struct {
+	// DirtiedWorsening and DirtiedImprovement count rows queued for
+	// recomputation by the worsening (b2 < b) and the improvement (b2 > b)
+	// rule; a row already queued is not counted again.
+	DirtiedWorsening, DirtiedImprovement int64
+	// RefreezesNodes counts re-freezes forced by a node-set change,
+	// RefreezesArc those forced by an arc the freeze had no single slot for.
+	// The freeze built at construction is not counted.
+	RefreezesNodes, RefreezesArc int64
+	// Patches counts flushes that brought the freeze up to date by
+	// rewriting arc slots in place.
+	Patches int64
+}
+
+// Re-freeze causes, also the cause label of qos_incremental_refreezes_total.
+const (
+	causeNodes = "nodes"
+	causeArc   = "arc"
+)
+
 // Incremental maintains the AllPairs shortest-widest table of a mutable
 // graph. The caller owns the graph and reports every mutation through
-// OutChanged / NodeAdded / NodeRemoved; Flush (or AllPairs) then recomputes
+// ArcChanged / NodeAdded / NodeRemoved; Flush (or AllPairs) then recomputes
 // only the affected sources. Incremental is not safe for concurrent use —
 // the internal recompute fan-out is its only parallelism.
 type Incremental struct {
@@ -30,23 +58,56 @@ type Incremental struct {
 	ins     instr
 
 	ap *AllPairs
-	// dirty holds the sources whose cached result may be stale.
-	dirty map[int]struct{}
+	// nodes is the node list the rows follow: rows[i] is the row of
+	// nodes[i] (nil for a node whose row is still owed, or a node that left
+	// since the last flush), and dirty[i] marks it for recomputation. At
+	// every flush the list is the freeze's node order, so i is also the
+	// row's dense source index. NodeAdded appends; a flush after any
+	// node-set notice reconciles the list with the graph's.
+	nodes        []int
+	rows         []*Result
+	dirty        []bool
+	ndirty       int
+	nodesChanged bool
 
-	// frozen is the CSR snapshot the dense recompute kernels run on,
-	// re-frozen (array storage reused) at the first flush after any
-	// mutation. scratches hold one reusable dense-kernel Scratch per flush
-	// worker, so steady-state flush relaxations allocate nothing.
+	// frozen is the private CSR freeze the recompute kernels run on and view
+	// its derived arc data, shared read-only by every worker's Scratch.
+	// patches lists the arcs reported since the freeze was last brought up
+	// to date; refreeze names why the next flush must re-freeze instead of
+	// patching ("" when it need not).
 	frozen    *csr.Graph
-	stale     bool
+	declared  int // nodes[:declared] were the freeze's node list
+	view      arcView
+	patches   [][2]int
+	slots     []int32 // patch scratch: the slots rewritten
+	touched   []int32 // and their rows
+	refreeze  string
+	srcs      []int32
 	scratches []*Scratch
+	stats     IncrementalStats
 
 	// lazy, when non-nil, replaces the eager table: mutation reports forward
 	// into it, Flush evicts instead of recomputing, and reads go through
 	// Table() / Lazy(). The eager fields above stay nil in lazy mode.
 	lazy *LazyAllPairs
 
-	flushes, recomputed, saved *metrics.Counter
+	flushes, recomputed, saved  *metrics.Counter
+	dirtiedWorse, dirtiedBetter *metrics.Counter
+	refreezeNodes, refreezeArc  *metrics.Counter
+}
+
+// counters resolves the qos_incremental_* counters (nil handles, and no-op
+// updates, on a nil registry).
+func (inc *Incremental) counters(reg *metrics.Registry) {
+	rule := func(r string) metrics.Option { return metrics.WithLabels(metrics.Label{Name: "rule", Value: r}) }
+	cause := func(c string) metrics.Option { return metrics.WithLabels(metrics.Label{Name: "cause", Value: c}) }
+	inc.flushes = reg.Counter("qos_incremental_flushes_total")
+	inc.recomputed = reg.Counter("qos_incremental_recomputed_sources_total")
+	inc.saved = reg.Counter("qos_incremental_saved_sources_total")
+	inc.dirtiedWorse = reg.Counter("qos_incremental_rows_dirtied_total", rule("worsening"))
+	inc.dirtiedBetter = reg.Counter("qos_incremental_rows_dirtied_total", rule("improvement"))
+	inc.refreezeNodes = reg.Counter("qos_incremental_refreezes_total", cause(causeNodes))
+	inc.refreezeArc = reg.Counter("qos_incremental_refreezes_total", cause(causeArc))
 }
 
 // NewIncremental computes the initial all-pairs table of g. workers bounds the
@@ -54,19 +115,24 @@ type Incremental struct {
 // means GOMAXPROCS, 1 forces sequential). reg, when non-nil, receives
 // qos_incremental_* counters alongside the usual routing instrumentation.
 func NewIncremental(g Graph, workers int, reg *metrics.Registry) *Incremental {
-	ins := instrFor(reg)
+	nodes := g.Nodes()
 	inc := &Incremental{
 		g:       g,
 		workers: workers,
-		ins:     ins,
-		ap:      computeAllPairs(g, workers, false, ins),
-		dirty:   make(map[int]struct{}),
-		stale:   true,
+		ins:     instrFor(reg),
+		nodes:   slices.Clone(nodes),
+		dirty:   make([]bool, len(nodes)),
+		ap:      &AllPairs{results: make(map[int]*Result, len(nodes))},
 	}
-	if reg != nil {
-		inc.flushes = reg.Counter("qos_incremental_flushes_total")
-		inc.recomputed = reg.Counter("qos_incremental_recomputed_sources_total")
-		inc.saved = reg.Counter("qos_incremental_saved_sources_total")
+	inc.counters(reg)
+	inc.freeze()
+	inc.srcs = make([]int32, len(nodes))
+	for i := range inc.srcs {
+		inc.srcs[i] = int32(i)
+	}
+	inc.rows, inc.scratches = denseRows(&inc.view, inc.srcs, workers, nil, inc.ins)
+	for i, n := range inc.nodes {
+		inc.ap.results[n] = inc.rows[i]
 	}
 	return inc
 }
@@ -75,7 +141,7 @@ func NewIncremental(g Graph, workers int, reg *metrics.Registry) *Incremental {
 // front, rows materialize on first read through Table() (or Lazy()), and
 // Flush evicts stale rows instead of recomputing them — a source touched by
 // churn that no consumer reads never costs a Dijkstra. workers bounds
-// Prefetch/Materialize fan-out. The mutation-report contract (OutChanged /
+// Prefetch/Materialize fan-out. The mutation-report contract (ArcChanged /
 // NodeAdded / NodeRemoved, single writer) is identical to eager mode.
 func NewIncrementalLazy(g Graph, workers int, reg *metrics.Registry) *Incremental {
 	return NewIncrementalLazyOpts(g, workers, LazyOptions{Metrics: reg})
@@ -84,17 +150,12 @@ func NewIncrementalLazy(g Graph, workers int, reg *metrics.Registry) *Incrementa
 // NewIncrementalLazyOpts is NewIncrementalLazy with the full lazy-table option
 // set (notably LazyOptions.MaxRows, the bounded row cache).
 func NewIncrementalLazyOpts(g Graph, workers int, opts LazyOptions) *Incremental {
-	reg := opts.Metrics
 	inc := &Incremental{
 		g:       g,
 		workers: workers,
 		lazy:    NewLazyAllPairsOpts(g, opts),
 	}
-	if reg != nil {
-		inc.flushes = reg.Counter("qos_incremental_flushes_total")
-		inc.recomputed = reg.Counter("qos_incremental_recomputed_sources_total")
-		inc.saved = reg.Counter("qos_incremental_saved_sources_total")
-	}
+	inc.counters(opts.Metrics)
 	return inc
 }
 
@@ -112,55 +173,99 @@ func (inc *Incremental) Table() Table {
 	return inc.AllPairs()
 }
 
-// dirtyReaders queues every source whose current row was computed by a run
-// that read Out(u): the sources that reach u, u itself among them (a row
-// reaches its own source).
-func (inc *Incremental) dirtyReaders(u int) {
-	for src, res := range inc.ap.results {
-		if res.Metric(u).Reachable() {
-			inc.dirty[src] = struct{}{}
-		}
-	}
-}
+// Stats returns the eager table's invalidation and freeze counts so far
+// (the zero value in lazy mode, apart from the dirtied rows).
+func (inc *Incremental) Stats() IncrementalStats { return inc.stats }
 
-// OutChanged records that the out-arcs of u changed (a link out of u was
-// added, removed, or re-weighted): every source that could reach u — and
-// only those — must recompute.
-func (inc *Incremental) OutChanged(u int) {
-	if inc.lazy != nil {
-		inc.lazy.OutChanged(u)
+// ArcChanged records that arc u -> v went from bandwidth b to b2, where 0
+// (or less) means the arc is absent: a link added, removed, grown or
+// reduced. A latency change is reported as the arc going to 0 and coming
+// back. Every row the worsening or improvement rule cannot rule out is
+// queued for the next flush; the rows are walked as a slice, and u and v are
+// resolved once per freeze mapping the rows carry.
+func (inc *Incremental) ArcChanged(u, v int, b, b2 int64) {
+	b, b2 = max(b, 0), max(b2, 0)
+	if b == b2 {
 		return
 	}
-	inc.stale = true
-	inc.dirtyReaders(u)
+	worse := b2 < b
+	var n int64
+	if inc.lazy != nil {
+		n = inc.lazy.arcChanged(u, v, b, b2)
+	} else {
+		// A patch list longer than the freeze's arc count stopped being
+		// cheaper than a re-freeze.
+		if inc.refreeze == "" && len(inc.patches) >= inc.frozen.NumArcs() {
+			inc.refreeze = causeArc
+		}
+		if inc.refreeze == "" {
+			inc.patches = append(inc.patches, [2]int{u, v})
+		}
+		ends := arcEnds{u: u, v: v}
+		for i, r := range inc.rows {
+			if r == nil || inc.dirty[i] {
+				continue
+			}
+			if iu, iv := ends.of(r); r.canMove(iu, iv, b, b2) {
+				inc.dirty[i] = true
+				n++
+			}
+		}
+		inc.ndirty += int(n)
+	}
+	if worse {
+		inc.stats.DirtiedWorsening += n
+		inc.dirtiedWorse.Add(n)
+	} else {
+		inc.stats.DirtiedImprovement += n
+		inc.dirtiedBetter.Add(n)
+	}
 }
 
-// NodeAdded records that n joined the graph. The new source needs its own
-// run; existing sources cannot reach a node that has no in-links yet, and
-// the links that follow arrive as OutChanged events.
+// NodeAdded records that n joined the graph: the new source needs its own
+// run, and its links arrive as ArcChanged reports.
 func (inc *Incremental) NodeAdded(n int) {
 	if inc.lazy != nil {
 		inc.lazy.NodeAdded(n)
 		return
 	}
-	inc.stale = true
-	inc.dirty[n] = struct{}{}
+	inc.nodesChanged = true
+	inc.nodes = append(inc.nodes, n)
+	inc.rows = append(inc.rows, nil)
+	inc.dirty = append(inc.dirty, true)
+	inc.ndirty++
 }
 
-// NodeRemoved records that n left the graph along with its incident arcs.
-// The caller must additionally report OutChanged for every former in-neighbor
-// of n (their out-arc lists shrank). Sources that reached n are dirtied here
-// as well, which over-approximates safely even if the caller's OutChanged
-// calls already cover them.
+// NodeRemoved records that n left the graph. The caller reports every arc
+// incident to n going to 0 as well: a row that reached n had a tree arc into
+// it, which is how such rows are caught. NodeRemoved itself only drops n's
+// own row.
 func (inc *Incremental) NodeRemoved(n int) {
 	if inc.lazy != nil {
 		inc.lazy.NodeRemoved(n)
 		return
 	}
-	inc.stale = true
-	inc.dirtyReaders(n)
+	inc.nodesChanged = true
 	delete(inc.ap.results, n)
-	delete(inc.dirty, n)
+	for i := len(inc.nodes) - 1; i >= 0; i-- {
+		if inc.nodes[i] == n && (inc.rows[i] != nil || inc.dirty[i]) {
+			if inc.dirty[i] {
+				inc.ndirty--
+			}
+			inc.rows[i], inc.dirty[i] = nil, false
+			return
+		}
+	}
+}
+
+// Pending reports whether a Flush would have anything to do: rows queued
+// for recomputation (eager mode) or eviction (lazy mode). It allocates
+// nothing.
+func (inc *Incremental) Pending() bool {
+	if inc.lazy != nil {
+		return inc.lazy.pending()
+	}
+	return inc.ndirty > 0
 }
 
 // Dirty returns the sources currently queued for recomputation (eager mode)
@@ -169,12 +274,119 @@ func (inc *Incremental) Dirty() []int {
 	if inc.lazy != nil {
 		return inc.lazy.Dirty()
 	}
-	out := make([]int, 0, len(inc.dirty))
-	for src := range inc.dirty {
-		out = append(out, src)
+	out := make([]int, 0, inc.ndirty)
+	for i, d := range inc.dirty {
+		if d {
+			out = append(out, inc.nodes[i])
+		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
+}
+
+// reconcile lines the row list up with the graph's node list after
+// node-set notices: rows move to the positions the next freeze gives their
+// sources, a node without a row is queued, and a row whose node left is
+// dropped. It re-freezes at the next flush when the list differs from the
+// freeze's.
+func (inc *Incremental) reconcile() {
+	inc.nodesChanged = false
+	nodes := slices.Clone(inc.g.Nodes()) // NodeAdded appends to the list
+	type slot struct {
+		row   *Result
+		dirty bool
+	}
+	have := make(map[int]slot, len(inc.nodes))
+	for i, n := range inc.nodes {
+		if inc.rows[i] != nil || inc.dirty[i] {
+			have[n] = slot{inc.rows[i], inc.dirty[i]}
+		}
+	}
+	rows := make([]*Result, len(nodes))
+	dirty := make([]bool, len(nodes))
+	inc.ndirty = 0
+	for i, n := range nodes {
+		s, ok := have[n]
+		rows[i], dirty[i] = s.row, s.dirty || !ok
+		if dirty[i] {
+			inc.ndirty++
+		}
+		delete(have, n)
+	}
+	for n := range have {
+		delete(inc.ap.results, n) // left without a NodeRemoved notice
+	}
+	if !slices.Equal(nodes, inc.frozen.IDs[:inc.declared]) {
+		inc.refreeze = causeNodes
+	}
+	inc.nodes, inc.rows, inc.dirty = nodes, rows, dirty
+}
+
+// freeze re-freezes the graph over the row list's node order, reusing the
+// previous freeze's arrays, and derives the view afresh.
+func (inc *Incremental) freeze() {
+	inc.frozen = freezeNodes(inc.frozen, inc.g, inc.nodes)
+	inc.declared = len(inc.nodes)
+	inc.view.derive(inc.frozen)
+}
+
+// syncFreeze brings the private freeze up to date with the graph: patched
+// in place when every reported arc has exactly one slot and the node list
+// held, re-frozen otherwise.
+func (inc *Incremental) syncFreeze() {
+	if inc.refreeze == "" && len(inc.patches) > 0 && !inc.patch() {
+		inc.refreeze = causeArc
+	}
+	switch inc.refreeze {
+	case causeNodes:
+		inc.stats.RefreezesNodes++
+		inc.refreezeNodes.Inc()
+	case causeArc:
+		inc.stats.RefreezesArc++
+		inc.refreezeArc.Inc()
+	}
+	if inc.refreeze != "" {
+		inc.freeze()
+		inc.refreeze = ""
+	}
+	inc.patches = inc.patches[:0]
+}
+
+// patch writes each reported arc's live bandwidth and latency into its slot
+// of the freeze and re-derives the touched rows of the view. It reports
+// false, leaving a freeze only a re-freeze can repair, when an arc has no
+// single slot or the graph holds it twice.
+func (inc *Incremental) patch() bool {
+	fz := inc.frozen
+	inc.slots, inc.touched = inc.slots[:0], inc.touched[:0]
+	for _, p := range inc.patches {
+		iu, ok1 := fz.Index(p[0])
+		iv, ok2 := fz.Index(p[1])
+		if !ok1 || !ok2 {
+			return false
+		}
+		e, ok := fz.Slot(iu, iv)
+		if !ok {
+			return false
+		}
+		bw, lat, seen := int64(0), fz.Lat[e], 0
+		for _, a := range inc.g.Out(p[0]) {
+			if a.To == p[1] {
+				bw, lat = a.Bandwidth, a.Latency
+				seen++
+			}
+		}
+		if seen > 1 {
+			return false
+		}
+		fz.SetArc(e, bw, lat)
+		inc.slots = append(inc.slots, e)
+		inc.touched = append(inc.touched, iu)
+	}
+	slices.Sort(inc.touched)
+	inc.view.patch(inc.slots, slices.Compact(inc.touched))
+	inc.stats.Patches++
+	return true
 }
 
 // Flush recomputes every dirty source and returns how many were recomputed.
@@ -193,38 +405,35 @@ func (inc *Incremental) Flush() int {
 		}
 		return evicted
 	}
-	if len(inc.dirty) == 0 {
+	if inc.nodesChanged {
+		inc.reconcile()
+	}
+	if inc.ndirty == 0 {
+		// Patching is cheap enough to keep up with; a re-freeze waits for a
+		// row that needs it.
+		if inc.refreeze == "" {
+			inc.syncFreeze()
+		}
 		return 0
 	}
-	nodes := inc.g.Nodes()
-	current := make(map[int]struct{}, len(nodes))
-	for _, n := range nodes {
-		current[n] = struct{}{}
-	}
-	srcs := make([]int, 0, len(inc.dirty))
-	for src := range inc.dirty {
-		if _, ok := current[src]; ok {
-			srcs = append(srcs, src)
-		} else {
-			// A dirty source that left before the flush: drop it.
-			delete(inc.ap.results, src)
+	inc.syncFreeze()
+	srcs := inc.srcs[:0]
+	for i, d := range inc.dirty {
+		if d {
+			srcs = append(srcs, int32(i))
 		}
 	}
-	sort.Ints(srcs)
-	inc.dirty = make(map[int]struct{})
-
-	if len(srcs) > 0 && (inc.frozen == nil || inc.stale) {
-		inc.frozen = FreezeGraphInto(inc.frozen, inc.g)
-		inc.stale = false
-	}
+	inc.srcs = srcs
 	var fresh []*Result
-	fresh, inc.scratches = denseRows(inc.frozen, srcs, inc.workers, inc.scratches, inc.ins)
-	for i, src := range srcs {
-		inc.ap.results[src] = fresh[i]
+	fresh, inc.scratches = denseRows(&inc.view, srcs, inc.workers, inc.scratches, inc.ins)
+	for k, i := range srcs {
+		inc.rows[i], inc.dirty[i] = fresh[k], false
+		inc.ap.results[inc.nodes[i]] = fresh[k]
 	}
+	inc.ndirty = 0
 	inc.flushes.Inc()
 	inc.recomputed.Add(int64(len(srcs)))
-	inc.saved.Add(int64(len(nodes) - len(srcs)))
+	inc.saved.Add(int64(len(inc.nodes) - len(srcs)))
 	return len(srcs)
 }
 

@@ -47,6 +47,86 @@ func (g *testGraph) removeNode(n int) (inNeighbors []int) {
 	return inNeighbors
 }
 
+// arcReporter is what a mutation report reaches: an Incremental or a
+// LazyAllPairs.
+type arcReporter interface {
+	ArcChanged(u, v int, b, b2 int64)
+	NodeAdded(n int)
+	NodeRemoved(n int)
+}
+
+// arcBW returns the bandwidth of the first arc u -> v, 0 when there is none.
+func (g *testGraph) arcBW(u, v int) int64 {
+	for _, a := range g.adj[u] {
+		if a.To == v {
+			return a.Bandwidth
+		}
+	}
+	return 0
+}
+
+// setArcReported is setArc reported to ts: the latency may change too, so the
+// arc is reported going to 0 and coming back.
+func (g *testGraph) setArcReported(u, v int, bw, lat int64, ts ...arcReporter) {
+	b := g.arcBW(u, v)
+	g.setArc(u, v, bw, lat)
+	for _, t := range ts {
+		t.ArcChanged(u, v, b, 0)
+		t.ArcChanged(u, v, 0, bw)
+	}
+}
+
+// addArcReported is addArc reported to ts.
+func (g *testGraph) addArcReported(u, v int, bw, lat int64, ts ...arcReporter) {
+	g.addArc(u, v, bw, lat)
+	for _, t := range ts {
+		t.ArcChanged(u, v, 0, bw)
+	}
+}
+
+// dropArcReported is dropArcTo reported to ts, one report per dropped arc.
+func (g *testGraph) dropArcReported(u, v int, ts ...arcReporter) {
+	var gone []int64
+	for _, a := range g.adj[u] {
+		if a.To == v {
+			gone = append(gone, a.Bandwidth)
+		}
+	}
+	g.dropArcTo(u, v)
+	for _, t := range ts {
+		for _, b := range gone {
+			t.ArcChanged(u, v, b, 0)
+		}
+	}
+}
+
+// removeNodeReported is removeNode reported to ts the way a session reports
+// an instance leaving: every incident arc going to 0, then the node.
+func (g *testGraph) removeNodeReported(n int, ts ...arcReporter) {
+	type arc struct {
+		u, v int
+		b    int64
+	}
+	var gone []arc
+	for _, a := range g.adj[n] {
+		gone = append(gone, arc{n, a.To, a.Bandwidth})
+	}
+	for _, u := range g.Nodes() {
+		for _, a := range g.adj[u] {
+			if a.To == n && u != n {
+				gone = append(gone, arc{u, n, a.Bandwidth})
+			}
+		}
+	}
+	g.removeNode(n)
+	for _, t := range ts {
+		for _, a := range gone {
+			t.ArcChanged(a.u, a.v, a.b, 0)
+		}
+		t.NodeRemoved(n)
+	}
+}
+
 func assertMatchesScratch(t *testing.T, inc *Incremental, g Graph) {
 	t.Helper()
 	got := inc.AllPairs()
@@ -67,13 +147,16 @@ func chainGraph() *testGraph {
 	return g
 }
 
-func TestIncrementalDirtySetIsExactlyTheReachers(t *testing.T) {
+// TestIncrementalDirtySetFollowsArcRules walks both rules on a chain: a
+// narrowed tree arc dirties exactly the rows whose paths cross it, and a new
+// arc dirties the rows it can widen, but not a row whose classes all lie
+// above its width.
+func TestIncrementalDirtySetFollowsArcRules(t *testing.T) {
 	g := chainGraph()
 	inc := NewIncremental(g, 1, nil)
-	// A change on Out(3) can affect only sources that reach 3: 1, 2, 3, 5.
-	// Node 4 (no out-arcs to 3) must not be recomputed.
-	g.setArc(3, 4, 50, 20)
-	inc.OutChanged(3)
+	// (3, 4) is a tree arc of every row that reaches 4 through 3: 1, 2, 3
+	// and 5. Row 4 reaches nothing.
+	g.setArcReported(3, 4, 50, 20, inc)
 	if got, want := inc.Dirty(), []int{1, 2, 3, 5}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("dirty = %v, want %v", got, want)
 	}
@@ -81,11 +164,11 @@ func TestIncrementalDirtySetIsExactlyTheReachers(t *testing.T) {
 		t.Fatalf("flush recomputed %d sources, want 4", n)
 	}
 	assertMatchesScratch(t, inc, g)
-	// Sink-side change: Out(4) gains an arc; source 4 itself plus everything
-	// that reaches 4 goes dirty, but nothing else.
-	g.addArc(4, 5, 10, 1)
-	inc.OutChanged(4)
-	if got, want := inc.Dirty(), []int{1, 2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
+	// A 10-wide arc 4 -> 5 reaches 5 from rows 1-4, which did not reach it.
+	// Row 5 reaches every node at width 50 or more: nothing in (0, 10]
+	// changes, so it keeps its row.
+	g.addArcReported(4, 5, 10, 1, inc)
+	if got, want := inc.Dirty(), []int{1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("dirty = %v, want %v", got, want)
 	}
 	inc.Flush()
@@ -96,22 +179,16 @@ func TestIncrementalNodeLifecycle(t *testing.T) {
 	g := chainGraph()
 	inc := NewIncremental(g, 1, nil)
 
-	// Join: the new node needs its own run; links arrive as OutChanged.
+	// Join: the new node needs its own run; links arrive as ArcChanged.
 	g.addNode(9)
 	inc.NodeAdded(9)
-	g.addArc(9, 2, 80, 5)
-	inc.OutChanged(9)
-	g.addArc(4, 9, 80, 5)
-	inc.OutChanged(4)
+	g.addArcReported(9, 2, 80, 5, inc)
+	g.addArcReported(4, 9, 80, 5, inc)
 	inc.Flush()
 	assertMatchesScratch(t, inc, g)
 
-	// Leave: in-neighbors' out-lists shrink, sources that reached it redo.
-	ins := g.removeNode(2)
-	for _, u := range ins {
-		inc.OutChanged(u)
-	}
-	inc.NodeRemoved(2)
+	// Leave: every incident arc goes to 0, so the rows that crossed it redo.
+	g.removeNodeReported(2, inc)
 	inc.Flush()
 	assertMatchesScratch(t, inc, g)
 	for _, src := range inc.AllPairs().Sources() {
@@ -126,13 +203,8 @@ func TestIncrementalDirtySourceRemovedBeforeFlush(t *testing.T) {
 	inc := NewIncremental(g, 1, nil)
 	// Dirty node 5 (it reaches everything), then remove it before flushing:
 	// the flush must drop it, not recompute it.
-	g.setArc(1, 2, 42, 7)
-	inc.OutChanged(1)
-	ins := g.removeNode(5)
-	for _, u := range ins {
-		inc.OutChanged(u)
-	}
-	inc.NodeRemoved(5)
+	g.setArcReported(1, 2, 42, 7, inc)
+	g.removeNodeReported(5, inc)
 	inc.Flush()
 	assertMatchesScratch(t, inc, g)
 }
@@ -142,8 +214,7 @@ func TestIncrementalAddedThenRemovedBeforeFlush(t *testing.T) {
 	inc := NewIncremental(g, 1, nil)
 	g.addNode(7)
 	inc.NodeAdded(7)
-	g.removeNode(7)
-	inc.NodeRemoved(7)
+	g.removeNodeReported(7, inc)
 	if n := inc.Flush(); n != 0 {
 		t.Fatalf("flush recomputed %d sources for a node that came and went", n)
 	}
@@ -172,38 +243,29 @@ func TestIncrementalRandomTraceAllWorkerCounts(t *testing.T) {
 				if u == v {
 					continue
 				}
-				g.setArc(u, v, 1+rng.Int63n(100), rng.Int63n(50))
-				inc.OutChanged(u)
+				g.setArcReported(u, v, 1+rng.Int63n(100), rng.Int63n(50), inc)
 			case 1: // drop an arc
 				u := nodes[rng.Intn(len(nodes))]
 				if len(g.adj[u]) == 0 {
 					continue
 				}
-				v := g.adj[u][rng.Intn(len(g.adj[u]))].To
-				g.dropArcTo(u, v)
-				inc.OutChanged(u)
+				g.dropArcReported(u, g.adj[u][rng.Intn(len(g.adj[u]))].To, inc)
 			case 2: // add a node with one arc each way
 				n := next
 				next++
 				g.addNode(n)
 				inc.NodeAdded(n)
 				peer := nodes[rng.Intn(len(nodes))]
-				g.setArc(n, peer, 1+rng.Int63n(100), rng.Int63n(50))
-				inc.OutChanged(n)
+				g.setArcReported(n, peer, 1+rng.Int63n(100), rng.Int63n(50), inc)
 				peer = nodes[rng.Intn(len(nodes))]
 				if peer != n {
-					g.setArc(peer, n, 1+rng.Int63n(100), rng.Int63n(50))
-					inc.OutChanged(peer)
+					g.setArcReported(peer, n, 1+rng.Int63n(100), rng.Int63n(50), inc)
 				}
 			case 3: // remove a node
 				if len(nodes) <= 4 {
 					continue
 				}
-				n := nodes[rng.Intn(len(nodes))]
-				for _, u := range g.removeNode(n) {
-					inc.OutChanged(u)
-				}
-				inc.NodeRemoved(n)
+				g.removeNodeReported(nodes[rng.Intn(len(nodes))], inc)
 			}
 			if i%5 == 0 {
 				assertMatchesScratch(t, inc, g)
@@ -217,8 +279,7 @@ func TestIncrementalCounters(t *testing.T) {
 	reg := metrics.New()
 	g := chainGraph()
 	inc := NewIncremental(g, 1, reg)
-	g.setArc(3, 4, 50, 20)
-	inc.OutChanged(3)
+	g.setArcReported(3, 4, 50, 20, inc)
 	inc.Flush()
 	if got := reg.Counter("qos_incremental_flushes_total").Value(); got != 1 {
 		t.Fatalf("flushes counter = %d", got)
@@ -229,6 +290,26 @@ func TestIncrementalCounters(t *testing.T) {
 	// 5 nodes, 4 recomputed: one source saved versus a full rebuild.
 	if got := reg.Counter("qos_incremental_saved_sources_total").Value(); got != 1 {
 		t.Fatalf("saved counter = %d", got)
+	}
+	// The narrowing dirtied the four rows; the arc coming back at width 50
+	// found them queued already. The arc kept its slot: one patch, no
+	// re-freeze.
+	label := func(k, v string) metrics.Option { return metrics.WithLabels(metrics.Label{Name: k, Value: v}) }
+	for _, c := range []struct {
+		name, k, v string
+		want       int64
+	}{
+		{"qos_incremental_rows_dirtied_total", "rule", "worsening", 4},
+		{"qos_incremental_rows_dirtied_total", "rule", "improvement", 0},
+		{"qos_incremental_refreezes_total", "cause", "nodes", 0},
+		{"qos_incremental_refreezes_total", "cause", "arc", 0},
+	} {
+		if got := reg.Counter(c.name, label(c.k, c.v)).Value(); got != c.want {
+			t.Fatalf("%s{%s=%q} = %d, want %d", c.name, c.k, c.v, got, c.want)
+		}
+	}
+	if st := inc.Stats(); st.Patches != 1 || st.DirtiedWorsening != 4 {
+		t.Fatalf("stats = %+v, want one patch and four rows dirtied by worsening", st)
 	}
 }
 

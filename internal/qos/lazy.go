@@ -6,18 +6,17 @@
 // requirement's service slots — typically a few dozen sources out of tens of
 // thousands. LazyAllPairs serves the same read interface row by row, on
 // demand: a row is computed by the dense CSR kernels the first time any
-// reader asks for it, memoized, and — because shortestWidest(g, s) is a pure
-// function of the out-arc lists it actually reads — stays valid until a
-// mutation touches a node the row's run read. Invalidation therefore reuses
-// exactly the argument behind Incremental: OutChanged(u) asks each resident
-// row whether it reached u and evicts precisely those, and rows nobody
+// reader asks for it, memoized, and stays valid until a reported arc change
+// could move it. Invalidation therefore reuses exactly the argument behind
+// Incremental: ArcChanged(u, v, b, b2) asks each resident row whether the
+// worsening or improvement rule rules the change out, and rows nobody
 // materialized cost nothing to invalidate.
 //
 // Concurrency: the read methods (Metric, Path, From, Sources, Prefetch,
 // Materialize) are safe for any number of concurrent readers; a per-source
 // single-flight latch guarantees that concurrent requests for the same
 // uncomputed row run the kernel exactly once and share the one Result. The
-// mutation methods (OutChanged, NodeAdded, NodeRemoved, Flush) follow
+// mutation methods (ArcChanged, NodeAdded, NodeRemoved, Flush) follow
 // Incremental's single-writer contract: they must be serialized with each
 // other AND with reads of the live table — which is what session.Session's
 // one-goroutine contract and the daemon's RCU epochs already provide
@@ -322,17 +321,6 @@ func (l *LazyAllPairs) applyPendingLocked() {
 	}
 }
 
-// dirtyReadersLocked queues for eviction every row whose run read Out(u): the
-// rows that reached u, and u's own row, finished or not. Under the
-// single-writer contract no other row is in flight across a mutation.
-func (l *LazyAllPairs) dirtyReadersLocked(u int) {
-	for src, row := range l.rows {
-		if src == u || (row.res != nil && row.res.Metric(u).Reachable()) {
-			l.dirty[src] = struct{}{}
-		}
-	}
-}
-
 // From returns the memoized row of src, computing it on first read. Rows are
 // byte-identical to the corresponding ComputeAllPairs row: same frozen-CSR
 // kernels, same deterministic settle order. It returns nil for a source the
@@ -443,14 +431,41 @@ func (l *LazyAllPairs) ComputedRows() []int {
 	return out
 }
 
-// OutChanged records that the out-arcs of u changed: every materialized row
-// whose source reaches u — and only those — is queued for eviction. Rows
-// nobody computed need nothing.
-func (l *LazyAllPairs) OutChanged(u int) {
+// ArcChanged records that arc u -> v went from bandwidth b to b2 (0 or
+// less meaning absent), with Incremental.ArcChanged's contract: every
+// completed row the worsening or improvement rule cannot rule out is queued
+// for eviction, and so is every row still in flight. Rows nobody computed
+// need nothing.
+func (l *LazyAllPairs) ArcChanged(u, v int, b, b2 int64) {
+	l.arcChanged(u, v, max(b, 0), max(b2, 0))
+}
+
+// arcChanged is ArcChanged on clamped bandwidths; it returns how many rows
+// it queued.
+func (l *LazyAllPairs) arcChanged(u, v int, b, b2 int64) int64 {
+	if b == b2 {
+		return 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stale = true
-	l.dirtyReadersLocked(u)
+	ends := arcEnds{u: u, v: v}
+	var n int64
+	for src, row := range l.rows {
+		if _, ok := l.dirty[src]; ok {
+			continue
+		}
+		if row.res == nil {
+			l.dirty[src] = struct{}{}
+			n++
+			continue
+		}
+		if iu, iv := ends.of(row.res); row.res.canMove(iu, iv, b, b2) {
+			l.dirty[src] = struct{}{}
+			n++
+		}
+	}
+	return n
 }
 
 // NodeAdded records that n joined the graph. No row can have reached a node
@@ -461,14 +476,23 @@ func (l *LazyAllPairs) NodeAdded(_ int) {
 	l.mu.Unlock()
 }
 
-// NodeRemoved records that n left along with its incident arcs. As with
-// Incremental, the caller must additionally report OutChanged for every
-// former in-neighbor of n.
+// NodeRemoved records that n left. As with Incremental, the caller reports
+// every arc incident to n going to 0 as well, which catches the rows that
+// reached n; NodeRemoved itself only queues n's own row.
 func (l *LazyAllPairs) NodeRemoved(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stale = true
-	l.dirtyReadersLocked(n)
+	if _, ok := l.rows[n]; ok {
+		l.dirty[n] = struct{}{}
+	}
+}
+
+// pending reports whether rows are queued for eviction.
+func (l *LazyAllPairs) pending() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.dirty) > 0
 }
 
 // Dirty returns the materialized sources currently queued for eviction,

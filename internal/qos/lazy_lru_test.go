@@ -2,6 +2,7 @@ package qos
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -134,8 +135,8 @@ func TestLazyLRUInvalidationInterplay(t *testing.T) {
 	for src := 1; src <= 4; src++ { // 1 LRU-evicted, 2..4 resident
 		lt.From(src)
 	}
-	g.setArc(2, 3, 5, 50)
-	lt.OutChanged(2) // dirties every resident row that reaches 2
+	// 2 -> 3 becomes wider than any route from 2 to 3: row 2 must go.
+	g.setArcReported(2, 3, 500, 50, lt)
 	lt.Flush()
 	if st := lt.Stats(); st.LRUEvicted != 1 || st.Evicted == 0 {
 		t.Fatalf("stats = %+v, want LRUEvicted 1 and mutation evictions > 0", st)
@@ -233,7 +234,11 @@ func TestLazyResidentGauges(t *testing.T) {
 	check("after the snapshot's own read", snap, 3)
 
 	for _, src := range lt.ComputedRows() {
-		lt.OutChanged(src)
+		// Every row leaves its source over its own out-arcs: dropping them
+		// all moves every row.
+		for _, a := range slices.Clone(g.adj[src]) {
+			g.dropArcReported(src, a.To, lt)
+		}
 	}
 	lt.Flush()
 	check("after flushing every live row", lt, 0)

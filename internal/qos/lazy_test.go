@@ -152,18 +152,18 @@ func TestLazySingleFlight(t *testing.T) {
 	assertLazyMatchesEager(t, lt, g)
 }
 
-// TestLazyInvalidationIsExactlyTheReaders mirrors the Incremental dirty-set
-// test: a change on Out(u) queues precisely the materialized rows whose
-// sources reach u — unmaterialized rows cost nothing.
-func TestLazyInvalidationIsExactlyTheReaders(t *testing.T) {
+// TestLazyInvalidationFollowsArcRules mirrors the Incremental dirty-set
+// test: a narrowed tree arc queues precisely the materialized rows whose
+// paths cross it, a new arc only the rows it can widen, and unmaterialized
+// rows cost nothing.
+func TestLazyInvalidationFollowsArcRules(t *testing.T) {
 	g := chainGraph() // 1 -> 2 -> 3 -> 4, 5 -> 1
 	lt := NewLazyAllPairs(g, nil)
 	for _, src := range []int{1, 2, 3, 4, 5} {
 		lt.From(src)
 	}
-	// Sources reaching 3 are 1, 2, 3, 5; node 4 must keep its row.
-	g.setArc(3, 4, 50, 20)
-	lt.OutChanged(3)
+	// (3, 4) is a tree arc of rows 1, 2, 3 and 5; node 4 keeps its row.
+	g.setArcReported(3, 4, 50, 20, lt)
 	if got, want := lt.Dirty(), []int{1, 2, 3, 5}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("dirty = %v, want %v", got, want)
 	}
@@ -175,9 +175,16 @@ func TestLazyInvalidationIsExactlyTheReaders(t *testing.T) {
 	}
 	assertLazyMatchesEager(t, lt, g)
 
-	// Same mutation with NO materialized rows: nothing to evict.
+	// A 10-wide arc 4 -> 5: row 5's classes all lie above 10, so it stays.
+	g.addArcReported(4, 5, 10, 1, lt)
+	if got, want := lt.Dirty(), []int{1, 2, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("dirty = %v, want %v", got, want)
+	}
+	assertLazyMatchesEager(t, lt, g)
+
+	// Same kind of mutation with NO materialized rows: nothing to evict.
 	lt2 := NewLazyAllPairs(g, nil)
-	lt2.OutChanged(2)
+	g.setArcReported(2, 3, 70, 10, lt2)
 	if got := lt2.Dirty(); len(got) != 0 {
 		t.Fatalf("empty table queued evictions: %v", got)
 	}
@@ -196,8 +203,7 @@ func TestLazyFlushRunsNoRouting(t *testing.T) {
 		lt.From(src)
 	}
 	before := lt.Stats().Computed
-	g.setArc(3, 4, 50, 20)
-	lt.OutChanged(3)
+	g.setArcReported(3, 4, 50, 20, lt)
 	if n := lt.Flush(); n != 4 {
 		t.Fatalf("flush evicted %d rows, want 4", n)
 	}
@@ -220,18 +226,12 @@ func TestLazyNodeLifecycle(t *testing.T) {
 	// Join: next reads see the new node and its links.
 	g.addNode(9)
 	lt.NodeAdded(9)
-	g.addArc(9, 2, 80, 5)
-	lt.OutChanged(9)
-	g.addArc(4, 9, 80, 5)
-	lt.OutChanged(4)
+	g.addArcReported(9, 2, 80, 5, lt)
+	g.addArcReported(4, 9, 80, 5, lt)
 	assertLazyMatchesEager(t, lt, g)
 
-	// Leave: in-neighbors report OutChanged, then the node goes away.
-	ins := g.removeNode(2)
-	for _, u := range ins {
-		lt.OutChanged(u)
-	}
-	lt.NodeRemoved(2)
+	// Leave: every incident arc goes to 0, then the node goes away.
+	g.removeNodeReported(2, lt)
 	assertLazyMatchesEager(t, lt, g)
 	for _, src := range lt.Sources() {
 		if src == 2 {
@@ -255,15 +255,9 @@ func TestLazySnapshotPinned(t *testing.T) {
 	snap := lt.Snapshot()
 
 	// Mutate the live graph heavily after the snapshot.
-	g.setArc(0, 1, 9999, 1)
-	lt.OutChanged(0)
-	g.addArc(5, 0, 9999, 1)
-	lt.OutChanged(5)
-	ins := g.removeNode(7)
-	for _, u := range ins {
-		lt.OutChanged(u)
-	}
-	lt.NodeRemoved(7)
+	g.setArcReported(0, 1, 9999, 1, lt)
+	g.addArcReported(5, 0, 9999, 1, lt)
+	g.removeNodeReported(7, lt)
 
 	// The snapshot answers from the pinned graph — including row 7, whose
 	// node no longer exists live, and rows it computes only now.
@@ -280,8 +274,7 @@ func TestLazyCounters(t *testing.T) {
 	lt := NewLazyAllPairs(g, reg)
 	lt.From(1)
 	lt.From(1)
-	g.setArc(1, 2, 5, 5)
-	lt.OutChanged(1)
+	g.setArcReported(1, 2, 5, 5, lt)
 	lt.Flush()
 	snap := reg.Snapshot()
 	want := map[string]int64{
@@ -317,8 +310,7 @@ func TestIncrementalLazyFlushDefersRouting(t *testing.T) {
 	}
 	base := lt.Stats().Computed
 
-	g.setArc(3, 4, 50, 20)
-	inc.OutChanged(3)
+	g.setArcReported(3, 4, 50, 20, inc)
 	if got, want := inc.Dirty(), []int{1, 2, 3, 5}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("dirty = %v, want %v", got, want)
 	}
@@ -367,15 +359,10 @@ func TestIncrementalLazyLifecycleMatchesScratch(t *testing.T) {
 
 	g.addNode(9)
 	inc.NodeAdded(9)
-	g.addArc(9, 2, 80, 5)
-	inc.OutChanged(9)
+	g.addArcReported(9, 2, 80, 5, inc)
 	check()
 
-	ins := g.removeNode(2)
-	for _, u := range ins {
-		inc.OutChanged(u)
-	}
-	inc.NodeRemoved(2)
+	g.removeNodeReported(2, inc)
 	check()
 }
 

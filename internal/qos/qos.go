@@ -25,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sflow/internal/csr"
 	"sflow/internal/metrics"
 )
 
@@ -433,7 +432,13 @@ func computeAllPairs(g Graph, workers int, auto bool, ins instr) *AllPairs {
 	if auto && len(nodes) < parallelAllPairsMin {
 		workers = 1
 	}
-	rows, _ := denseRows(FreezeGraph(g), nodes, workers, nil, ins)
+	var view arcView
+	view.derive(freezeNodes(nil, g, nodes))
+	srcs := make([]int32, len(nodes))
+	for i := range srcs {
+		srcs[i] = int32(i)
+	}
+	rows, _ := denseRows(&view, srcs, workers, nil, ins)
 	ap := &AllPairs{results: make(map[int]*Result, len(nodes))}
 	for i, n := range nodes {
 		ap.results[n] = rows[i]
@@ -441,11 +446,12 @@ func computeAllPairs(g Graph, workers int, auto bool, ins instr) *AllPairs {
 	return ap
 }
 
-// denseRows computes the rows of srcs on a frozen graph and returns them in
-// srcs order, fanned out over up to workers goroutines (<= 0 means
-// GOMAXPROCS) with one Scratch each. scratches is the caller's reusable
-// supply, returned grown to the worker count.
-func denseRows(cg *csr.Graph, srcs []int, workers int, scratches []*Scratch, ins instr) ([]*Result, []*Scratch) {
+// denseRows computes the rows of srcs (dense indexes of the view's graph)
+// and returns them in srcs order, fanned out over up to workers goroutines
+// (<= 0 means GOMAXPROCS) with one Scratch each. Every worker reads the one
+// view. scratches is the caller's reusable supply, returned grown to the
+// worker count.
+func denseRows(v *arcView, srcs []int32, workers int, scratches []*Scratch, ins instr) ([]*Result, []*Scratch) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -453,10 +459,12 @@ func denseRows(cg *csr.Graph, srcs []int, workers int, scratches []*Scratch, ins
 	for len(scratches) < workers {
 		scratches = append(scratches, NewScratch())
 	}
+	for _, sc := range scratches[:workers] {
+		sc.view = v
+	}
 	rows := make([]*Result, len(srcs))
 	fanOut(len(srcs), workers, func(w, i int) {
-		idx, _ := cg.Index(srcs[i])
-		rows[i] = shortestWidestDense(cg, idx, scratches[w], ins)
+		rows[i] = shortestWidestDense(v.g, srcs[i], scratches[w], ins)
 	})
 	return rows, scratches
 }

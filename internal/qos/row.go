@@ -37,9 +37,10 @@ type Result struct {
 	metric []Metric
 	// parent[i] is the predecessor of reached node i on its own path.
 	parent []int32
-	// Class widths[c] overrides parents along its members' paths with
-	// over[overOff[c]:overOff[c+1]], sorted by child. Classes without
-	// overrides are not listed.
+	// widths lists the row's width classes, the widths of its reached
+	// nodes other than the source, widest first. Class c overrides parents
+	// along its members' paths with over[overOff[c]:overOff[c+1]], sorted by
+	// child; overOff and over are nil in a row without overrides.
 	widths  []int64
 	overOff []int32
 	over    []override
@@ -70,7 +71,7 @@ func (r *Result) PathTo(dst int) []int {
 	var over []override
 	if c, ok := slices.BinarySearchFunc(r.widths, w, func(cw, w int64) int {
 		return cmp.Compare(w, cw) // widths are descending
-	}); ok {
+	}); ok && len(r.over) > 0 {
 		over = r.over[r.overOff[c]:r.overOff[c+1]]
 	}
 	var buf [32]int32
@@ -125,6 +126,80 @@ func (r *Result) Equal(o *Result) bool {
 	return n == 0
 }
 
+// canMove reports whether the row can differ from a fresh row once arc
+// iu -> iv (dense indexes of the row's own freeze, -1 for a node it lacks)
+// went from bandwidth b to b2, both >= 0 with 0 meaning absent and b != b2.
+// Widths W(·) are read off the row as it stands; a false answer is a proof
+// that the row is still exact (DESIGN.md, "Incremental sessions and
+// cache-invalidation correctness").
+//
+//   - Worsening (b2 < b): only classes w in (b2, min(b, W(u))] lose the arc,
+//     and a class's run changes only through a tree arc one of its members'
+//     paths crosses: parent[v] == u, or a class override (v, u).
+//   - Improvement (b2 > b): only classes w in (b, hi], hi = min(b2, W(u)),
+//     gain the arc. Widths can rise only if W(v) < hi; otherwise the row
+//     changes only if one of its classes lies in that range.
+func (r *Result) canMove(iu, iv int32, b, b2 int64) bool {
+	if iu < 0 {
+		return false // the row's run never reached u
+	}
+	wu := r.metric[iu].Bandwidth
+	var wv int64
+	if iv >= 0 {
+		wv = r.metric[iv].Bandwidth
+	}
+	if b2 < b {
+		if min(b, wu) <= b2 || wv <= 0 || iv == r.src {
+			return false
+		}
+		if r.parent[iv] == iu {
+			return true
+		}
+		for _, o := range r.over {
+			if o.child == iv && o.parent == iu {
+				return true
+			}
+		}
+		return false
+	}
+	lo, hi := b, min(b2, wu)
+	if hi <= lo {
+		return false
+	}
+	if wv < hi {
+		return true
+	}
+	// The widest class no wider than hi, if any, must be wider than lo.
+	c, _ := slices.BinarySearchFunc(r.widths, hi, func(cw, hi int64) int {
+		return cmp.Compare(hi, cw) // widths are descending
+	})
+	return c < len(r.widths) && r.widths[c] > lo
+}
+
+// arcEnds resolves one reported arc's endpoints to the dense indexes of the
+// rows it is checked against. Rows of one freeze share one mapping, so the
+// two lookups run once per mapping met in a row walk, not once per row.
+type arcEnds struct {
+	u, v   int
+	ids    *int // first element of the mapping last resolved
+	iu, iv int32
+}
+
+// of returns u's and v's indexes in r's mapping (-1 where absent).
+func (a *arcEnds) of(r *Result) (iu, iv int32) {
+	if p := &r.ids[0]; p != a.ids {
+		a.ids = p
+		a.iu, a.iv = -1, -1
+		if i, ok := r.idx[a.u]; ok {
+			a.iu = i
+		}
+		if i, ok := r.idx[a.v]; ok {
+			a.iv = i
+		}
+	}
+	return a.iu, a.iv
+}
+
 // Bytes returns the memory the row owns. The node mapping it shares with the
 // other rows of its freeze is not counted.
 func (r *Result) Bytes() int {
@@ -177,7 +252,7 @@ func (b *rowBuilder) begin(res *Result) {
 	b.mark = b.mark[:n]
 	clear(b.mark)
 	b.closed = 0
-	b.widths, b.overOff, b.over = b.widths[:0], b.overOff[:0], b.over[:0]
+	b.widths, b.overOff, b.over = b.widths[:0], append(b.overOff[:0], 0), b.over[:0]
 }
 
 // class records one width class: every member's metric (width w, latency
@@ -204,13 +279,7 @@ func (b *rowBuilder) class(w int64, members []int32, lat []int64, prev []int32) 
 			}
 		}
 	}
-	if len(b.over) == lo {
-		return
-	}
 	slices.SortFunc(b.over[lo:], func(a, c override) int { return int(a.child) - int(c.child) })
-	if len(b.overOff) == 0 {
-		b.overOff = append(b.overOff, 0)
-	}
 	b.widths = append(b.widths, w)
 	b.overOff = append(b.overOff, int32(len(b.over)))
 }
@@ -218,8 +287,10 @@ func (b *rowBuilder) class(w int64, members []int32, lat []int64, prev []int32) 
 // finish hands the completed row over.
 func (b *rowBuilder) finish() *Result {
 	r := b.res
-	if len(b.over) > 0 {
+	if len(b.widths) > 0 {
 		r.widths = slices.Clone(b.widths)
+	}
+	if len(b.over) > 0 {
 		r.overOff = slices.Clone(b.overOff)
 		r.over = slices.Clone(b.over)
 	}

@@ -30,8 +30,8 @@ func TestRowClassCrossing(t *testing.T) {
 	if got := res.Metric(4); got != (Metric{Bandwidth: 50, Latency: 2}) {
 		t.Fatalf("Metric(4) = %+v, want {50 2}", got)
 	}
-	if len(res.over) != 1 || !reflect.DeepEqual(res.widths, []int64{50}) {
-		t.Fatalf("row holds overrides %v for classes %v, want one for class 50", res.over, res.widths)
+	if len(res.over) != 1 || !reflect.DeepEqual(res.widths, []int64{100, 50}) || !reflect.DeepEqual(res.overOff, []int32{0, 0, 1}) {
+		t.Fatalf("row holds overrides %v at %v for classes %v, want one for class 50", res.over, res.overOff, res.widths)
 	}
 }
 
@@ -70,19 +70,14 @@ func TestRowSurvivesIncrementalRefreeze(t *testing.T) {
 	old := inc.AllPairs().From(1)  // will be recomputed; the old row is kept here
 
 	// A link change alone: the flush re-freezes over the same node list.
-	g.setArc(2, 3, 90, 10)
-	inc.OutChanged(2)
+	g.setArcReported(2, 3, 90, 10, inc)
 	inc.Flush()
 
 	// Node 0 joins ahead of every index and node 2 leaves.
 	g.addNode(0)
 	inc.NodeAdded(0)
-	g.addArc(0, 1, 5, 5)
-	inc.OutChanged(0)
-	for _, u := range g.removeNode(2) {
-		inc.OutChanged(u)
-	}
-	inc.NodeRemoved(2)
+	g.addArcReported(0, 1, 5, 5, inc)
+	g.removeNodeReported(2, inc)
 	inc.Flush()
 	assertMatchesScratch(t, inc, g)
 
@@ -127,32 +122,67 @@ func reachers(g *testGraph, u int) []int {
 	return out
 }
 
-// TestOutChangedDirtiesExactlyTheReachers checks, on sparse random graphs with
-// dead arcs and isolated nodes, that OutChanged(u) queues exactly the rows
-// whose sources reach u, for the eager and the lazy table alike. The rows'
-// own reached sets are all either table has to go by.
-func TestOutChangedDirtiesExactlyTheReachers(t *testing.T) {
+// TestArcChangedDirtiesOnlyMovableRows checks, on sparse random graphs with
+// dead arcs, parallel arcs and isolated nodes, every kind of arc change
+// against every row: the eager and the lazy table queue the same rows, only
+// rows whose sources reach the arc's tail, and every row they keep equals a
+// fresh row on the changed graph.
+func TestArcChangedDirtiesOnlyMovableRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	var kept, dirtied int
 	for trial := 0; trial < 25; trial++ {
 		g := messyRandomGraph(rng, 4+rng.Intn(12), 0.12)
 		for _, u := range g.Nodes() {
-			want := reachers(g, u)
-
+			nodes := g.Nodes()
+			v := nodes[rng.Intn(len(nodes))]
+			if u == v {
+				continue
+			}
+			mayMove := reachers(g, u)
 			inc := NewIncremental(g, 1, nil)
-			inc.OutChanged(u)
-			if got := inc.Dirty(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d eager OutChanged(%d): dirty %v, want %v", trial, u, got, want)
-			}
-
 			lt := NewLazyAllPairs(g, nil)
-			lt.Prefetch(g.Nodes(), 1)
-			lt.OutChanged(u)
-			if got := lt.Dirty(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d lazy OutChanged(%d): dirty %v, want %v", trial, u, got, want)
+			lt.Prefetch(nodes, 1)
+			before := map[int]*Result{}
+			for _, src := range nodes {
+				before[src] = inc.AllPairs().From(src)
 			}
-			if n := lt.Flush(); n != len(want) {
-				t.Fatalf("trial %d lazy flush evicted %d rows, want %d", trial, n, len(want))
+			// Narrow (maybe to nothing: a dead arc is an absent one) or widen
+			// the first arc u -> v, or add one.
+			if b := g.arcBW(u, v); b > 0 {
+				nb := b + 1 + rng.Int63n(100)
+				if rng.Intn(2) == 0 {
+					nb = b - 1 - rng.Int63n(b)
+				}
+				for i, a := range g.adj[u] {
+					if a.To == v {
+						g.adj[u][i].Bandwidth = nb
+						break
+					}
+				}
+				inc.ArcChanged(u, v, b, nb)
+				lt.ArcChanged(u, v, b, nb)
+			} else {
+				g.addArcReported(u, v, 1+rng.Int63n(100), rng.Int63n(1000), inc, lt)
+			}
+			dirty := inc.Dirty()
+			if got := lt.Dirty(); !reflect.DeepEqual(got, dirty) {
+				t.Fatalf("trial %d arc %d->%d: lazy dirty %v, eager %v", trial, u, v, got, dirty)
+			}
+			for _, src := range dirty {
+				if i := sort.SearchInts(mayMove, src); i == len(mayMove) || mayMove[i] != src {
+					t.Fatalf("trial %d arc %d->%d: dirtied row %d, which does not reach %d", trial, u, v, src, u)
+				}
+			}
+			assertMatchesScratch(t, inc, g)
+			assertLazyMatchesEager(t, lt, g)
+			for _, src := range nodes {
+				if inc.AllPairs().From(src) == before[src] {
+					kept++
+				} else {
+					dirtied++
+				}
 			}
 		}
 	}
+	t.Logf("%d rows kept, %d recomputed", kept, dirtied)
 }

@@ -16,8 +16,7 @@ func TestSnapshotIsImmutableUnderFlushes(t *testing.T) {
 	}
 
 	// Mutate: cut the chain in the middle and flush the live table.
-	g.dropArcTo(3, 4)
-	inc.OutChanged(3)
+	g.dropArcReported(3, 4, inc)
 	inc.Flush()
 
 	// The live table moved on...

@@ -4,11 +4,12 @@
 // on it — is maintained under mutation events instead of rebuilt per solve.
 //
 // Every overlay change (a link re-weighted, added or removed; an instance
-// joining or leaving) flows through the session, which translates it into
-// exact per-source dirty sets via qos.Incremental's reverse-dependency
-// index. A solve after k changed links recomputes only the sources that
-// could reach a changed node, not all of them; on single-link churn that is
-// typically a small fraction of the overlay (see results/bench-dynamics.txt).
+// joining or leaving) flows through the session as the bandwidth change of
+// each arc it touched, which qos.Incremental checks against every row's own
+// widths and tree arcs. A solve after k changed links recomputes only the
+// sources whose rows those changes could move, not all of them; on
+// single-link churn that is typically a small fraction of the overlay (see
+// results/bench-dynamics.txt).
 //
 // The maintained caches are provably equivalent to from-scratch rebuilds —
 // not just metric-equal but byte-identical, selected paths included — which
@@ -191,14 +192,18 @@ func (s *Session) RemoveInstance(nid int) error {
 // removeInstance is RemoveInstance without the misuse guard, for internal
 // reuse from already-guarded paths (RepairPartial's removal callback).
 func (s *Session) removeInstance(nid int) error {
-	// Capture the in-neighbors before the overlay drops them: their
-	// out-arc lists are about to shrink.
+	// Capture the incident arcs before the overlay drops them: each one
+	// goes to 0.
+	outs := append([]qos.Arc(nil), s.ov.Out(nid)...)
 	ins := append([]qos.Arc(nil), s.ov.In(nid)...)
 	if err := s.ov.RemoveInstance(nid); err != nil {
 		return err
 	}
+	for _, a := range outs {
+		s.inc.ArcChanged(nid, a.To, a.Bandwidth, 0)
+	}
 	for _, a := range ins {
-		s.inc.OutChanged(a.To)
+		s.inc.ArcChanged(a.To, nid, a.Bandwidth, 0)
 	}
 	s.inc.NodeRemoved(nid)
 	s.event()
@@ -212,7 +217,7 @@ func (s *Session) AddLink(from, to int, bandwidth, latency int64) error {
 	if err := s.ov.AddLink(from, to, bandwidth, latency); err != nil {
 		return err
 	}
-	s.inc.OutChanged(from)
+	s.inc.ArcChanged(from, to, 0, bandwidth)
 	s.event()
 	return nil
 }
@@ -221,10 +226,11 @@ func (s *Session) AddLink(from, to int, bandwidth, latency int64) error {
 func (s *Session) RemoveLink(from, to int) error {
 	s.enter("RemoveLink")
 	defer s.exit()
+	cur, _ := s.ov.LinkMetric(from, to)
 	if err := s.ov.RemoveLink(from, to); err != nil {
 		return err
 	}
-	s.inc.OutChanged(from)
+	s.inc.ArcChanged(from, to, cur.Bandwidth, 0)
 	s.event()
 	return nil
 }
@@ -234,10 +240,11 @@ func (s *Session) RemoveLink(from, to int) error {
 func (s *Session) GrowLinkBandwidth(from, to int, delta int64) error {
 	s.enter("GrowLinkBandwidth")
 	defer s.exit()
+	cur, _ := s.ov.LinkMetric(from, to)
 	if err := s.ov.GrowLinkBandwidth(from, to, delta); err != nil {
 		return err
 	}
-	s.inc.OutChanged(from)
+	s.inc.ArcChanged(from, to, cur.Bandwidth, cur.Bandwidth+delta)
 	s.event()
 	return nil
 }
@@ -248,10 +255,11 @@ func (s *Session) GrowLinkBandwidth(from, to int, delta int64) error {
 func (s *Session) ReduceLinkBandwidth(from, to int, delta int64) error {
 	s.enter("ReduceLinkBandwidth")
 	defer s.exit()
+	cur, _ := s.ov.LinkMetric(from, to)
 	if err := s.ov.ReduceLinkBandwidth(from, to, delta); err != nil {
 		return err
 	}
-	s.inc.OutChanged(from)
+	s.inc.ArcChanged(from, to, cur.Bandwidth, max(cur.Bandwidth-delta, 0))
 	s.event()
 	return nil
 }
@@ -267,7 +275,7 @@ func (s *Session) Flush() int {
 
 // flush is Flush without the misuse guard, for internal reuse.
 func (s *Session) flush() int {
-	if len(s.inc.Dirty()) == 0 {
+	if !s.inc.Pending() {
 		return 0
 	}
 	start := time.Now()
