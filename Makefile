@@ -137,12 +137,14 @@ bench-check:
 
 # Tiered-kernel gate: the per-row shortest-widest sweep across bandwidth
 # palette sizes (tiers 1, 3, 6, 12 on a 2000-node GenerateLarge-shaped
-# graph), gated against the committed BENCH_hotpath.json baseline. The tier
-# sweep is what the phase-2 early exit and the monotone bucket queue exist
-# for, so it gets its own CI leg; the same calibration normalization as
-# bench-check cancels runner speed out. The sweep also matches HOTBENCH (the
-# regex BenchmarkShortestWidest is a prefix of its name), so bench-json
-# records its baseline alongside the other kernels.
+# graph, and tiers 6 at 10000 nodes, the lazy-large overlay's size), gated
+# against the committed BENCH_hotpath.json baseline. The tier sweep is what
+# the phase-2 early exit and the monotone bucket queues with their
+# rank-bitmap drain exist for, so it gets its own CI leg; the same
+# calibration normalization as bench-check cancels runner speed out. The
+# sweep also matches HOTBENCH (the regex BenchmarkShortestWidest is a prefix
+# of its name), so bench-json records its baseline alongside the other
+# kernels.
 KERNELBENCH ?= BenchmarkShortestWidestTiers|BenchmarkAllPairs
 bench-kernel:
 	@mkdir -p $(FRESHDIR)
@@ -270,7 +272,8 @@ vulncheck:
 # the incremental-invalidation oracles (link-state views, lazy routing rows
 # with a bounded LRU table running the same trace, and the eager table's
 # arc-delta rules with its patched freeze), the
-# bucket-vs-heap kernel equivalence over fuzz-built graphs, the layered
+# bucket-vs-heap kernel equivalence over fuzz-built graphs declared in
+# permuted id order (the rank-bitmap drains), the layered
 # placement DP against the map oracle over fuzz-built tied overlays, and the
 # slice-backed digraph against its map-backed oracle over fuzzed edits.
 fuzz:

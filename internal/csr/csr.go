@@ -12,6 +12,7 @@
 package csr
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -36,9 +37,10 @@ type Arc struct {
 // To/BW/Lat arrays; To holds dense indexes (not external ids). IDs maps a
 // dense index back to the external node identifier it froze.
 //
-// The node mapping (IDs and the id -> index map behind Index) is immutable
-// once a freeze returns, even across FreezeInto and SetArc: a re-freeze
-// installs a new mapping or keeps the old one, it never writes into it.
+// The node mapping (IDs, Rank, ByRank and the id -> index map behind Index)
+// is immutable once a freeze returns, even across FreezeInto and SetArc: a
+// re-freeze installs a new mapping or keeps the old one, it never writes into
+// it.
 // Values computed from a frozen graph (routing rows) may therefore keep both
 // halves for as long as they live. The arc arrays carry no such promise.
 type Graph struct {
@@ -47,6 +49,13 @@ type Graph struct {
 	To  []int32 // arc targets as dense indexes
 	BW  []int64 // arc bandwidths (Kbit/s); <= 0 means unusable, kept verbatim
 	Lat []int64 // arc latencies (microseconds)
+
+	// Rank maps a dense index to its position in ascending external-id
+	// order, and ByRank is its inverse: comparing ranks orders nodes by id
+	// without reading IDs. Both belong to the node mapping. A graph whose ids
+	// are declared ascending has the identity here.
+	Rank   []int32
+	ByRank []int32
 
 	// MinLat and MaxLat bound the latencies of the usable arcs (BW > 0),
 	// computed once at freeze time. Kernel implementations use them to pick a
@@ -155,8 +164,28 @@ func FreezeInto(g *Graph, nodes []int, arcs func(u int, emit func(to int, bw, la
 	if g.MinLat > g.MaxLat { // no usable arc
 		g.MinLat, g.MaxLat = 0, 0
 	}
+	if !kept {
+		g.Rank, g.ByRank = ranks(g.IDs)
+	}
 	g.Gen = freezeGen.Add(1)
 	return g
+}
+
+// ranks returns each index's position in ascending id order and the inverse
+// permutation. Ids declared ascending, the common case, skip the sort.
+func ranks(ids []int) (rank, byRank []int32) {
+	byRank = make([]int32, len(ids))
+	for i := range byRank {
+		byRank[i] = int32(i)
+	}
+	if !slices.IsSorted(ids) {
+		slices.SortFunc(byRank, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
+	}
+	rank = make([]int32, len(ids))
+	for r, i := range byRank {
+		rank[i] = int32(r)
+	}
+	return rank, byRank
 }
 
 // Slot returns the position of arc u -> v (dense indexes) in u's out-row,

@@ -103,6 +103,25 @@ func TestFreezeImplicitTarget(t *testing.T) {
 	}
 }
 
+// TestFreezeRank pins the rank half of the mapping: each index's position in
+// ascending id order over declared and implicit nodes alike, its inverse, and
+// the identity for ids declared ascending.
+func TestFreezeRank(t *testing.T) {
+	g := adj{
+		nodes: []int{7, 3, 50},
+		out:   map[int][]csr.Arc{50: {{To: 5, Bandwidth: 1, Latency: 1}}},
+	}
+	cg := g.freeze(nil) // IDs 7, 3, 50 and the implicit 5
+	if !reflect.DeepEqual(cg.Rank, []int32{2, 0, 3, 1}) || !reflect.DeepEqual(cg.ByRank, []int32{1, 3, 0, 2}) {
+		t.Fatalf("Rank = %v, ByRank = %v", cg.Rank, cg.ByRank)
+	}
+	asc := adj{nodes: []int{1, 4, 9}, out: map[int][]csr.Arc{}}
+	cg = asc.freeze(nil)
+	if !reflect.DeepEqual(cg.Rank, []int32{0, 1, 2}) || !reflect.DeepEqual(cg.ByRank, []int32{0, 1, 2}) {
+		t.Fatalf("ascending ids: Rank = %v, ByRank = %v", cg.Rank, cg.ByRank)
+	}
+}
+
 func TestThawRoundTripWithGapsAndIsolates(t *testing.T) {
 	g := adj{
 		nodes: []int{100, 5, 62, 9}, // gappy ids, 9 isolated
@@ -167,18 +186,20 @@ func TestFreezeIntoNeverRewritesTheMapping(t *testing.T) {
 		out:   map[int][]csr.Arc{7: {{To: 3, Bandwidth: 10, Latency: 1}}},
 	}
 	cg := g.freeze(nil)
-	ids, idx := cg.IDs, cg.IndexMap()
+	ids, idx, rank := cg.IDs, cg.IndexMap(), cg.Rank
 	unchanged := func(when string) {
 		t.Helper()
-		if !reflect.DeepEqual(ids, []int{7, 3, 50}) || !reflect.DeepEqual(idx, map[int]int32{7: 0, 3: 1, 50: 2}) {
-			t.Fatalf("%s: the first freeze's mapping became %v / %v", when, ids, idx)
+		if !reflect.DeepEqual(ids, []int{7, 3, 50}) || !reflect.DeepEqual(idx, map[int]int32{7: 0, 3: 1, 50: 2}) ||
+			!reflect.DeepEqual(rank, []int32{1, 0, 2}) {
+			t.Fatalf("%s: the first freeze's mapping became %v / %v / %v", when, ids, idx, rank)
 		}
 	}
 
 	// Links change, nodes do not: the mapping is kept, not rebuilt.
 	g.out[3] = []csr.Arc{{To: 50, Bandwidth: 4, Latency: 4}}
 	g.freeze(cg)
-	if &cg.IDs[0] != &ids[0] || reflect.ValueOf(cg.IndexMap()).Pointer() != reflect.ValueOf(idx).Pointer() {
+	if &cg.IDs[0] != &ids[0] || &cg.Rank[0] != &rank[0] ||
+		reflect.ValueOf(cg.IndexMap()).Pointer() != reflect.ValueOf(idx).Pointer() {
 		t.Fatal("a re-freeze over the same node list rebuilt the mapping")
 	}
 

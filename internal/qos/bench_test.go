@@ -198,19 +198,20 @@ func largeTierGraph(n, degree, tiers int) *testGraph {
 // width class costs one (early-exited) phase-2 latency run, so the tier count
 // is the kernel's per-row multiplier. tiers=1 is the single-class floor,
 // tiers=6 the GenerateLarge default the `make bench-kernel` gate watches,
-// tiers=12 the stress end. B/row is what the returned row owns
+// tiers=12 the stress end; tiers=6/n=10000 is the row of the lazy-large
+// benchmark workload's overlay size. B/row is what the returned row owns
 // (Result.Bytes): more tiers mean more per-class parent overrides.
 func BenchmarkShortestWidestTiers(b *testing.B) {
-	for _, tiers := range []int{1, 3, 6, 12} {
-		g := largeTierGraph(2000, 3, tiers)
-		b.Run(fmt.Sprintf("tiers=%d/n=2000", tiers), func(b *testing.B) {
+	for _, leg := range []struct{ tiers, n int }{{1, 2000}, {3, 2000}, {6, 2000}, {12, 2000}, {6, 10000}} {
+		g := largeTierGraph(leg.n, 3, leg.tiers)
+		b.Run(fmt.Sprintf("tiers=%d/n=%d", leg.tiers, leg.n), func(b *testing.B) {
 			cg := FreezeGraph(g)
 			sc := NewScratch()
 			b.ReportAllocs()
 			b.ResetTimer()
 			rowBytes := 0
 			for i := 0; i < b.N; i++ {
-				rowBytes += ShortestWidestCSR(cg, i%2000, sc).Bytes()
+				rowBytes += ShortestWidestCSR(cg, i%leg.n, sc).Bytes()
 			}
 			b.ReportMetric(float64(rowBytes)/float64(b.N), "B/row")
 		})

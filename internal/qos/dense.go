@@ -27,10 +27,12 @@
 //   - Monotone bucket queue. When the frozen graph's usable-arc latencies
 //     span a small non-negative integer range (true for every scenario
 //     generator in this module), the latency kernel swaps the 4-ary heap for
-//     a Dial-style circular bucket queue: O(1) decrease-key, settle order
-//     recovered exactly by draining each distance bucket through a small
-//     external-id min-heap (ties in Dijkstra are broken by external id in
-//     both engines). Settle order, every Result byte AND the relaxation
+//     a Dial-style circular bucket queue, and the widest kernel keeps one
+//     bucket per bandwidth tier. Both drain each bucket through the same
+//     rank bitmap (rankQueue): a bitset over the nodes' positions in
+//     ascending external-id order, so pops come out in the heap's
+//     (key, external id) order — ties in Dijkstra are broken by external id
+//     in both engines. Settle order, every Result byte AND the relaxation
 //     counter are bit-identical to the heap kernel — FuzzBucketQueue pins
 //     this — so kernel selection is a pure performance choice; graphs
 //     outside the bucket regime fall back to the heap automatically.
@@ -44,6 +46,7 @@
 package qos
 
 import (
+	"math/bits"
 	"slices"
 
 	"sflow/internal/csr"
@@ -87,10 +90,10 @@ const (
 )
 
 // Scratch holds the per-worker reusable state of the dense kernels: distance
-// and predecessor arrays, the indexed 4-ary heap, the bucket queue, and the
-// row builder's buffers. A Scratch grows to the largest graph it has seen and is
-// then reused without allocating, so steady-state relaxations allocate
-// nothing. It is owned by exactly one goroutine at a time and must not be
+// and predecessor arrays, the indexed 4-ary heap, the bucket queue and its
+// rank-bitmap drain, and the row builder's buffers. A Scratch grows to the
+// largest graph it has seen and is then reused without allocating, so
+// steady-state relaxations allocate nothing. It is owned by exactly one goroutine at a time and must not be
 // shared concurrently; ComputeAllPairsWorkers and Incremental.Flush thread
 // one per worker.
 type Scratch struct {
@@ -105,7 +108,7 @@ type Scratch struct {
 	heap  []int32 // the 4-ary min-heap, as dense indexes
 
 	buckets [][]int32 // circular distance buckets of the Dial queue
-	cur     []int32   // external-id min-heap draining the current bucket
+	drain   rankQueue // the bucket being settled, in external-id order
 
 	// view is the derived arc data of the graph the kernels last ran on:
 	// either own, rebuilt here when (graph, Gen) changes, or a view its
@@ -129,6 +132,7 @@ func NewScratch() *Scratch { return &Scratch{} }
 
 // ensure sizes the per-node arrays for an n-node graph, reusing capacity.
 func (sc *Scratch) ensure(n int) {
+	sc.drain.ensure(n)
 	if cap(sc.width) >= n {
 		sc.width = sc.width[:n]
 		sc.lat = sc.lat[:n]
@@ -150,15 +154,79 @@ func (sc *Scratch) ensure(n int) {
 	sc.hpos = make([]int32, n)
 }
 
-// less is the heap order: smaller key first, external id breaking ties. It
-// is a strict total order (ids are unique), which is what makes the settle
-// order — and through it the whole computation — deterministic and equal to
-// the oracle's.
+// less is the heap order: smaller key first, external id (compared as rank)
+// breaking ties. It is a strict total order (ids are unique), which is what
+// makes the settle order — and through it the whole computation —
+// deterministic and equal to the oracle's.
 func (sc *Scratch) less(g *csr.Graph, a, b int32) bool {
 	if sc.key[a] != sc.key[b] {
 		return sc.key[a] < sc.key[b]
 	}
-	return g.IDs[a] < g.IDs[b]
+	return g.Rank[a] < g.Rank[b]
+}
+
+// rankQueue is the one within-bucket drain of both bucket kernels: a
+// two-level bitset over node ranks (csr.Graph.Rank). Every node in it shares
+// the bucket's key, so popping the lowest rank first is popping in
+// (key, external id) order — the heap kernels' order, hence their settle
+// order. A push sets two bits and a pop is two trailing-zero counts; pops
+// scan the summary words from the lowest one a push may have set, so a
+// 50,000-node graph's 13 summary words are not rescanned per pop. The queue
+// is empty between kernel runs: a run pops it dry or clears it.
+type rankQueue struct {
+	bits []uint64 // bit r%64 of word r/64: rank r is queued
+	sum  []uint64 // bit w%64 of word w/64: bits[w] is non-zero
+	from int      // no sum word below from is non-zero
+}
+
+// ensure sizes the queue for ranks below n. The queue is empty, so every
+// word up to capacity is zero.
+func (q *rankQueue) ensure(n int) {
+	nb := (n + 63) >> 6
+	ns := (nb + 63) >> 6
+	if cap(q.bits) < nb {
+		q.bits = make([]uint64, nb)
+	}
+	if cap(q.sum) < ns {
+		q.sum = make([]uint64, ns)
+	}
+	q.bits, q.sum, q.from = q.bits[:nb], q.sum[:ns], ns
+}
+
+// push queues rank r; r must not be queued already.
+func (q *rankQueue) push(r int32) {
+	w := int(r) >> 6
+	q.bits[w] |= 1 << (r & 63)
+	s := w >> 6
+	q.sum[s] |= 1 << (w & 63)
+	q.from = min(q.from, s)
+}
+
+// pop removes and returns the lowest queued rank, or -1 when empty.
+func (q *rankQueue) pop() int32 {
+	for ; q.from < len(q.sum); q.from++ {
+		if x := q.sum[q.from]; x != 0 {
+			w := q.from<<6 | bits.TrailingZeros64(x)
+			y := q.bits[w]
+			q.bits[w] &= y - 1
+			if y&(y-1) == 0 {
+				q.sum[q.from] &= x - 1
+			}
+			return int32(w<<6 | bits.TrailingZeros64(y))
+		}
+	}
+	return -1
+}
+
+// clear empties the queue, zeroing only the words it holds bits in.
+func (q *rankQueue) clear() {
+	for s := q.from; s < len(q.sum); s++ {
+		for x := q.sum[s]; x != 0; x &= x - 1 {
+			q.bits[s<<6|bits.TrailingZeros64(x)] = 0
+		}
+		q.sum[s] = 0
+	}
+	q.from = len(q.sum)
 }
 
 // heapFix inserts v with the given key, or sifts it up after a key decrease.
@@ -413,11 +481,11 @@ func (sc *Scratch) denseWidest(g *csr.Graph, src int32, relaxed *int64) {
 // take values from the arc-bandwidth palette (plus InfBandwidth at the
 // source), tentative widths only ever improve, and the settle width is
 // monotone non-increasing — so one bucket per palette tier, visited widest
-// to narrowest and drained through the external-id min-heap, reproduces the
-// heap kernel's (width, external id) settle order exactly. An improvement to
-// the width currently settling re-enters the current drain heap (cand ==
-// wu); a narrower improvement lands in its own tier's bucket (cand == the
-// arc's bandwidth, precomputed as arcTier).
+// to narrowest and drained through the rank bitmap, reproduces the heap
+// kernel's (width, external id) settle order exactly. An improvement to the
+// width currently settling joins the drain (cand == wu); a narrower
+// improvement lands in its own tier's bucket (cand == the arc's bandwidth,
+// precomputed as tier).
 func (sc *Scratch) denseWidestBucket(g *csr.Graph, src int32, relaxed *int64) {
 	n := int32(g.Len())
 	for i := int32(0); i < n; i++ {
@@ -439,78 +507,40 @@ func (sc *Scratch) denseWidestBucket(g *csr.Graph, src int32, relaxed *int64) {
 	pending := 1
 
 	off, to, bws := g.Off, sc.view.to, sc.view.bw
-	ids := g.IDs
+	width, done, prev := sc.width, sc.done, sc.prev1
+	rank, byRank, q := g.Rank, g.ByRank, &sc.drain
+	var rx int64 // relaxations, added to *relaxed on return
 	for k := 0; pending > 0; k++ {
 		bkt := sc.buckets[k]
-		if len(bkt) == 0 {
-			continue
-		}
 		sc.buckets[k] = bkt[:0]
-		cur := sc.cur[:0]
 		for _, v := range bkt {
-			if sc.done[v] || sc.width[v] != pal[k] {
+			if done[v] || width[v] != pal[k] {
 				pending-- // stale: superseded by a wider improvement
 				continue
 			}
-			cur = append(cur, v)
-			for c := len(cur) - 1; c > 0; {
-				p := (c - 1) / 2
-				if ids[cur[p]] <= ids[cur[c]] {
-					break
-				}
-				cur[p], cur[c] = cur[c], cur[p]
-				c = p
-			}
+			q.push(rank[v])
 		}
-		for len(cur) > 0 {
-			u := cur[0]
-			last := len(cur) - 1
-			cur[0] = cur[last]
-			cur = cur[:last]
-			for c := 0; ; {
-				best := c
-				if l := 2*c + 1; l < last && ids[cur[l]] < ids[cur[best]] {
-					best = l
-				}
-				if r := 2*c + 2; r < last && ids[cur[r]] < ids[cur[best]] {
-					best = r
-				}
-				if best == c {
-					break
-				}
-				cur[c], cur[best] = cur[best], cur[c]
-				c = best
-			}
+		for r := q.pop(); r >= 0; r = q.pop() {
+			u := byRank[r]
 			pending--
-			sc.done[u] = true
-			wu := sc.width[u]
+			done[u] = true
+			wu := width[u]
 			for e := off[u]; e < off[u+1]; e++ {
 				bw := bws[e]
 				if bw <= 0 {
 					break // row is widest-first: only dead arcs remain
 				}
 				v := to[e]
-				if sc.done[v] {
+				if done[v] {
 					continue
 				}
-				*relaxed++
-				cand := wu
-				if bw < cand {
-					cand = bw
-				}
-				if cand > sc.width[v] {
-					sc.width[v] = cand
-					sc.prev1[v] = u
+				rx++
+				cand := min(wu, bw)
+				if cand > width[v] {
+					width[v] = cand
+					prev[v] = u
 					if cand == wu {
-						cur = append(cur, v)
-						for c := len(cur) - 1; c > 0; {
-							p := (c - 1) / 2
-							if ids[cur[p]] <= ids[cur[c]] {
-								break
-							}
-							cur[p], cur[c] = cur[c], cur[p]
-							c = p
-						}
+						q.push(rank[v])
 					} else {
 						sc.buckets[tier[e]] = append(sc.buckets[tier[e]], v)
 					}
@@ -518,8 +548,8 @@ func (sc *Scratch) denseWidestBucket(g *csr.Graph, src int32, relaxed *int64) {
 				}
 			}
 		}
-		sc.cur = cur[:0]
 	}
+	*relaxed += rx
 }
 
 // denseWidestHeap is the 4-ary-heap widest kernel, the fallback for graphs
@@ -651,30 +681,15 @@ func (sc *Scratch) denseLatencyHeap(g *csr.Graph, src int32, minBW int64, relaxe
 	}
 }
 
-// smallDrain is the bucket-transfer size at or below which a bucket is
-// drained as an insertion-sorted array instead of a binary heap. Bucket
-// populations are tiny in practice (settles spread across the latency range),
-// so the sorted array's branch-predictable inserts beat the heap's sift
-// bookkeeping; large transfers (constant-latency waves) keep the heap's
-// O(log k) bound. Both disciplines emit ascending external-id order, so the
-// choice is invisible in any Result byte.
-const smallDrain = 32
-
 // denseLatencyBucket is the Dial bucket-queue latency kernel. Distances are
 // monotone non-decreasing in Dijkstra, and every usable arc latency lies in
 // [0, MaxLat], so at any moment all queued tentative distances fit in a
-// circular window of MaxLat+1 buckets. Each bucket is drained in ascending
-// external-id order (sorted array for small transfers, min-heap for large —
-// see smallDrain), which reproduces the heap kernel's (distance, external id)
-// settle order exactly: zero-latency relaxations discovered mid-drain re-enter
-// the current drain, later-distance ones land in their bucket. Stale entries
+// circular window of MaxLat+1 buckets. Each bucket is drained through the
+// rank bitmap, which reproduces the heap kernel's (distance, external id)
+// settle order exactly: zero-latency relaxations discovered mid-drain join
+// the drain, later-distance ones land in their bucket. Stale entries
 // (superseded by a strictly better relaxation) are skipped on transfer,
 // exactly like a lazy-deletion heap would.
-//
-// A zero-latency chain can grow a sorted drain past smallDrain with O(len)
-// inserts; that degenerate shape (a large same-distance frontier reached
-// through 0-latency arcs) appears in no scenario generator and still
-// terminates correctly, just without the heap bound.
 func (sc *Scratch) denseLatencyBucket(g *csr.Graph, src int32, minBW int64, relaxed *int64, stopWidth int64, stopLeft int) {
 	n := int32(g.Len())
 	for i := int32(0); i < n; i++ {
@@ -696,122 +711,28 @@ func (sc *Scratch) denseLatencyBucket(g *csr.Graph, src int32, minBW int64, rela
 	pending := 1
 
 	off, to, bws, lats := g.Off, sc.view.to, sc.view.bw, sc.view.lat
-	ids := g.IDs
+	lat, done, width, prev, arc := sc.lat, sc.done, sc.width, sc.prev2, sc.arc2
+	rank, byRank, q := g.Rank, g.ByRank, &sc.drain
+	var rx int64 // relaxations, added to *relaxed on return
 	bi := 0
 	for d := int64(0); pending > 0; d++ {
-		bkt := sc.buckets[bi]
-		if len(bkt) > 0 {
+		if bkt := sc.buckets[bi]; len(bkt) > 0 {
 			sc.buckets[bi] = bkt[:0]
-			cur := sc.cur[:0]
 			for _, v := range bkt {
-				if sc.done[v] || sc.lat[v] != d {
+				if done[v] || lat[v] != d {
 					pending-- // stale: a strictly better relaxation superseded it
 					continue
 				}
-				cur = append(cur, v)
+				q.push(rank[v])
 			}
-			if len(cur) <= smallDrain {
-				// Sorted-array drain: ascending external-id order, settle by
-				// walking the array; same-distance discoveries insert into the
-				// unsettled suffix.
-				for i := 1; i < len(cur); i++ {
-					x := cur[i]
-					j := i - 1
-					for j >= 0 && ids[cur[j]] > ids[x] {
-						cur[j+1] = cur[j]
-						j--
-					}
-					cur[j+1] = x
-				}
-				for i := 0; i < len(cur); i++ {
-					u := cur[i]
-					pending--
-					sc.done[u] = true
-					if stopLeft >= 0 && u != src && sc.width[u] == stopWidth {
-						if stopLeft--; stopLeft <= 0 {
-							sc.cur = cur[:0]
-							return
-						}
-					}
-					for e := off[u]; e < off[u+1]; e++ {
-						bw := bws[e]
-						if bw < minBW {
-							break // row is widest-first: the rest is too narrow
-						}
-						v := to[e]
-						if sc.done[v] {
-							continue
-						}
-						*relaxed++
-						cand := d + lats[e]
-						if curLat := sc.lat[v]; curLat < 0 || cand < curLat {
-							sc.lat[v] = cand
-							sc.prev2[v] = u
-							sc.arc2[v] = e
-							if cand == d {
-								// Zero-latency arc: v settles in this same
-								// drain, in external-id order with the rest.
-								cur = append(cur, v)
-								j := len(cur) - 2
-								for j > i && ids[cur[j]] > ids[v] {
-									cur[j+1] = cur[j]
-									j--
-								}
-								cur[j+1] = v
-							} else {
-								// cand - d = lats[e] < nb, so the target bucket
-								// is one conditional step from bi — no division.
-								b := bi + int(lats[e])
-								if b >= nb {
-									b -= nb
-								}
-								sc.buckets[b] = append(sc.buckets[b], v)
-							}
-							pending++
-						} else if cand == curLat && sc.prev2[v] == u && bws[e] > bws[sc.arc2[v]] {
-							sc.arc2[v] = e
-						}
-					}
-				}
-				sc.cur = cur[:0]
-				goto advance
-			}
-			// Heap drain: establish the heap invariant over the transfer,
-			// then pop ascending external ids.
-			for i := 1; i < len(cur); i++ {
-				for c := i; c > 0; {
-					p := (c - 1) / 2
-					if ids[cur[p]] <= ids[cur[c]] {
-						break
-					}
-					cur[p], cur[c] = cur[c], cur[p]
-					c = p
-				}
-			}
-			for len(cur) > 0 {
-				u := cur[0]
-				last := len(cur) - 1
-				cur[0] = cur[last]
-				cur = cur[:last]
-				for c := 0; ; {
-					best := c
-					if l := 2*c + 1; l < last && ids[cur[l]] < ids[cur[best]] {
-						best = l
-					}
-					if r := 2*c + 2; r < last && ids[cur[r]] < ids[cur[best]] {
-						best = r
-					}
-					if best == c {
-						break
-					}
-					cur[c], cur[best] = cur[best], cur[c]
-					c = best
-				}
+			for r := q.pop(); r >= 0; r = q.pop() {
+				u := byRank[r]
 				pending--
-				sc.done[u] = true
-				if stopLeft >= 0 && u != src && sc.width[u] == stopWidth {
+				done[u] = true
+				if stopLeft >= 0 && u != src && width[u] == stopWidth {
 					if stopLeft--; stopLeft <= 0 {
-						sc.cur = cur[:0]
+						q.clear()
+						*relaxed += rx
 						return
 					}
 				}
@@ -821,28 +742,20 @@ func (sc *Scratch) denseLatencyBucket(g *csr.Graph, src int32, minBW int64, rela
 						break // row is widest-first: the rest is too narrow
 					}
 					v := to[e]
-					if sc.done[v] {
+					if done[v] {
 						continue
 					}
-					*relaxed++
+					rx++
 					cand := d + lats[e]
-					if curLat := sc.lat[v]; curLat < 0 || cand < curLat {
-						sc.lat[v] = cand
-						sc.prev2[v] = u
-						sc.arc2[v] = e
+					if cur := lat[v]; cur < 0 || cand < cur {
+						lat[v] = cand
+						prev[v] = u
+						arc[v] = e
 						if cand == d {
-							// Zero-latency arc: v settles in this same
-							// bucket, in external-id order with the rest.
-							cur = append(cur, v)
-							for c := len(cur) - 1; c > 0; {
-								p := (c - 1) / 2
-								if ids[cur[p]] <= ids[cur[c]] {
-									break
-								}
-								cur[p], cur[c] = cur[c], cur[p]
-								c = p
-							}
+							q.push(rank[v]) // zero-latency arc: v settles in this drain
 						} else {
+							// cand - d = lats[e] < nb, so the target bucket is
+							// one conditional step from bi — no division.
 							b := bi + int(lats[e])
 							if b >= nb {
 								b -= nb
@@ -850,18 +763,17 @@ func (sc *Scratch) denseLatencyBucket(g *csr.Graph, src int32, minBW int64, rela
 							sc.buckets[b] = append(sc.buckets[b], v)
 						}
 						pending++
-					} else if cand == curLat && sc.prev2[v] == u && bws[e] > bws[sc.arc2[v]] {
-						sc.arc2[v] = e
+					} else if cand == cur && prev[v] == u && bws[e] > bws[arc[v]] {
+						arc[v] = e
 					}
 				}
 			}
-			sc.cur = cur[:0]
 		}
-	advance:
 		if bi++; bi == nb {
 			bi = 0
 		}
 	}
+	*relaxed += rx
 }
 
 // groupWidthClasses groups the phase-1-reached nodes (src excluded) by

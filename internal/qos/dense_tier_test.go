@@ -3,6 +3,8 @@ package qos
 import (
 	"math/rand"
 	"testing"
+
+	"sflow/internal/metrics"
 )
 
 // checkAllSources asserts dense-vs-oracle byte equality for every source of g,
@@ -177,4 +179,69 @@ func TestShortestLatencyParallelArcs(t *testing.T) {
 			t.Fatalf("flip=%v: Metric(3) = %+v, want {60 7}", flip, m)
 		}
 	}
+}
+
+// TestKernelSettleOrderAtScale pins the bucket kernels' settle order on a
+// graph of lazy-large's shape (2000 nodes, 6 bandwidth tiers, latencies
+// 1–100): for 40 seeded sources, default-kernel rows equal heap-forced rows
+// byte for byte, and the summed relaxation tallies equal each other and a
+// constant recorded before the drains moved to the rank bitmap. A drain that
+// settles one tie out of (key, external id) order moves the tally.
+func TestKernelSettleOrderAtScale(t *testing.T) {
+	const wantRelaxations = 1064188
+	g := largeTierGraph(2000, 3, 6)
+	cg := FreezeGraph(g)
+	autoSC, heapSC := NewScratch(), NewScratch()
+	heapSC.forceKernel = kernelHeap
+	autoReg, heapReg := metrics.New(), metrics.New()
+	autoIns, heapIns := instrFor(autoReg), instrFor(heapReg)
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 40; i++ {
+		src := int32(rng.Intn(cg.Len()))
+		requireResultsEqual(t, "settle order at scale",
+			shortestWidestDense(cg, src, autoSC, autoIns), shortestWidestDense(cg, src, heapSC, heapIns))
+	}
+	got := autoReg.Counter("qos_relaxations_total").Value()
+	if heap := heapReg.Counter("qos_relaxations_total").Value(); got != heap {
+		t.Fatalf("relaxations: default kernels %d, heap %d", got, heap)
+	}
+	if got != wantRelaxations {
+		t.Fatalf("relaxations = %d, want %d", got, wantRelaxations)
+	}
+}
+
+// TestKernelZeroLatencyPlateau drives the drains through one wide
+// same-distance plateau: 400 nodes reached from the source at latency 7 and
+// joined by 0-latency arcs, most of them discovered mid-drain and many with
+// an id below the one settling. Bucket, heap and map oracle must agree byte
+// for byte and tally for tally.
+func TestKernelZeroLatencyPlateau(t *testing.T) {
+	const n, plateau = 400, 7
+	rng := rand.New(rand.NewSource(43))
+	g := newTestGraph()
+	for i := 0; i <= n; i++ {
+		g.addNode(2 * i) // node 0 is the source
+	}
+	tier := func() int64 { return int64(1+rng.Intn(4)) * 100 }
+	g.addArc(0, 2*n, tier(), plateau)
+	for i := n; i > 1; i-- {
+		g.addArc(2*i, 2*(i-1), tier(), 0) // descending chain spans the plateau
+		for k := 0; k < 2; k++ {
+			j := 1 + rng.Intn(n)
+			if j != i {
+				g.addArc(2*i, 2*j, tier(), int64(rng.Intn(2)*(1+rng.Intn(20))))
+			}
+		}
+	}
+	row := ShortestLatencyCSR(FreezeGraph(g), 0, nil)
+	level := 0
+	for _, v := range g.Nodes() {
+		if row.Metric(v).Latency == plateau {
+			level++
+		}
+	}
+	if level < 300 {
+		t.Fatalf("%d nodes at latency %d, want a plateau of at least 300", level, plateau)
+	}
+	requireKernelsAgree(t, "plateau", g, []int{0, 2, 2 * n, 2 * (n / 2)})
 }
