@@ -12,7 +12,7 @@ FUZZTIME ?= 30s
 # artifact when a gate fails (compare against the committed baseline offline).
 FRESHDIR ?= .bench-fresh
 
-.PHONY: all build test race race-hot race-session race-daemon race-admit race-reopt race-lazy check smoke cover cover-check bench bench-hotpath bench-json bench-check bench-kernel bench-admit bench-reopt reopt-check bench-lazy lazy-check serve-bench serve-check vet fmt fmt-check lint staticcheck vulncheck fuzz figures results-check examples clean
+.PHONY: all build test race race-hot race-session race-daemon race-admit race-reopt race-lazy check smoke cover cover-check bench bench-hotpath bench-json bench-check bench-kernel bench-admit bench-reopt reopt-check bench-lazy lazy-check serve-bench serve-check vet fmt fmt-check lint staticcheck vulncheck fuzz figures results-check examples examples-check clean
 
 all: build test
 
@@ -269,6 +269,7 @@ vulncheck:
 
 # Short-budget fuzzing of the codec trust boundaries (TCP frame reader,
 # protocol wire codec and the reliability wrapper, CSR freeze round-trip),
+# the dense kernel on a freeze against qos's map oracle on the overlay,
 # the incremental-invalidation oracles (link-state views, lazy routing rows
 # with a bounded LRU table running the same trace, and the eager table's
 # arc-delta rules with its patched freeze), the
@@ -283,6 +284,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/linkstate -run '^$$' -fuzz FuzzLinkstateIncremental -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/csr -run '^$$' -fuzz FuzzFreezeRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/qos -run '^$$' -fuzz FuzzFreezeRouting -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run '^$$' -fuzz FuzzLazyInvalidation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run '^$$' -fuzz FuzzIncrementalArcChanged -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qos -run '^$$' -fuzz FuzzBucketQueue -fuzztime $(FUZZTIME)
@@ -319,12 +321,17 @@ results-check:
 	done; \
 	[ $$status -eq 0 ] && echo "results-check: every committed figure regenerates byte-identical"; exit $$status
 
+EXAMPLES ?= quickstart travel media npcomplete provision failover
+
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/travel
-	$(GO) run ./examples/media
-	$(GO) run ./examples/npcomplete
-	$(GO) run ./examples/provision
+	@for e in $(EXAMPLES); do $(GO) run ./examples/$$e || exit 1; done
+
+# The examples are a checked oracle of the public API: their combined stdout
+# must match examples/expected.txt byte for byte.
+examples-check:
+	@tmp=$$(mktemp); trap 'rm -f $$tmp' EXIT; \
+	for e in $(EXAMPLES); do $(GO) run ./examples/$$e || exit 1; done > $$tmp; \
+	cmp $$tmp examples/expected.txt && echo "examples-check: every example prints examples/expected.txt"
 
 # results/ holds committed reproduced figures — never delete it here.
 clean:

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"sflow/internal/core"
-	"sflow/internal/overlay"
 	"sflow/internal/provision"
 	"sflow/internal/qos"
 )
@@ -196,11 +195,17 @@ func ReplayAdmissions(ov *Overlay, opts AllocatorOptions, log []AdmissionEvent, 
 // FederationAlgorithm shape provisioning and workload replay take: every
 // Algorithms() name dispatches through Solve with the given options, and
 // "sflow" runs the distributed protocol (core Options derived from
-// opts.Metrics; use SFlowAlgorithm for full protocol tuning). An unknown
+// opts.Metrics; close over Federate for full protocol tuning). An unknown
 // name surfaces as ErrUnknownAlgorithm when the algorithm first runs.
 func RegistryAlgorithm(name string, opts SolveOptions) FederationAlgorithm {
 	if name == "sflow" {
-		return federateAlgorithm(Options{Metrics: opts.Metrics})
+		return func(ov *Overlay, req *Requirement, src int) (*FlowGraph, Metric, error) {
+			res, err := core.Federate(ov, req, src, Options{Metrics: opts.Metrics})
+			if err != nil {
+				return nil, qos.Unreachable, err
+			}
+			return res.Flow, res.Metric, nil
+		}
 	}
 	return func(ov *Overlay, req *Requirement, src int) (*FlowGraph, Metric, error) {
 		sol, err := Solve(name, ov, req, src, opts)
@@ -208,16 +213,5 @@ func RegistryAlgorithm(name string, opts SolveOptions) FederationAlgorithm {
 			return nil, qos.Unreachable, err
 		}
 		return sol.Flow, sol.Metric, nil
-	}
-}
-
-// federateAlgorithm adapts the distributed protocol with explicit Options.
-func federateAlgorithm(opts Options) FederationAlgorithm {
-	return func(ov *overlay.Overlay, req *Requirement, src int) (*FlowGraph, Metric, error) {
-		res, err := core.Federate(ov, req, src, opts)
-		if err != nil {
-			return nil, qos.Unreachable, err
-		}
-		return res.Flow, res.Metric, nil
 	}
 }

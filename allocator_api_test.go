@@ -26,36 +26,11 @@ func apiScenario(t testing.TB, seed int64) *sflow.Scenario {
 	return sc
 }
 
-// RegistryAlgorithm must agree byte for byte with the deprecated
-// constructors it replaces, for every registered name they cover.
-func TestRegistryAlgorithmMatchesDeprecatedConstructors(t *testing.T) {
+// RegistryAlgorithm resolves the distributed "sflow" protocol and every name
+// Solve accepts, and no other.
+func TestRegistryAlgorithmResolvesEveryName(t *testing.T) {
 	sc := apiScenario(t, 11)
-	cases := []struct {
-		name       string
-		registry   sflow.FederationAlgorithm
-		deprecated sflow.FederationAlgorithm
-	}{
-		{"fixed", sflow.RegistryAlgorithm("fixed", sflow.SolveOptions{}), sflow.FixedAlgorithm()},
-		{"heuristic", sflow.RegistryAlgorithm("heuristic", sflow.SolveOptions{}), sflow.HeuristicAlgorithm()},
-		{"random", sflow.RegistryAlgorithm("random", sflow.SolveOptions{Rng: rand.New(rand.NewSource(5))}),
-			sflow.RandomAlgorithm(rand.New(rand.NewSource(5)))},
-		{"sflow", sflow.RegistryAlgorithm("sflow", sflow.SolveOptions{}), sflow.SFlowAlgorithm(sflow.Options{})},
-	}
-	for _, c := range cases {
-		gotF, gotM, gotErr := c.registry(sc.Overlay, sc.Req, sc.SourceNID)
-		wantF, wantM, wantErr := c.deprecated(sc.Overlay, sc.Req, sc.SourceNID)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%s: err %v vs %v", c.name, gotErr, wantErr)
-		}
-		if gotM != wantM {
-			t.Fatalf("%s: metric %+v vs %+v", c.name, gotM, wantM)
-		}
-		if !reflect.DeepEqual(gotF.Assignment(), wantF.Assignment()) {
-			t.Fatalf("%s: assignment %v vs %v", c.name, gotF.Assignment(), wantF.Assignment())
-		}
-	}
-	// Every remaining registry name is reachable through the new API too.
-	for _, name := range sflow.Algorithms() {
+	for _, name := range append(sflow.Algorithms(), "sflow") {
 		alg := sflow.RegistryAlgorithm(name, sflow.SolveOptions{})
 		if _, _, err := alg(sc.Overlay, sc.Req, sc.SourceNID); err != nil &&
 			!errors.Is(err, sflow.ErrPartialFederation) &&

@@ -195,7 +195,7 @@ func BenchmarkOptimal(b *testing.B) {
 		sc := benchScenario(b, size, sflow.KindGeneral)
 		b.Run(fmt.Sprintf("n=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sflow.Optimal(sc.Overlay, sc.Req, sc.SourceNID); err != nil {
+				if _, err := sflow.Solve("optimal", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -207,7 +207,7 @@ func BenchmarkOptimal(b *testing.B) {
 func BenchmarkBaseline(b *testing.B) {
 	sc := benchScenario(b, 50, sflow.KindPath)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sflow.Baseline(sc.Overlay, sc.Req, sc.SourceNID); err != nil {
+		if _, err := sflow.Solve("baseline", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -217,7 +217,7 @@ func BenchmarkBaseline(b *testing.B) {
 func BenchmarkHeuristic(b *testing.B) {
 	sc := benchScenario(b, 50, sflow.KindGeneral)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sflow.Heuristic(sc.Overlay, sc.Req, sc.SourceNID); err != nil {
+		if _, err := sflow.Solve("heuristic", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -228,7 +228,7 @@ func BenchmarkControls(b *testing.B) {
 	sc := benchScenario(b, 30, sflow.KindGeneral)
 	b.Run("fixed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sflow.Fixed(sc.Overlay, sc.Req, sc.SourceNID); err != nil {
+			if _, err := sflow.Solve("fixed", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -236,14 +236,14 @@ func BenchmarkControls(b *testing.B) {
 	b.Run("random", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sflow.RandomPlacement(sc.Overlay, sc.Req, sc.SourceNID, rng); err != nil {
+			if _, err := sflow.Solve("random", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{Rng: rng}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("servicepath", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sflow.ServicePath(sc.Overlay, sc.Req, sc.SourceNID); err != nil {
+			if _, err := sflow.Solve("servicepath", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -343,7 +343,7 @@ func BenchmarkWorkloadSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	alg := sflow.FixedAlgorithm()
+	alg := sflow.RegistryAlgorithm("fixed", sflow.SolveOptions{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sflow.SimulateWorkload(sc.Overlay, reqs, alg); err != nil {

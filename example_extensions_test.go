@@ -90,7 +90,11 @@ func ExampleBestChoice() {
 	}
 	res, err := sflow.BestChoice(ov, spec, 1,
 		func(o *sflow.Overlay, r *sflow.Requirement, s int) (*sflow.FlowGraph, sflow.Metric, error) {
-			return sflow.Optimal(o, r, s)
+			sol, err := sflow.Solve("optimal", o, r, s, sflow.SolveOptions{})
+			if err != nil {
+				return nil, sflow.Unreachable, err
+			}
+			return sol.Flow, sol.Metric, nil
 		})
 	if err != nil {
 		panic(err)
@@ -116,7 +120,7 @@ func ExampleSimulateWorkload() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := sflow.SimulateWorkload(sc.Overlay, reqs, sflow.HeuristicAlgorithm())
+	res, err := sflow.SimulateWorkload(sc.Overlay, reqs, sflow.RegistryAlgorithm("heuristic", sflow.SolveOptions{}))
 	if err != nil {
 		panic(err)
 	}

@@ -106,8 +106,15 @@ func run(w io.Writer) error {
 	// The single-service-path algorithm cannot express the parallel
 	// video/audio branches: it federates only the main chain and leaves
 	// the other branch out, which it reports as a partial federation.
-	spFlow, _, err := sflow.ServicePath(ov, req, src)
-	if err != nil && !errors.Is(err, sflow.ErrPartialFederation) {
+	var spFlow *sflow.FlowGraph
+	sp, err := sflow.Solve("servicepath", ov, req, src, sflow.SolveOptions{})
+	var partial *sflow.PartialFederationError
+	switch {
+	case err == nil:
+		spFlow = sp.Flow
+	case errors.As(err, &partial):
+		spFlow = partial.Flow
+	default:
 		return err
 	}
 	fmt.Fprintf(w, "service-path placement covers %d of %d stages (complete: %v):\n",

@@ -48,12 +48,12 @@ func run(w io.Writer) error {
 		res.Stats.Messages, res.Stats.LocalComputations, res.Stats.VirtualTime)
 
 	// Compare with the (exponential) global optimum.
-	opt, optMetric, err := sflow.Optimal(sc.Overlay, sc.Req, sc.SourceNID)
+	opt, err := sflow.Solve("optimal", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "optimal flow graph: %v\n", opt)
-	fmt.Fprintf(w, "  bandwidth %d Kbit/s, latency %d us\n", optMetric.Bandwidth, optMetric.Latency)
-	fmt.Fprintf(w, "correctness coefficient: %.2f\n", res.Flow.CorrectnessCoefficient(opt))
+	fmt.Fprintf(w, "optimal flow graph: %v\n", opt.Flow)
+	fmt.Fprintf(w, "  bandwidth %d Kbit/s, latency %d us\n", opt.Metric.Bandwidth, opt.Metric.Latency)
+	fmt.Fprintf(w, "correctness coefficient: %.2f\n", res.Flow.CorrectnessCoefficient(opt.Flow))
 	return nil
 }

@@ -141,23 +141,23 @@ func run(w io.Writer, emitDOT bool) error {
 		res.Stats.Messages, res.Stats.Recomputations, res.Stats.VirtualTime)
 
 	// How do the controls fare on the same scenario?
-	_, fixedMetric, err := sflow.Fixed(ov, req, source)
+	fixed, err := sflow.Solve("fixed", ov, req, source, sflow.SolveOptions{})
 	if err != nil {
 		return err
 	}
-	_, randMetric, err := sflow.RandomPlacement(ov, req, source, rand.New(rand.NewSource(1)))
+	random, err := sflow.Solve("random", ov, req, source, sflow.SolveOptions{Rng: rand.New(rand.NewSource(1))})
 	if err != nil {
 		return err
 	}
-	_, optMetric, err := sflow.Optimal(ov, req, source)
+	opt, err := sflow.Solve("optimal", ov, req, source, sflow.SolveOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "comparison (bandwidth Kbit/s / latency us):")
-	fmt.Fprintf(w, "  optimal: %6d / %d\n", optMetric.Bandwidth, optMetric.Latency)
+	fmt.Fprintf(w, "  optimal: %6d / %d\n", opt.Metric.Bandwidth, opt.Metric.Latency)
 	fmt.Fprintf(w, "  sflow:   %6d / %d\n", res.Metric.Bandwidth, res.Metric.Latency)
-	fmt.Fprintf(w, "  fixed:   %6d / %d\n", fixedMetric.Bandwidth, fixedMetric.Latency)
-	fmt.Fprintf(w, "  random:  %6d / %d\n", randMetric.Bandwidth, randMetric.Latency)
+	fmt.Fprintf(w, "  fixed:   %6d / %d\n", fixed.Metric.Bandwidth, fixed.Metric.Latency)
+	fmt.Fprintf(w, "  random:  %6d / %d\n", random.Metric.Bandwidth, random.Metric.Latency)
 
 	// Optional services (Fig 2 of the paper): the attraction information
 	// may flow through EITHER the map OR the translator service; the

@@ -37,14 +37,14 @@ func TestIntegrationFullStack(t *testing.T) {
 	}
 
 	// 2. Quality sanity against the global optimum.
-	opt, optMetric, err := sflow.Optimal(sc.Overlay, sc.Req, sc.SourceNID)
+	opt, err := sflow.Solve("optimal", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metric.Better(optMetric) {
-		t.Fatalf("distributed %+v beats optimal %+v", res.Metric, optMetric)
+	if res.Metric.Better(opt.Metric) {
+		t.Fatalf("distributed %+v beats optimal %+v", res.Metric, opt.Metric)
 	}
-	if cc := res.Flow.CorrectnessCoefficient(opt); cc < 0.5 {
+	if cc := res.Flow.CorrectnessCoefficient(opt.Flow); cc < 0.5 {
 		t.Fatalf("correctness %v suspiciously low", cc)
 	}
 
@@ -66,7 +66,7 @@ func TestIntegrationFullStack(t *testing.T) {
 	p := sflow.NewProvisioner(sc.Overlay)
 	admitted := 0
 	for {
-		_, err := p.Admit(sc.Req, sc.SourceNID, 200, sflow.SFlowAlgorithm(sflow.Options{}))
+		_, err := p.Admit(sc.Req, sc.SourceNID, 200, sflow.RegistryAlgorithm("sflow", sflow.SolveOptions{}))
 		if errors.Is(err, sflow.ErrRejected) {
 			break
 		}
@@ -101,10 +101,11 @@ func TestIntegrationAlgorithmInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, optMetric, err := sflow.Optimal(sc.Overlay, sc.Req, sc.SourceNID)
+			opt, err := sflow.Solve("optimal", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{})
 			if err != nil {
 				t.Fatalf("%v seed %d: optimal: %v", kind, seed, err)
 			}
+			optMetric := opt.Metric
 
 			res, err := sflow.Federate(sc.Overlay, sc.Req, sc.SourceNID, sflow.Options{})
 			if err != nil {
@@ -112,24 +113,14 @@ func TestIntegrationAlgorithmInvariants(t *testing.T) {
 			}
 			check(t, kind, seed, "sflow", sc, res.Flow, res.Metric, optMetric)
 
-			hFlow, hMetric, err := sflow.Heuristic(sc.Overlay, sc.Req, sc.SourceNID)
-			if err != nil {
-				t.Fatalf("%v seed %d: heuristic: %v", kind, seed, err)
+			for _, alg := range []string{"heuristic", "fixed", "random"} {
+				sol, err := sflow.Solve(alg, sc.Overlay, sc.Req, sc.SourceNID,
+					sflow.SolveOptions{Rng: rand.New(rand.NewSource(seed))})
+				if err != nil {
+					t.Fatalf("%v seed %d: %s: %v", kind, seed, alg, err)
+				}
+				check(t, kind, seed, alg, sc, sol.Flow, sol.Metric, optMetric)
 			}
-			check(t, kind, seed, "heuristic", sc, hFlow, hMetric, optMetric)
-
-			fFlow, fMetric, err := sflow.Fixed(sc.Overlay, sc.Req, sc.SourceNID)
-			if err != nil {
-				t.Fatalf("%v seed %d: fixed: %v", kind, seed, err)
-			}
-			check(t, kind, seed, "fixed", sc, fFlow, fMetric, optMetric)
-
-			rFlow, rMetric, err := sflow.RandomPlacement(sc.Overlay, sc.Req, sc.SourceNID,
-				rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatalf("%v seed %d: random: %v", kind, seed, err)
-			}
-			check(t, kind, seed, "random", sc, rFlow, rMetric, optMetric)
 		}
 	}
 }

@@ -7,9 +7,9 @@
 // The abstract graph is the bridge between a service requirement and the
 // overlay: federation algorithms pick one instance per service slot, and the
 // abstract edges tell them what that choice costs. The all-pairs table the
-// edges are read from is computed by qos's dense CSR engine (the map-based
-// oracle is retained for equivalence testing; see DESIGN.md, "Hot-path
-// engine").
+// edges are read from is computed by qos's dense CSR engine, the only routing
+// engine outside test code (its map-based oracle lives in qos's tests; see
+// DESIGN.md, "Hot-path engine").
 package abstract
 
 import (

@@ -15,8 +15,9 @@ import (
 )
 
 // oracleSolveChain is SolveChain as it was before the layered DP: the chain's
-// layered graph as a map-adjacency qos.Graph, solved by the map oracle
-// qos.ShortestWidest. The DP must answer exactly what it answers.
+// layered graph as a map-adjacency qos.Graph, solved by a shortest-widest
+// Dijkstra (the CSR kernel, itself pinned to qos's map oracle). The DP must
+// answer exactly what it answers.
 func oracleSolveChain(ag *abstract.Graph, chain []int, src int, pins map[int]int) (*Result, error) {
 	if len(chain) < 2 {
 		return nil, fmt.Errorf("baseline: chain %v too short", chain)
@@ -41,7 +42,7 @@ func oracleSolveChain(ag *abstract.Graph, chain []int, src int, pins map[int]int
 			return nil, fmt.Errorf("baseline: no candidate instance for service %d", sid)
 		}
 	}
-	res := qos.ShortestWidest(newLayeredGraph(ag, layers), src)
+	res := qos.ShortestWidestCSR(qos.FreezeGraph(newLayeredGraph(ag, layers)), src, nil)
 	best, bestMetric := -1, qos.Unreachable
 	for _, nid := range layers[len(layers)-1] {
 		if m := res.Metric(nid); m.Reachable() && (best == -1 || m.Better(bestMetric)) {

@@ -62,8 +62,9 @@ func Build(ov *overlay.Overlay, k int) (*Clustering, error) {
 	}
 	// Symmetric latency distance from shortest-latency routes.
 	dist := make(map[int]map[int]int64, len(nodes))
+	frozen, sc := qos.FreezeGraph(ov), qos.NewScratch()
 	for _, n := range nodes {
-		res := qos.ShortestLatency(ov, n)
+		res := qos.ShortestLatencyCSR(frozen, n, sc)
 		dist[n] = make(map[int]int64, len(nodes))
 		for _, m := range nodes {
 			if r := res.Metric(m); r.Reachable() || n == m {

@@ -166,13 +166,14 @@ func FederateContracted(ov *overlay.Overlay, req *require.Requirement, src, k, w
 	// Inter-cluster quality from shortest-widest runs over the k-node
 	// contracted graph, one memoized row per source cluster actually used.
 	rows := make(map[int]*qos.Result)
+	frozen, sc := qos.FreezeGraph(cg), qos.NewScratch()
 	clusterMetric := func(a, b int) qos.Metric {
 		if a == b {
 			return qos.Empty
 		}
 		row, ok := rows[a]
 		if !ok {
-			row = qos.ShortestWidest(cg, a)
+			row = qos.ShortestWidestCSR(frozen, a, sc)
 			rows[a] = row
 		}
 		return row.Metric(b)
@@ -225,7 +226,7 @@ func FederateContracted(ov *overlay.Overlay, req *require.Requirement, src, k, w
 			}
 			row, ok := rows[a]
 			if !ok {
-				row = qos.ShortestWidest(cg, a)
+				row = qos.ShortestWidestCSR(frozen, a, sc)
 				rows[a] = row
 			}
 			for _, cid := range row.PathTo(b) {

@@ -811,7 +811,7 @@ func (e *engine) solveGreedy(ns *nodeState, view *overlay.Overlay, pins map[int]
 			// No direct link (a pinned instance may only be
 			// reachable through a relay): fall back to the view's
 			// shortest-widest route.
-			res := qos.ShortestWidestMetrics(view, ns.nid, e.opts.Metrics)
+			res := qos.ShortestWidestCSR(qos.FreezeGraph(view), ns.nid, nil)
 			for _, nid := range cands {
 				if m := res.Metric(nid); m.Reachable() && (best == -1 || m.Better(bestM)) {
 					best, bestM = nid, m

@@ -13,7 +13,8 @@ import (
 // NID gaps, isolated instances and arbitrary link weights, freezes it, thaws
 // the frozen form back into adjacency lists and requires an exact match with
 // the overlay's own Nodes/Out view — the frozen CSR must be a faithful,
-// lossless representation of what it froze.
+// lossless representation of what it froze. That the frozen graph also
+// routes like its source is qos's FuzzFreezeRouting.
 func FuzzFreezeRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 5, 200, 1, 0, 1, 2, 9})
@@ -77,25 +78,6 @@ func FuzzFreezeRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(gotOut, wantOut) {
 			t.Fatalf("thawed out = %v, want %v", gotOut, wantOut)
-		}
-
-		// And the frozen graph must route identically to its source: the
-		// dense kernel on the snapshot vs the map oracle on the overlay.
-		for _, src := range ov.Nodes() {
-			want := qos.ShortestWidest(ov, src)
-			got := qos.ShortestWidestCSR(frozen, src, nil)
-			for _, dst := range ov.Nodes() {
-				if g, w := got.Metric(dst), want.Metric(dst); g != w {
-					t.Fatalf("src %d dst %d: metric diverged: %v vs %v", src, dst, g, w)
-				}
-				if !reflect.DeepEqual(got.PathTo(dst), want.PathTo(dst)) {
-					t.Fatalf("src %d dst %d: path diverged: %v vs %v",
-						src, dst, got.PathTo(dst), want.PathTo(dst))
-				}
-			}
-			if !got.Equal(want) {
-				t.Fatalf("src %d: rows not Equal", src)
-			}
 		}
 	})
 }

@@ -444,8 +444,7 @@ func Build(under *topology.Network, placements []Placement, compat *Compatibilit
 		}
 	}
 	// Freeze the underlay once and run the dense latency kernel per distinct
-	// host with a shared scratch — byte-identical to qos.ShortestLatency on
-	// the underlay itself, without per-host map churn.
+	// host with a shared scratch.
 	routes := make(map[int]*qos.Result)
 	frozen := qos.FreezeGraph(under)
 	scratch := qos.NewScratch()

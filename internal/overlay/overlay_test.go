@@ -110,7 +110,7 @@ func TestAccessors(t *testing.T) {
 
 func TestRoutingOverOverlay(t *testing.T) {
 	o := chainOverlay(t)
-	res := qos.ShortestWidest(o, 10)
+	res := qos.ShortestWidestCSR(qos.FreezeGraph(o), 10, nil)
 	// Two routes to 30: via 20 (width 60, lat 9) or via 21 (width 80, lat 5).
 	if got := res.Metric(30); got != (qos.Metric{Bandwidth: 80, Latency: 5}) {
 		t.Fatalf("Metric(30) = %+v", got)

@@ -76,7 +76,7 @@ func BenchmarkShortestWidest(b *testing.B) {
 		b.Run(fmt.Sprintf("engine=map/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ShortestWidest(g, i%n)
+				shortestWidestRef(g, i%n)
 			}
 		})
 		b.Run(fmt.Sprintf("engine=csr/n=%d", n), func(b *testing.B) {
@@ -96,7 +96,7 @@ func BenchmarkShortestLatency(b *testing.B) {
 	b.Run("engine=map", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ShortestLatency(g, i%100)
+			shortestLatencyRef(g, i%100)
 		}
 	})
 	b.Run("engine=csr", func(b *testing.B) {
@@ -112,7 +112,7 @@ func BenchmarkShortestLatency(b *testing.B) {
 
 // BenchmarkAllPairs prices the full table build that feeds abstract.Build —
 // the computation at the bottom of every solve. engine=map is the retained
-// sequential oracle (ComputeAllPairsRef, also the machine-speed calibration
+// sequential oracle (computeAllPairsRef, also the machine-speed calibration
 // reference of the CI regression gate); engine=csr is the default engine,
 // freeze included, at one worker so both legs do the same sequential work.
 func BenchmarkAllPairs(b *testing.B) {
@@ -121,7 +121,7 @@ func BenchmarkAllPairs(b *testing.B) {
 		b.Run(fmt.Sprintf("engine=map/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ComputeAllPairsRef(g)
+				computeAllPairsRef(g)
 			}
 		})
 		b.Run(fmt.Sprintf("engine=csr/n=%d", n), func(b *testing.B) {

@@ -1,13 +1,14 @@
-// Dense-slice rewrites of the two Dijkstra kernels over a frozen CSR graph.
+// Dense-slice Dijkstra kernels over a frozen CSR graph: the only routing
+// engine production code runs.
 //
-// The map-based kernels in qos.go stay as the reference oracle; these are the
-// hot path. Equivalence is exact on everything a caller can observe: both
-// engines settle nodes in the same order (the queue order is the strict total
-// order (key, external id), which any correct priority queue realises
-// identically), relax arcs in the same out-row order, and update labels only
-// on strict improvement, so distance tables, predecessor trees and selected
-// paths come out bit-identical. The property tests in dense_test.go pin this
-// over seeded random graphs.
+// The map-based engine in oracle_test.go is the reference oracle these
+// kernels are pinned to. Equivalence is exact on everything a caller can
+// observe: both engines settle nodes in the same order (the queue order is
+// the strict total order (key, external id), which any correct priority
+// queue realises identically), relax arcs in the same out-row order, and
+// update labels only on strict improvement, so distance tables, predecessor
+// trees and selected paths come out bit-identical. The property tests in
+// dense_test.go and the fuzz targets pin this over seeded random graphs.
 //
 // Two deliberate departures from run-for-run oracle lockstep, both invisible
 // in any Result byte:
@@ -21,8 +22,7 @@
 //     (which pass only through earlier-settled nodes) are untouched; the only
 //     observable difference is the relaxation counter, whose oracle
 //     bit-equality pin is relaxed to a documented invariant: dense
-//     relaxations <= oracle relaxations, with runs and fallbacks still
-//     exactly equal.
+//     relaxations <= oracle relaxations, with runs still exactly equal.
 //
 //   - Monotone bucket queue. When the frozen graph's usable-arc latencies
 //     span a small non-negative integer range (true for every scenario
@@ -37,12 +37,10 @@
 //     this — so kernel selection is a pure performance choice; graphs
 //     outside the bucket regime fall back to the heap automatically.
 //
-// One oracle branch is deliberately absent here: the phase-2 fallback for
-// nodes phase 1 reached but phase 2 missed. That branch only fires when a
-// Graph's Out answers drift between the two phases, which a frozen CSR
-// snapshot makes impossible (the widest path to a node of width w uses only
-// links >= w, so the restricted phase-2 run always reaches it). A miss on a
-// frozen graph is therefore a kernel bug and panics instead of degrading.
+// Every run reads one immutable freeze, so the two phases see the same arcs:
+// the widest path to a node of width w uses only links >= w, and the
+// restricted phase-2 run always reaches it. A miss is a kernel bug and
+// panics.
 package qos
 
 import (
@@ -463,7 +461,7 @@ func (sc *Scratch) prepare(g *csr.Graph) {
 	sc.view = &sc.own
 }
 
-// denseWidest is the CSR rewrite of widestDijkstra: maximum bottleneck
+// denseWidest is phase 1, the max-bottleneck Dijkstra: maximum bottleneck
 // bandwidth from src into sc.width, the widest tree into sc.prev1.
 // Relaxation attempts are tallied into relaxed exactly as the oracle tallies
 // them. The queue discipline is a bucket per distinct width when the graph's
@@ -605,7 +603,7 @@ func (sc *Scratch) useBucket(g *csr.Graph) bool {
 	return g.MinLat >= 0 && g.MaxLat <= maxBucketLat
 }
 
-// denseLatency is the CSR rewrite of latencyDijkstra: minimum total latency
+// denseLatency is the restricted latency Dijkstra: minimum total latency
 // from src over arcs of bandwidth >= minBW into sc.lat, predecessors into
 // sc.prev2 and the arcs that set them into sc.arc2. The run is complete (no
 // early exit) and the queue discipline is chosen by useBucket.
@@ -855,11 +853,11 @@ func (sc *Scratch) groupWidthClasses(g *csr.Graph, src int32) {
 	}
 }
 
-// shortestWidestDense is the CSR engine behind ShortestWidest: the same row
-// (see the package comment above for the relaxation-counter invariant) from
-// dense arrays and a reusable Scratch instead of per-call maps. The row is
-// laid out over the frozen graph's own index, so a run performs a small
-// constant number of allocations regardless of graph size.
+// shortestWidestDense computes one shortest-widest row (see the package
+// comment above for the relaxation-counter invariant) from dense arrays and
+// a reusable Scratch instead of per-call maps. The row is laid out over the
+// frozen graph's own index, so a run performs a small constant number of
+// allocations regardless of graph size.
 func shortestWidestDense(g *csr.Graph, src int32, sc *Scratch, ins instr) *Result {
 	var relaxed int64
 	sc.ensure(g.Len())
@@ -880,21 +878,19 @@ func shortestWidestDense(g *csr.Graph, src int32, sc *Scratch, ins instr) *Resul
 	}
 	ins.runs.Inc()
 	ins.relaxations.Add(relaxed)
-	// The fallback counter stays at zero by construction on a frozen graph;
-	// Add(0) keeps the published counter set identical to the oracle's.
-	ins.fallbacks.Add(0)
 	return sc.row.finish()
 }
 
-// ShortestWidestCSR computes shortest-widest paths from src on a frozen
-// graph, byte-identical to ShortestWidest on the graph it froze. sc may be
+// ShortestWidestCSR computes shortest-widest paths from src to every node of
+// a frozen graph: among all paths, the widest; among equally wide ones, the
+// shortest. Arcs with non-positive bandwidth are ignored. sc may be
 // nil (a temporary Scratch is used); passing a reused Scratch makes the
 // steady-state run allocation-free outside the returned Result.
 func ShortestWidestCSR(g *csr.Graph, src int, sc *Scratch) *Result {
 	i, ok := g.Index(src)
 	if !ok {
-		// Same answer the oracle gives for a source the graph doesn't know:
-		// only the empty path to itself.
+		// A source the graph doesn't know reaches only itself, by the
+		// empty path.
 		return newResult([]int{src}, map[int]int32{src: 0}, 0)
 	}
 	if sc == nil {
@@ -904,8 +900,10 @@ func ShortestWidestCSR(g *csr.Graph, src int, sc *Scratch) *Result {
 }
 
 // ShortestLatencyCSR computes minimum-latency paths from src on a frozen
-// graph, byte-identical to ShortestLatency on the graph it froze. sc may be
-// nil.
+// graph, the metric an IP-style underlay actually routes by. The returned
+// metrics carry the bottleneck bandwidth of the selected minimum-latency
+// path — which is NOT in general the widest available, exactly the gap QoS
+// routing exploits. sc may be nil.
 func ShortestLatencyCSR(g *csr.Graph, src int, sc *Scratch) *Result {
 	i, ok := g.Index(src)
 	if !ok {

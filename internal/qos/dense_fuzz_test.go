@@ -43,12 +43,12 @@ func requireKernelsAgree(t *testing.T, label string, g Graph, srcs []int) {
 		hw := shortestWidestDense(cg, idx, heapSC, instr{})
 		bw := shortestWidestDense(cg, idx, bucketSC, instr{})
 		requireResultsEqual(t, label+" widest", bw, hw)
-		requireResultsEqual(t, label+" widest vs oracle", bw, ShortestWidest(g, src))
+		requireResultsEqual(t, label+" widest vs oracle", bw, shortestWidestRef(g, src))
 
 		hl := ShortestLatencyCSR(cg, src, heapSC)
 		bl := ShortestLatencyCSR(cg, src, bucketSC)
 		requireResultsEqual(t, label+" latency", bl, hl)
-		requireResultsEqual(t, label+" latency vs oracle", bl, ShortestLatency(g, src))
+		requireResultsEqual(t, label+" latency vs oracle", bl, shortestLatencyRef(g, src))
 	}
 }
 

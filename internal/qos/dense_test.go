@@ -72,7 +72,7 @@ func TestCSRShortestWidestMatchesOracle(t *testing.T) {
 		g := messyRandomGraph(rng, n, 0.15+rng.Float64()*0.4)
 		cg := FreezeGraph(g)
 		for _, src := range g.Nodes() {
-			want := ShortestWidest(g, src)
+			want := shortestWidestRef(g, src)
 			got := ShortestWidestCSR(cg, src, sc)
 			requireResultsEqual(t, "shortest-widest", got, want)
 		}
@@ -87,7 +87,7 @@ func TestCSRShortestLatencyMatchesOracle(t *testing.T) {
 		g := messyRandomGraph(rng, n, 0.15+rng.Float64()*0.4)
 		cg := FreezeGraph(g)
 		for _, src := range g.Nodes() {
-			want := ShortestLatency(g, src)
+			want := shortestLatencyRef(g, src)
 			got := ShortestLatencyCSR(cg, src, sc)
 			requireResultsEqual(t, "shortest-latency", got, want)
 		}
@@ -98,7 +98,7 @@ func TestCSRAllPairsMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
 		g := messyRandomGraph(rng, 3+rng.Intn(20), 0.25)
-		ref := ComputeAllPairsRef(g)
+		ref := computeAllPairsRef(g)
 		for _, workers := range []int{1, 3} {
 			ap := ComputeAllPairsWorkers(g, workers)
 			if !ap.Equal(ref) || !ref.Equal(ap) {
@@ -117,12 +117,12 @@ func TestCSRUnknownSourceMatchesOracle(t *testing.T) {
 	g := newTestGraph()
 	g.addArc(1, 2, 10, 1)
 	cg := FreezeGraph(g)
-	requireResultsEqual(t, "widest unknown src", ShortestWidestCSR(cg, 99, nil), ShortestWidest(g, 99))
-	requireResultsEqual(t, "latency unknown src", ShortestLatencyCSR(cg, 99, nil), ShortestLatency(g, 99))
+	requireResultsEqual(t, "widest unknown src", ShortestWidestCSR(cg, 99, nil), shortestWidestRef(g, 99))
+	requireResultsEqual(t, "latency unknown src", ShortestLatencyCSR(cg, 99, nil), shortestLatencyRef(g, 99))
 }
 
 // TestCSRMetricsParity asserts the dense engine's counter invariants against
-// the oracle: run and fallback counts are exactly equal, and the relaxation
+// the oracle: run counts are exactly equal, and the relaxation
 // tally obeys the documented <=-oracle bound — the tiered early exit stops
 // each phase-2 run once its width class has settled, so the dense engine
 // attempts at most as many relaxations as the oracle's full runs (and must
@@ -138,16 +138,12 @@ func TestCSRMetricsParity(t *testing.T) {
 		oracle := metrics.New()
 		ins := instrFor(oracle)
 		for _, src := range g.Nodes() {
-			shortestWidest(g, src, ins)
+			shortestWidestRefMetrics(g, src, ins)
 		}
 
-		for _, name := range []string{
-			"qos_shortest_widest_runs_total",
-			"qos_phase2_fallbacks_total",
-		} {
-			if got, want := dense.Counter(name).Value(), oracle.Counter(name).Value(); got != want {
-				t.Fatalf("trial %d: %s = %d, oracle %d", trial, name, got, want)
-			}
+		name := "qos_shortest_widest_runs_total"
+		if got, want := dense.Counter(name).Value(), oracle.Counter(name).Value(); got != want {
+			t.Fatalf("trial %d: %s = %d, oracle %d", trial, name, got, want)
 		}
 		got := dense.Counter("qos_relaxations_total").Value()
 		want := oracle.Counter("qos_relaxations_total").Value()
@@ -171,9 +167,9 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 		cg := FreezeGraph(g)
 		for _, src := range g.Nodes() {
 			requireResultsEqual(t, "scratch reuse",
-				ShortestWidestCSR(cg, src, sc), ShortestWidest(g, src))
+				ShortestWidestCSR(cg, src, sc), shortestWidestRef(g, src))
 			requireResultsEqual(t, "scratch reuse latency",
-				ShortestLatencyCSR(cg, src, sc), ShortestLatency(g, src))
+				ShortestLatencyCSR(cg, src, sc), shortestLatencyRef(g, src))
 		}
 	}
 }
@@ -202,7 +198,7 @@ func TestPathToReturnsCopy(t *testing.T) {
 		}
 	}
 
-	oracle := ShortestWidest(g, 1)
+	oracle := shortestWidestRef(g, 1)
 	check("oracle", func() []int { return oracle.PathTo(4) }, []int{1, 2, 4})
 	dense := ShortestWidestCSR(FreezeGraph(g), 1, nil)
 	check("dense", func() []int { return dense.PathTo(4) }, []int{1, 2, 4})

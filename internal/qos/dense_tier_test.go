@@ -14,8 +14,8 @@ func checkAllSources(t *testing.T, label string, g *testGraph) {
 	cg := FreezeGraph(g)
 	sc := NewScratch()
 	for _, src := range g.Nodes() {
-		requireResultsEqual(t, label+" widest", ShortestWidestCSR(cg, src, sc), ShortestWidest(g, src))
-		requireResultsEqual(t, label+" latency", ShortestLatencyCSR(cg, src, sc), ShortestLatency(g, src))
+		requireResultsEqual(t, label+" widest", ShortestWidestCSR(cg, src, sc), shortestWidestRef(g, src))
+		requireResultsEqual(t, label+" latency", ShortestLatencyCSR(cg, src, sc), shortestLatencyRef(g, src))
 	}
 }
 
@@ -171,7 +171,7 @@ func TestShortestLatencyParallelArcs(t *testing.T) {
 		cg := FreezeGraph(g)
 		sc := NewScratch()
 		got := ShortestLatencyCSR(cg, 1, sc)
-		want := ShortestLatency(g, 1)
+		want := shortestLatencyRef(g, 1)
 		requireResultsEqual(t, "parallel arcs", got, want)
 		// The selected bottleneck must be the widest among the
 		// minimum-latency parallel arcs on every hop: min(70, 60) = 60.

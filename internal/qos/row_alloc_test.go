@@ -90,7 +90,7 @@ func TestRowAllDistinctWidthsFitsLegacyArena(t *testing.T) {
 		}
 	}
 	row := qos.ShortestWidestCSR(qos.FreezeGraph(ov), 0, nil)
-	if !row.Equal(qos.ShortestWidest(ov, 0)) {
+	if !row.Equal(qos.ShortestWidestRef(ov, 0)) {
 		t.Fatal("dense row diverged from the oracle")
 	}
 	arena, classes := 0, map[int64]bool{}

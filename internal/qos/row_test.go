@@ -3,6 +3,7 @@ package qos
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -185,4 +186,61 @@ func TestArcChangedDirtiesOnlyMovableRows(t *testing.T) {
 		}
 	}
 	t.Logf("%d rows kept, %d recomputed", kept, dirtied)
+}
+
+// TestArcChangedImprovementBoundaries pins canMove's improvement rule at both
+// edges of its width range (b, hi], hi = min(b2, W(u)), for the row of
+// source 1: the rule must keep the row, the eager and lazy tables must not
+// queue it, and the kept row must equal a fresh one on the changed graph.
+func TestArcChangedImprovementBoundaries(t *testing.T) {
+	cases := []struct {
+		name  string
+		arcs  [][3]int64 // from, to, bandwidth; every latency is 1
+		u, v  int
+		b, b2 int64
+	}{{
+		// W(u) == b: the widened arc 2 -> 3 already carried u's whole
+		// width, so the range (b, hi] is empty.
+		name: "W(u)==b",
+		arcs: [][3]int64{{1, 2, 10}, {2, 3, 10}, {1, 3, 5}, {3, 4, 20}},
+		u:    2, v: 3, b: 10, b2: 50,
+	}, {
+		// W(v) == hi with no class in (b, hi]: a self-loop at the source
+		// widened to InfBandwidth, where W(v) == W(u) == hi ==
+		// InfBandwidth and every class is no wider than b.
+		name: "W(v)==hi",
+		arcs: [][3]int64{{1, 2, 10}, {2, 3, 5}, {1, 1, 10}},
+		u:    1, v: 1, b: 10, b2: InfBandwidth,
+	}}
+	for _, tc := range cases {
+		g := newTestGraph()
+		for _, a := range tc.arcs {
+			g.addArc(int(a[0]), int(a[1]), a[2], 1)
+		}
+		inc := NewIncremental(g, 1, nil)
+		lt := NewLazyAllPairs(g, nil)
+		lt.Prefetch(g.Nodes(), 1)
+		kept := inc.AllPairs().From(1)
+		iu, iv := kept.idx[tc.u], kept.idx[tc.v]
+
+		g.setArc(tc.u, tc.v, tc.b2, 1)
+		if kept.canMove(iu, iv, tc.b, tc.b2) {
+			t.Fatalf("%s: canMove(%d -> %d, %d -> %d) = true", tc.name, tc.u, tc.v, tc.b, tc.b2)
+		}
+		if fresh := ShortestWidestCSR(FreezeGraph(g), 1, nil); !kept.Equal(fresh) {
+			t.Fatalf("%s: kept row differs from a fresh one", tc.name)
+		}
+		inc.ArcChanged(tc.u, tc.v, tc.b, tc.b2)
+		lt.ArcChanged(tc.u, tc.v, tc.b, tc.b2)
+		for _, dirty := range [][]int{inc.Dirty(), lt.Dirty()} {
+			if slices.Contains(dirty, 1) {
+				t.Fatalf("%s: row 1 queued: %v", tc.name, dirty)
+			}
+		}
+		assertMatchesScratch(t, inc, g)
+		assertLazyMatchesEager(t, lt, g)
+		if inc.AllPairs().From(1) != kept {
+			t.Fatalf("%s: the eager table recomputed row 1", tc.name)
+		}
+	}
 }

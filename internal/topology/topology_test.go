@@ -156,7 +156,7 @@ func TestGeneratedNetworkIsRoutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := qos.ShortestWidest(nw, 0)
+	res := qos.ShortestWidestCSR(qos.FreezeGraph(nw), 0, nil)
 	for n := 0; n < 30; n++ {
 		if !res.Metric(n).Reachable() {
 			t.Fatalf("node %d unreachable in connected network", n)

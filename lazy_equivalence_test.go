@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"testing"
-	"time"
 
 	"sflow/internal/abstract"
 	"sflow/internal/session"
@@ -155,56 +154,49 @@ func TestContractedHierarchicalSolves(t *testing.T) {
 }
 
 // TestLazyLargeOverlayInteractive is the scale acceptance test: a single
-// demand-driven federation against a 50k-node generated overlay completes
-// interactively, and the rows it computes are exactly the requirement's slot
-// sources — overlay size buys no extra routing work. The wall-clock bound
-// gets one retry (CI boxes stall); the row-count and solution assertions are
-// exact. Skipped under the race detector (instrumentation dwarfs the budget)
-// and in -short runs.
+// demand-driven federation against a 50k-node generated overlay computes
+// exactly the requirement's slot sources — overlay size buys no extra
+// routing work — with the kernel work pinned as exact counts. Its wall-clock
+// budget is lazy-check's (BenchmarkLazyFederate/n=50000), not this test's.
+// Skipped under the race detector (minutes of instrumented generation) and
+// in -short runs.
 func TestLazyLargeOverlayInteractive(t *testing.T) {
 	if raceEnabled {
-		t.Skip("wall-clock budget does not apply under the race detector")
+		t.Skip("50k-node solve skipped under the race detector")
 	}
 	if testing.Short() {
 		t.Skip("50k-node solve skipped in -short")
 	}
-	const budget = 5 * time.Second
+	const (
+		wantRuns        = 9
+		wantRelaxations = 3877938
+	)
 	cfg := LargeScenarioConfig{Seed: 1, Nodes: 50_000, InstancesPerService: 2}
 	sc, err := GenerateLargeScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := len(abstract.SlotSources(sc.Overlay, sc.Req))
+	wantRows := int64(len(abstract.SlotSources(sc.Overlay, sc.Req)))
 
-	var wall time.Duration
-	for attempt := 1; ; attempt++ {
-		reg := NewMetrics()
-		start := time.Now()
-		sol, err := Solve("heuristic", sc.Overlay, sc.Req, sc.SourceNID,
-			SolveOptions{Lazy: true, Metrics: reg})
-		wall = time.Since(start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Metric.Bandwidth <= 0 || !sol.Flow.Complete(sc.Req) {
-			t.Fatalf("50k-node solve returned no usable flow (metric %v)", sol.Metric)
-		}
-		var rows int64
-		for _, c := range reg.Snapshot().Counters {
-			if c.Key == "qos_lazy_rows_computed_total" {
-				rows = c.Value
-			}
-		}
-		if rows != int64(wantRows) {
-			t.Fatalf("lazy solve computed %d rows, want exactly the %d slot sources", rows, wantRows)
-		}
-		if wall <= budget {
-			break
-		}
-		if attempt == 2 {
-			t.Fatalf("50k-node lazy solve took %v twice, want < %v", wall, budget)
-		}
-		t.Logf("attempt %d took %v (> %v), retrying once", attempt, wall, budget)
+	reg := NewMetrics()
+	sol, err := Solve("heuristic", sc.Overlay, sc.Req, sc.SourceNID,
+		SolveOptions{Lazy: true, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("50k-node lazy federation in %v", wall)
+	if sol.Metric.Bandwidth <= 0 || !sol.Flow.Complete(sc.Req) {
+		t.Fatalf("50k-node solve returned no usable flow (metric %v)", sol.Metric)
+	}
+	for _, c := range []struct {
+		key  string
+		want int64
+	}{
+		{"qos_lazy_rows_computed_total", wantRows},
+		{"qos_shortest_widest_runs_total", wantRuns},
+		{"qos_relaxations_total", wantRelaxations},
+	} {
+		if got := reg.Counter(c.key).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.key, got, c.want)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package sflow_test
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -51,14 +52,14 @@ func TestPublicFederate(t *testing.T) {
 	if nid, _ := res.Flow.Assigned(4); nid != 41 {
 		t.Fatalf("currency on %d, want 41", nid)
 	}
-	opt, optMetric, err := sflow.Optimal(ov, req, 1)
+	opt, err := sflow.Solve("optimal", ov, req, 1, sflow.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metric.Better(optMetric) {
+	if res.Metric.Better(opt.Metric) {
 		t.Fatal("distributed result beats optimal")
 	}
-	if cc := res.Flow.CorrectnessCoefficient(opt); cc != 1.0 {
+	if cc := res.Flow.CorrectnessCoefficient(opt.Flow); cc != 1.0 {
 		t.Fatalf("correctness = %v, want 1 on this instance", cc)
 	}
 }
@@ -95,27 +96,28 @@ func TestPublicPathsAreDefensiveCopies(t *testing.T) {
 func TestPublicCentralisedAlgorithms(t *testing.T) {
 	ov, req := buildTravelOverlay(t)
 
-	if _, _, err := sflow.Baseline(ov, req, 1); err == nil {
+	none := sflow.SolveOptions{}
+	if _, err := sflow.Solve("baseline", ov, req, 1, none); err == nil {
 		t.Fatal("baseline must reject a DAG requirement")
 	}
-	fg, m, err := sflow.Heuristic(ov, req, 1)
+	h, err := sflow.Solve("heuristic", ov, req, 1, none)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fg.Validate(req, ov); err != nil {
+	if err := h.Flow.Validate(req, ov); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Reachable() {
+	if !h.Metric.Reachable() {
 		t.Fatal("heuristic metric unreachable")
 	}
 
-	if _, fm, err := sflow.Fixed(ov, req, 1); err != nil || !fm.Reachable() {
-		t.Fatalf("fixed: %v %+v", err, fm)
+	if f, err := sflow.Solve("fixed", ov, req, 1, none); err != nil || !f.Metric.Reachable() {
+		t.Fatalf("fixed: %v %+v", err, f)
 	}
-	if _, rm, err := sflow.RandomPlacement(ov, req, 1, rand.New(rand.NewSource(1))); err != nil || !rm.Reachable() {
-		t.Fatalf("random: %v %+v", err, rm)
+	if r, err := sflow.Solve("random", ov, req, 1, sflow.SolveOptions{Rng: rand.New(rand.NewSource(1))}); err != nil || !r.Metric.Reachable() {
+		t.Fatalf("random: %v %+v", err, r)
 	}
-	spFlow, spMetric, err := sflow.ServicePath(ov, req, 1)
+	sp, err := sflow.Solve("servicepath", ov, req, 1, none)
 	if !errors.Is(err, sflow.ErrPartialFederation) {
 		t.Fatalf("service path on a DAG: got err %v, want ErrPartialFederation", err)
 	}
@@ -123,11 +125,8 @@ func TestPublicCentralisedAlgorithms(t *testing.T) {
 	if !errors.As(err, &partial) || partial.Flow == nil {
 		t.Fatalf("service path error should carry the partial flow, got %v", err)
 	}
-	if spMetric.Reachable() || spFlow == nil || spFlow.Complete(req) {
+	if sp != nil || partial.Flow.Complete(req) {
 		t.Fatal("service path should be partial on a DAG")
-	}
-	if partial.Flow != spFlow {
-		t.Fatal("wrapper flow and error flow should be the same partial graph")
 	}
 
 	// Baseline works on the path sub-requirement.
@@ -135,19 +134,19 @@ func TestPublicCentralisedAlgorithms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bFlow, bMetric, err := sflow.Baseline(ov, path, 1)
+	b, err := sflow.Solve("baseline", ov, path, 1, none)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bFlow.Validate(path, ov); err != nil {
+	if err := b.Flow.Validate(path, ov); err != nil {
 		t.Fatal(err)
 	}
-	_, optMetric, err := sflow.Optimal(ov, path, 1)
+	opt, err := sflow.Solve("optimal", ov, path, 1, none)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bMetric != optMetric {
-		t.Fatalf("baseline %+v != optimal %+v on a path", bMetric, optMetric)
+	if b.Metric != opt.Metric {
+		t.Fatalf("baseline %+v != optimal %+v on a path", b.Metric, opt.Metric)
 	}
 }
 
@@ -267,7 +266,11 @@ func TestPublicChoice(t *testing.T) {
 		}
 	}
 	res, err := sflow.BestChoice(ov, spec, 1, func(o *sflow.Overlay, r *sflow.Requirement, s int) (*sflow.FlowGraph, sflow.Metric, error) {
-		return sflow.Optimal(o, r, s)
+		sol, err := sflow.Solve("optimal", o, r, s, sflow.SolveOptions{})
+		if err != nil {
+			return nil, sflow.Unreachable, err
+		}
+		return sol.Flow, sol.Metric, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,8 +291,8 @@ func TestPublicProvisionAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, alg := range map[string]sflow.FederationAlgorithm{
-		"fixed":  sflow.FixedAlgorithm(),
-		"random": sflow.RandomAlgorithm(rand.New(rand.NewSource(3))),
+		"fixed":  sflow.RegistryAlgorithm("fixed", sflow.SolveOptions{}),
+		"random": sflow.RegistryAlgorithm("random", sflow.SolveOptions{Rng: rand.New(rand.NewSource(3))}),
 	} {
 		p := sflow.NewProvisioner(sc.Overlay)
 		if _, err := p.Admit(sc.Req, sc.SourceNID, 50, alg); err != nil {
@@ -333,12 +336,20 @@ func TestPublicHierarchical(t *testing.T) {
 	if err := fg.Validate(sc.Req, sc.Overlay); err != nil {
 		t.Fatal(err)
 	}
-	_, optMetric, err := sflow.Optimal(sc.Overlay, sc.Req, sc.SourceNID)
+	opt, err := sflow.Solve("optimal", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Better(optMetric) {
-		t.Fatalf("hierarchical %+v beats optimal %+v", m, optMetric)
+	if m.Better(opt.Metric) {
+		t.Fatalf("hierarchical %+v beats optimal %+v", m, opt.Metric)
+	}
+	// Solve's "hierarchical" entry is the same federation.
+	sol, err := sflow.Solve("hierarchical", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{ClusterK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Metric != m || !reflect.DeepEqual(sol.Flow.Assignment(), fg.Assignment()) {
+		t.Fatalf("Solve(hierarchical) = %v %+v, Hierarchical = %v %+v", sol.Flow, sol.Metric, fg, m)
 	}
 	if _, _, err := sflow.Hierarchical(sc.Overlay, sc.Req, sc.SourceNID, 0); err == nil {
 		t.Fatal("k=0 accepted")
@@ -399,17 +410,10 @@ func TestPublicErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sflow.Heuristic(ov, ghost, 1); err == nil {
-		t.Fatal("heuristic accepted ghost service")
-	}
-	if _, _, err := sflow.Fixed(ov, ghost, 1); err == nil {
-		t.Fatal("fixed accepted ghost service")
-	}
-	if _, _, err := sflow.RandomPlacement(ov, ghost, 1, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("random accepted ghost service")
-	}
-	if _, _, err := sflow.ServicePath(ov, ghost, 1); err == nil {
-		t.Fatal("servicepath accepted ghost service")
+	for _, name := range []string{"heuristic", "fixed", "random", "servicepath"} {
+		if _, err := sflow.Solve(name, ov, ghost, 1, sflow.SolveOptions{Rng: rand.New(rand.NewSource(1))}); err == nil {
+			t.Fatalf("%s accepted ghost service", name)
+		}
 	}
 	if _, err := sflow.EvaluateAssignment(ov, ghost, map[int]int{}); err == nil {
 		t.Fatal("evaluate accepted ghost service")
@@ -450,7 +454,7 @@ func TestPublicWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sflow.SimulateWorkload(sc.Overlay, reqs, sflow.SFlowAlgorithm(sflow.Options{}))
+	res, err := sflow.SimulateWorkload(sc.Overlay, reqs, sflow.RegistryAlgorithm("sflow", sflow.SolveOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,18 +176,3 @@ func Solve(name string, ov *Overlay, req *Requirement, src int, opts SolveOption
 	}
 	return solveAbstract(fn, ag, src)
 }
-
-// legacySolve adapts Solve to the historical (flow, metric, error) wrapper
-// shape, surfacing partial federations as their flow graph plus the typed
-// error.
-func legacySolve(name string, ov *Overlay, req *Requirement, src int, opts SolveOptions) (*FlowGraph, Metric, error) {
-	sol, err := Solve(name, ov, req, src, opts)
-	if err != nil {
-		var partial *PartialFederationError
-		if errors.As(err, &partial) {
-			return partial.Flow, qos.Unreachable, err
-		}
-		return nil, qos.Unreachable, err
-	}
-	return sol.Flow, sol.Metric, nil
-}
