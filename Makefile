@@ -12,7 +12,7 @@ FUZZTIME ?= 30s
 # artifact when a gate fails (compare against the committed baseline offline).
 FRESHDIR ?= .bench-fresh
 
-.PHONY: all build test race race-hot race-session race-daemon race-admit race-reopt race-lazy check smoke cover cover-check bench bench-hotpath bench-json bench-check bench-kernel bench-admit bench-reopt reopt-check bench-lazy lazy-check serve-bench serve-check vet fmt fmt-check lint staticcheck vulncheck fuzz figures results-check examples examples-check clean
+.PHONY: all build test race race-hot race-session race-daemon race-admit race-reopt race-lazy check smoke cover cover-check bench bench-hotpath bench-json bench-check bench-kernel bench-reopt reopt-check bench-lazy lazy-check vet fmt fmt-check lint staticcheck vulncheck fuzz figures results-check examples examples-check clean
 
 all: build test
 
@@ -71,10 +71,12 @@ race-admit:
 
 # Race-instrumented lazy-routing battery: the single-flight row memoization
 # is the one place concurrent readers share mutable state with a computing
-# goroutine, so the qos lazy tests, the lazy churn oracle and the root
-# byte-equivalence battery all run under the race detector on every check.
+# goroutine, so the qos lazy and snapshot tests (a lazy snapshot routes on
+# the freeze it shares with the live table), the lazy churn oracle and the
+# root byte-equivalence battery all run under the race detector on every
+# check.
 race-lazy:
-	$(GO) test -race ./internal/qos/ -run 'TestLazy|TestIncrementalLazy|FuzzLazyInvalidation'
+	$(GO) test -race ./internal/qos/ -run 'TestLazy|TestSnapshot|FuzzLazyInvalidation'
 	$(GO) test -race -short ./internal/session/ -run 'TestLazyEquivalenceOracleTrace|TestLazySnapshotIsConsistentAndImmutable'
 	$(GO) test -race -short . -run 'TestLazySolveByteIdentical|TestLazySessionSolveByteIdentical|TestContractedHierarchicalSolves'
 
@@ -153,18 +155,6 @@ bench-kernel:
 		| $(GO) run ./cmd/benchjson -compare results/BENCH_hotpath.json \
 			-match 'BenchmarkShortestWidestTiers' -normalize 'BenchmarkAllPairs/engine=map/n=120' -threshold 1.25
 
-# Admission-throughput record: sequential and parallel admit+release cycles
-# through the capacity allocator, serialized with benchjson (min ns/op over
-# $(BENCHCOUNT) runs). Regenerate and commit when the allocator changes on
-# purpose; the file is a tracked perf record, not a CI gate — admission
-# throughput is dominated by the federation solve, which bench-check already
-# gates at the kernel level.
-ADMITBENCH ?= BenchmarkAllocatorAdmitRelease
-bench-admit:
-	$(GO) test -run '^$$' -bench '$(ADMITBENCH)' -benchmem -count $(BENCHCOUNT) ./internal/provision/ \
-		| $(GO) run ./cmd/benchjson -out results/BENCH_admit.json
-	@echo "wrote results/BENCH_admit.json"
-
 # Re-optimization benchmark record and gate: one gated live migration through
 # the planner's mirror-session solve (BenchmarkPlannerMigration), normalized
 # by a stateless abstract+reduce solve over the same topology
@@ -206,44 +196,6 @@ lazy-check:
 		| tee $(FRESHDIR)/bench-lazy.txt \
 		| $(GO) run ./cmd/benchjson -compare results/BENCH_lazy.json \
 			-match 'BenchmarkLazyFederate' -normalize 'BenchmarkLazyCalibration' -threshold 1.25
-
-# Serving benchmark: launch sflowd, drive it with SERVE_CLIENTS closed-loop
-# sflowload clients for SERVE_DURATION, and record latency quantiles and
-# throughput. serve-bench regenerates the committed baseline
-# (results/BENCH_serving.json); serve-check reruns the same load and fails on
-# a >25% regression of wall-clock-per-solve (inverse throughput), normalized
-# by the in-process calibration solve so runner speed cancels out. The
-# latency quantiles are recorded but not gated: closed-loop p50/p99 under a
-# shared CI scheduler swing far more than real regressions do.
-SERVE_CLIENTS  ?= 1000
-SERVE_DURATION ?= 8s
-SERVE_ALG      ?= heuristic
-SERVEGATE      ?= BenchmarkServeSolve/alg=$(SERVE_ALG)/clients=$(SERVE_CLIENTS)/persolve
-
-define run_serve_load
-	tmp=$$(mktemp -d); \
-	$(GO) build -o $$tmp/sflowd ./cmd/sflowd && \
-	$(GO) build -o $$tmp/sflowload ./cmd/sflowload && \
-	$$tmp/sflowd -addrfile $$tmp/addr & pid=$$!; \
-	i=0; while [ ! -f $$tmp/addr ] && [ $$i -lt 100 ]; do sleep 0.1; i=$$((i+1)); done; \
-	$$tmp/sflowload -addrfile $$tmp/addr -clients $(SERVE_CLIENTS) -duration $(SERVE_DURATION) -alg $(SERVE_ALG) \
-		> $$tmp/bench.txt; status=$$?; \
-	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
-	[ $$status -eq 0 ] || { rm -rf $$tmp; exit $$status; }
-endef
-
-serve-bench:
-	@$(run_serve_load); \
-	$(GO) run ./cmd/benchjson -in $$tmp/bench.txt -out results/BENCH_serving.json; status=$$?; \
-	rm -rf $$tmp; [ $$status -eq 0 ] || exit $$status; \
-	echo "wrote results/BENCH_serving.json"
-
-serve-check:
-	@mkdir -p $(FRESHDIR); $(run_serve_load); \
-	cp $$tmp/bench.txt $(FRESHDIR)/bench-serving.txt; \
-	$(GO) run ./cmd/benchjson -in $$tmp/bench.txt -compare results/BENCH_serving.json \
-		-match '$(SERVEGATE)' -normalize 'BenchmarkServeCalibration/alg=$(SERVE_ALG)' -threshold 1.25; status=$$?; \
-	rm -rf $$tmp; exit $$status
 
 vet:
 	$(GO) vet ./...

@@ -356,7 +356,7 @@ func BenchmarkWorkloadSimulate(b *testing.B) {
 func BenchmarkHierarchical(b *testing.B) {
 	sc := benchScenario(b, 30, sflow.KindGeneral)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sflow.Hierarchical(sc.Overlay, sc.Req, sc.SourceNID, 4); err != nil {
+		if _, err := sflow.Solve("hierarchical", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{ClusterK: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}

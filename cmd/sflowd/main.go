@@ -13,7 +13,7 @@
 // no-regression gate — see DESIGN.md, "Re-optimization loop".
 //
 // The overlay is generated reproducibly from the scenario flags, so a load
-// generator started with the same flags (see sflowload) targets the same
+// generator started with the same flags (the benchmark harness) targets the same
 // requirement without any side channel.
 //
 // Usage:
@@ -151,15 +151,16 @@ func run(args []string) error {
 	}
 	fmt.Printf("sflowd: serving seed=%d size=%d services=%d kind=%s on %s\n",
 		*seed, scale, *services, k, srv.Addr())
+	// The handler goes in before the address file appears: whoever waits
+	// for the file may signal the daemon the moment it does.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if *addrfile != "" {
 		if err := os.WriteFile(*addrfile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
 			srv.Close()
 			return err
 		}
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "sflowd: shutting down")
 	srv.Close()

@@ -145,9 +145,9 @@ func TestDaemonLazyMaxRowsDriftingReadSet(t *testing.T) {
 		t.Fatal("publish hook never ran")
 	}
 	for _, sn := range published {
-		lt, ok := sn.AllPairs.(*qos.LazyAllPairs)
+		lt, ok := sn.AllPairs.(*qos.AllPairs)
 		if !ok {
-			t.Fatalf("epoch %d table is %T, want *qos.LazyAllPairs", sn.Epoch, sn.AllPairs)
+			t.Fatalf("epoch %d table is %T, want *qos.AllPairs", sn.Epoch, sn.AllPairs)
 		}
 		if lt.MaxRows() != maxRows {
 			t.Fatalf("epoch %d MaxRows = %d, want %d", sn.Epoch, lt.MaxRows(), maxRows)

@@ -49,14 +49,15 @@ func ExampleRepair() {
 	// 41 -> 40 moved: [4]
 }
 
-// ExampleHierarchical runs the cluster-based divide-and-conquer federation.
-func ExampleHierarchical() {
+// ExampleSolve_hierarchical runs the cluster-based divide-and-conquer
+// federation.
+func ExampleSolve_hierarchical() {
 	ov, req := diamond()
-	fg, m, err := sflow.Hierarchical(ov, req, 10, 2)
+	sol, err := sflow.Solve("hierarchical", ov, req, 10, sflow.SolveOptions{ClusterK: 2})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(fg.Complete(req), m.Reachable())
+	fmt.Println(sol.Flow.Complete(req), sol.Metric.Reachable())
 	// Output:
 	// true true
 }

@@ -38,72 +38,69 @@ type Graph struct {
 // runtime.GOMAXPROCS(0) workers on large overlays; the result is identical
 // to the sequential computation at any worker count.
 func Build(ov *overlay.Overlay, req *require.Requirement) (*Graph, error) {
-	return build(ov, req, nil, qos.ComputeAllPairs)
+	return BuildWith(ov, req, qos.Options{})
 }
 
-// BuildWorkers is Build with an explicit worker count for the all-pairs
-// computation: workers <= 0 means runtime.GOMAXPROCS(0), 1 forces the
-// sequential computation.
-func BuildWorkers(ov *overlay.Overlay, req *require.Requirement, workers int) (*Graph, error) {
-	return BuildWorkersMetrics(ov, req, workers, nil)
-}
-
-// BuildMetrics is Build with instrumentation into reg (nil reg disables it):
-// build counts, abstract-graph sizes and the qos routing counters behind the
-// edge labels, plus a volatile build-time histogram.
-func BuildMetrics(ov *overlay.Overlay, req *require.Requirement, reg *metrics.Registry) (*Graph, error) {
-	return build(ov, req, reg, func(g qos.Graph) *qos.AllPairs {
-		return qos.ComputeAllPairsMetrics(g, reg)
-	})
-}
-
-// BuildWorkersMetrics is BuildWorkers with instrumentation into reg (nil reg
-// disables it).
-func BuildWorkersMetrics(ov *overlay.Overlay, req *require.Requirement, workers int, reg *metrics.Registry) (*Graph, error) {
-	return build(ov, req, reg, func(g qos.Graph) *qos.AllPairs {
-		return qos.ComputeAllPairsWorkersMetrics(g, workers, reg)
-	})
-}
-
-// FromAllPairs wraps an externally maintained shortest-widest table — eager
-// *qos.AllPairs or demand-driven *qos.LazyAllPairs — into an abstract graph,
-// skipping the rebuild Build would do. The caller guarantees ap is current
-// for ov (an incremental session's flushed table); the required-service
-// validation still runs, since instances may have left since the table was
-// first built.
-func FromAllPairs(ov *overlay.Overlay, req *require.Requirement, ap qos.Table) (*Graph, error) {
-	for _, sid := range req.Services() {
-		if len(ov.InstancesOf(sid)) == 0 {
-			return nil, fmt.Errorf("abstract: required service %d has no instance in the overlay", sid)
-		}
-	}
-	return &Graph{req: req, ov: ov, ap: ap}, nil
-}
-
-// BuildLazy constructs the abstract graph over a demand-driven table: no
-// all-pairs computation runs up front, and only the rows the federation
-// algorithms read — the rows of instances populating service slots with
-// outgoing requirement edges — are ever computed. Those slot rows are
-// prefetched here in a workers-wide fan-out (<= 0 means GOMAXPROCS), so a
-// following solve reads them warm; answers are byte-identical to Build's at
-// any worker count. This is what makes federating against 10k–100k-node
-// overlays interactive: cost scales with slot instances, not overlay size.
-func BuildLazy(ov *overlay.Overlay, req *require.Requirement, workers int, reg *metrics.Registry) (*Graph, error) {
-	for _, sid := range req.Services() {
-		if len(ov.InstancesOf(sid)) == 0 {
-			return nil, fmt.Errorf("abstract: required service %d has no instance in the overlay", sid)
-		}
+// BuildWith is Build over a table built with opts: its worker count, and
+// instrumentation into opts.Metrics (build counts, abstract-graph sizes and
+// the qos routing counters behind the edge labels, plus a volatile
+// build-time histogram). With opts.Lazy no all-pairs computation runs up
+// front: only the rows the federation algorithms read — the rows of
+// instances populating service slots with outgoing requirement edges — are
+// computed, prefetched here in a Workers-wide fan-out so a following solve
+// reads them warm. Answers are byte-identical in both modes at any worker
+// count; the lazy mode is what makes federating against 10k–100k-node
+// overlays interactive, since its cost scales with slot instances, not
+// overlay size.
+func BuildWith(ov *overlay.Overlay, req *require.Requirement, opts qos.Options) (*Graph, error) {
+	if err := checkServices(ov, req); err != nil {
+		return nil, err
 	}
 	start := time.Now()
-	lt := qos.NewLazyAllPairs(ov, reg)
-	lt.Prefetch(SlotSources(ov, req), workers)
-	g := &Graph{req: req, ov: ov, ap: lt}
-	if reg != nil {
-		reg.Counter("abstract_lazy_builds_total").Inc()
+	t := qos.New(ov, opts)
+	if opts.Lazy {
+		t.Prefetch(SlotSources(ov, req))
+	}
+	g := &Graph{req: req, ov: ov, ap: t}
+	if reg := opts.Metrics; reg != nil {
+		if opts.Lazy {
+			reg.Counter("abstract_lazy_builds_total").Inc()
+		} else {
+			reg.Counter("abstract_builds_total").Inc()
+			reg.Counter("abstract_services_total").Add(int64(req.NumServices()))
+			reg.Counter("abstract_edges_total").Add(int64(len(req.Edges())))
+			var slots int64
+			for _, sid := range req.Services() {
+				slots += int64(len(ov.InstancesOf(sid)))
+			}
+			reg.Counter("abstract_slots_total").Add(slots)
+		}
 		reg.Histogram("abstract_build_us", metrics.ExponentialBounds(10, 10, 6), metrics.Volatile()).
 			Observe(time.Since(start).Microseconds())
 	}
 	return g, nil
+}
+
+// FromAllPairs wraps an externally maintained shortest-widest table into an
+// abstract graph, skipping the rebuild Build would do. The caller guarantees
+// ap is current for ov (an incremental session's flushed table); the
+// required-service validation still runs, since instances may have left
+// since the table was first built.
+func FromAllPairs(ov *overlay.Overlay, req *require.Requirement, ap qos.Table) (*Graph, error) {
+	if err := checkServices(ov, req); err != nil {
+		return nil, err
+	}
+	return &Graph{req: req, ov: ov, ap: ap}, nil
+}
+
+// checkServices fails if some required service has no instance in ov.
+func checkServices(ov *overlay.Overlay, req *require.Requirement) error {
+	for _, sid := range req.Services() {
+		if len(ov.InstancesOf(sid)) == 0 {
+			return fmt.Errorf("abstract: required service %d has no instance in the overlay", sid)
+		}
+	}
+	return nil
 }
 
 // SlotSources returns the sources a federation solve over the abstract graph
@@ -128,29 +125,6 @@ func SlotSources(ov *overlay.Overlay, req *require.Requirement) []int {
 	}
 	sort.Ints(srcs)
 	return srcs
-}
-
-func build(ov *overlay.Overlay, req *require.Requirement, reg *metrics.Registry, allPairs func(qos.Graph) *qos.AllPairs) (*Graph, error) {
-	for _, sid := range req.Services() {
-		if len(ov.InstancesOf(sid)) == 0 {
-			return nil, fmt.Errorf("abstract: required service %d has no instance in the overlay", sid)
-		}
-	}
-	start := time.Now()
-	g := &Graph{req: req, ov: ov, ap: allPairs(ov)}
-	if reg != nil {
-		reg.Counter("abstract_builds_total").Inc()
-		reg.Counter("abstract_services_total").Add(int64(req.NumServices()))
-		reg.Counter("abstract_edges_total").Add(int64(len(req.Edges())))
-		var slots int64
-		for _, sid := range req.Services() {
-			slots += int64(len(ov.InstancesOf(sid)))
-		}
-		reg.Counter("abstract_slots_total").Add(slots)
-		reg.Histogram("abstract_build_us", metrics.ExponentialBounds(10, 10, 6), metrics.Volatile()).
-			Observe(time.Since(start).Microseconds())
-	}
-	return g, nil
 }
 
 // Requirement returns the requirement the graph was built from.

@@ -195,22 +195,22 @@ func TestBuildVariantsEquivalent(t *testing.T) {
 	}
 	reg := metrics.New()
 	variants := map[string]*Graph{}
-	if g, err := BuildWorkers(o, req, 1); err != nil {
+	if g, err := BuildWith(o, req, qos.Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	} else {
 		variants["workers=1"] = g
 	}
-	if g, err := BuildWorkers(o, req, 4); err != nil {
+	if g, err := BuildWith(o, req, qos.Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	} else {
 		variants["workers=4"] = g
 	}
-	if g, err := BuildMetrics(o, req, reg); err != nil {
+	if g, err := BuildWith(o, req, qos.Options{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	} else {
 		variants["metrics"] = g
 	}
-	if g, err := BuildWorkersMetrics(o, req, 2, reg); err != nil {
+	if g, err := BuildWith(o, req, qos.Options{Workers: 2, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	} else {
 		variants["workers+metrics"] = g

@@ -29,7 +29,7 @@ func TestSlotSources(t *testing.T) {
 func TestBuildLazyMatchesBuild(t *testing.T) {
 	o, req := fixture(t)
 	reg := metrics.New()
-	lg, err := BuildLazy(o, req, 2, reg)
+	lg, err := BuildWith(o, req, qos.Options{Lazy: true, Workers: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +49,10 @@ func TestBuildLazyMatchesBuild(t *testing.T) {
 			}
 		}
 	}
-	// BuildLazy prefetches exactly the slot rows, no more.
-	lt, ok := lg.AllPairs().(*qos.LazyAllPairs)
+	// A lazy build prefetches exactly the slot rows, no more.
+	lt, ok := lg.AllPairs().(*qos.AllPairs)
 	if !ok {
-		t.Fatalf("BuildLazy table is %T", lg.AllPairs())
+		t.Fatalf("lazy build table is %T", lg.AllPairs())
 	}
 	if got, want := lt.Stats().Computed, int64(len(SlotSources(o, req))); got != want {
 		t.Fatalf("prefetched %d rows, want %d", got, want)
@@ -74,7 +74,7 @@ func TestBuildLazyRejectsMissingService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildLazy(o, req, 0, nil); err == nil {
+	if _, err := BuildWith(o, req, qos.Options{Lazy: true}); err == nil {
 		t.Fatal("requirement with uninstantiated service accepted")
 	}
 }

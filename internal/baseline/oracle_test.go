@@ -161,7 +161,7 @@ func tiedChain(rng *rand.Rand, services, inst int, bw, lat [2]int64) (*abstract.
 	if err != nil {
 		return nil, nil, err
 	}
-	ag, err := abstract.BuildWorkers(o, req, 1)
+	ag, err := abstract.BuildWith(o, req, qos.Options{Workers: 1})
 	return ag, chain, err
 }
 
@@ -266,7 +266,7 @@ func TestLayeredDPReplaysZeroLatencyPlateaus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, err := abstract.BuildWorkers(o, req, 1)
+	ag, err := abstract.BuildWith(o, req, qos.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,8 +151,7 @@ type Options struct {
 	// rows the greedy assignment and the final solve actually read are ever
 	// routed. The result is byte-identical to eager mode.
 	Lazy bool
-	// Workers bounds the lazy slot-row prefetch fan-out (<= 0 means
-	// GOMAXPROCS). Ignored in eager mode.
+	// Workers bounds the tables' fan-out, as qos.Options.Workers does.
 	Workers int
 }
 
@@ -190,12 +189,8 @@ func FederateWith(ov *overlay.Overlay, req *require.Requirement, src int, k int,
 	// Cluster-level link quality: the best achievable metric between any
 	// instance of one cluster and any instance of the other — the summary
 	// a cluster head would advertise for its group. Memoised per pair.
-	var ap qos.Table
-	if opts.Lazy {
-		ap = qos.NewLazyAllPairs(ov, nil)
-	} else {
-		ap = qos.ComputeAllPairs(ov)
-	}
+	tableOpts := qos.Options{Lazy: opts.Lazy, Workers: opts.Workers}
+	ap := qos.New(ov, tableOpts)
 	members := cl.Clusters()
 	memo := make(map[[2]int]qos.Metric)
 	clusterMetric := func(a, b int) qos.Metric {
@@ -274,12 +269,7 @@ func FederateWith(ov *overlay.Overlay, req *require.Requirement, src int, k int,
 			}
 		}
 	}
-	var ag *abstract.Graph
-	if opts.Lazy {
-		ag, err = abstract.BuildLazy(sub, req, opts.Workers, nil)
-	} else {
-		ag, err = abstract.Build(sub, req)
-	}
+	ag, err := abstract.BuildWith(sub, req, tableOpts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}

@@ -271,7 +271,7 @@ func FederateContracted(ov *overlay.Overlay, req *require.Requirement, src, k, w
 // table: one shortest-widest row per slot source, nothing proportional to the
 // overlay's node count.
 func solveLazy(ov *overlay.Overlay, req *require.Requirement, src, workers int) (*reduce.Result, error) {
-	ag, err := abstract.BuildLazy(ov, req, workers, nil)
+	ag, err := abstract.BuildWith(ov, req, qos.Options{Lazy: true, Workers: workers})
 	if err != nil {
 		return nil, err
 	}

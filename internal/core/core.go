@@ -760,7 +760,7 @@ func (e *engine) solveLocal(ns *nodeState, view *overlay.Overlay, local *require
 	if e.opts.DisableReductions {
 		return e.solveGreedy(ns, view, pins, downstream)
 	}
-	ag, err := abstract.BuildMetrics(view, local, e.opts.Metrics)
+	ag, err := abstract.BuildWith(view, local, qos.Options{Metrics: e.opts.Metrics})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: node %d: %w", ns.nid, err)
 	}

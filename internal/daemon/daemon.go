@@ -43,10 +43,10 @@ import (
 type epoch struct {
 	id uint64
 	ov *overlay.Overlay
-	// ap is the epoch's shortest-widest table: an eager *qos.AllPairs, or in
-	// lazy mode a pinned *qos.LazyAllPairs whose still-missing rows compute
-	// on first read (single-flight across the epoch's concurrent readers)
-	// from the epoch's own frozen graph — immutable either way.
+	// ap is the epoch's shortest-widest table: a pinned *qos.AllPairs
+	// snapshot, whose still-missing rows in lazy mode compute on first read
+	// (single-flight across the epoch's concurrent readers) from the freeze
+	// it shares with the session — immutable either way.
 	ap      qos.Table
 	readers atomic.Int64
 }

@@ -83,7 +83,7 @@ func federateAlg(reg *metrics.Registry) provision.Algorithm {
 // fixedAlg adapts the fixed control algorithm.
 func fixedAlg(reg *metrics.Registry) provision.Algorithm {
 	return func(ov *overlay.Overlay, req *require.Requirement, src int) (*flow.Graph, qos.Metric, error) {
-		ag, err := abstract.BuildMetrics(ov, req, reg)
+		ag, err := abstract.BuildWith(ov, req, qos.Options{Metrics: reg})
 		if err != nil {
 			return nil, qos.Unreachable, err
 		}
@@ -98,7 +98,7 @@ func fixedAlg(reg *metrics.Registry) provision.Algorithm {
 // randomAlg adapts the random control algorithm with a dedicated rng.
 func randomAlg(rng *rand.Rand, reg *metrics.Registry) provision.Algorithm {
 	return func(ov *overlay.Overlay, req *require.Requirement, src int) (*flow.Graph, qos.Metric, error) {
-		ag, err := abstract.BuildMetrics(ov, req, reg)
+		ag, err := abstract.BuildWith(ov, req, qos.Options{Metrics: reg})
 		if err != nil {
 			return nil, qos.Unreachable, err
 		}

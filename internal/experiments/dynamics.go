@@ -7,6 +7,7 @@ import (
 
 	"sflow/internal/abstract"
 	"sflow/internal/metrics"
+	"sflow/internal/qos"
 	"sflow/internal/reduce"
 	"sflow/internal/scenario"
 	"sflow/internal/session"
@@ -92,7 +93,7 @@ func Dynamics(cfg Config) (*Series, error) {
 			// Rebuild path: from-scratch all-pairs and abstract graph over
 			// the identical overlay state.
 			start = time.Now()
-			rg, rebErr := abstract.BuildWorkers(sess.Overlay(), s.Req, 1)
+			rg, rebErr := abstract.BuildWith(sess.Overlay(), s.Req, qos.Options{Workers: 1})
 			var rebSol *reduce.Result
 			if rebErr == nil {
 				rebSol, rebErr = reduce.Solve(rg, s.SourceNID, nil)

@@ -21,6 +21,7 @@ import (
 	"sflow/internal/exact"
 	"sflow/internal/flow"
 	"sflow/internal/metrics"
+	"sflow/internal/qos"
 	"sflow/internal/scenario"
 	"sflow/internal/stats"
 )
@@ -275,7 +276,7 @@ func generalScenario(cfg Config, size, trial int, kind scenario.Kind) (*scenario
 	// host's cores; keep the per-cell all-pairs computation sequential so
 	// a single-worker sweep reproduces the historical behaviour exactly
 	// and a parallel sweep does not oversubscribe.
-	ag, err := abstract.BuildWorkersMetrics(s.Overlay, s.Req, 1, cfg.Metrics)
+	ag, err := abstract.BuildWith(s.Overlay, s.Req, qos.Options{Workers: 1, Metrics: cfg.Metrics})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -382,7 +383,7 @@ func Fig10b(cfg Config) (*Series, error) {
 			// Sequential all-pairs: the timed comparison against
 			// sFlow's single-threaded per-node computations stays
 			// apples-to-apples regardless of the sweep's fan-out.
-			ag, err := abstract.BuildWorkers(s.Overlay, s.Req, 1)
+			ag, err := abstract.BuildWith(s.Overlay, s.Req, qos.Options{Workers: 1})
 			if err != nil {
 				return nil, err
 			}

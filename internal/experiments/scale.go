@@ -73,7 +73,7 @@ func Scale(cfg Config) (*Series, error) {
 		// Lazy demand-driven solve. Per-cell parallelism stays at 1: the
 		// sweep pool already fans cells out, and the answers are identical
 		// at any worker count anyway.
-		lt := qos.NewLazyAllPairs(s.Overlay, cfg.Metrics)
+		lt := qos.New(s.Overlay, qos.Options{Lazy: true, Metrics: cfg.Metrics})
 		start := time.Now()
 		ag, err := abstract.FromAllPairs(s.Overlay, s.Req, lt)
 		var lazySol *reduce.Result
@@ -87,7 +87,7 @@ func Scale(cfg Config) (*Series, error) {
 		vals["rows_frac"] = float64(lt.Stats().Computed) / float64(s.Overlay.NumInstances())
 
 		if size <= scaleOracleCutoff {
-			eg, oerr := abstract.BuildWorkers(s.Overlay, s.Req, 1)
+			eg, oerr := abstract.BuildWith(s.Overlay, s.Req, qos.Options{Workers: 1})
 			var eagerSol *reduce.Result
 			if oerr == nil {
 				eagerSol, oerr = reduce.Solve(eg, s.SourceNID, nil)

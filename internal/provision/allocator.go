@@ -251,7 +251,7 @@ type Allocator struct {
 	rowsRecomputed, rowsKept    *metrics.Counter
 	dirtiedWorse, dirtiedBetter *metrics.Counter
 	refreezeNodes, refreezeArc  *metrics.Counter
-	tableSeen                   qos.IncrementalStats
+	tableSeen                   qos.Stats
 }
 
 // NewAllocator starts a multi-tenant allocator over a private residual copy

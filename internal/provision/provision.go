@@ -130,7 +130,7 @@ type Manager struct {
 	// the first allPairs call and kept current through arcChanged reports
 	// from every residual writer (Admit's reserve loop, Release, restore).
 	// Managers whose algorithms never ask for it never build it.
-	table *qos.Incremental
+	table *qos.AllPairs
 }
 
 // NewManager starts provisioning on a copy of the given overlay; the
@@ -395,17 +395,16 @@ func (m *Manager) arcChanged(link [2]int, b, b2 int64) {
 // allPairs returns the shortest-widest all-pairs table of the live residual
 // and how many of its rows this call recomputed. The first call builds every
 // row; later calls recompute only the rows the reservations and releases
-// since could have moved (qos.Incremental.ArcChanged) — the flushed table is
-// byte-identical to qos.ComputeAllPairs(m.Residual()). The table is updated
+// since could have moved (qos.AllPairs.ArcChanged) — the flushed table is
+// byte-identical to a fresh qos.New(m.Residual(), …). The table is updated
 // in place by later calls. Rows are computed one after another: the dozen
 // or so a reservation dirties cost less than a worker fan-out.
 func (m *Manager) allPairs() (*qos.AllPairs, int) {
 	if m.table == nil {
-		m.table = qos.NewIncremental(m.residual, 1, nil)
-		return m.table.AllPairs(), m.residual.NumInstances()
+		m.table = qos.New(m.residual, qos.Options{Workers: 1})
+		return m.table, m.residual.NumInstances()
 	}
-	n := m.table.Flush()
-	return m.table.AllPairs(), n
+	return m.table, m.table.Flush()
 }
 
 // AdmitUntilRejected submits up to maxRequests identical requests and stops

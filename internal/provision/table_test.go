@@ -184,7 +184,7 @@ func TestResidualTableMatchesFromScratch(t *testing.T) {
 		var tableOK bool
 		_ = a.exec(func() {
 			ap, _ := a.mgr.allPairs()
-			tableOK = qos.TablesEqual(ap, qos.ComputeAllPairs(a.mgr.residual))
+			tableOK = qos.TablesEqual(ap, qos.ComputeAllPairsWorkers(a.mgr.residual, 0))
 		})
 		if !tableOK {
 			t.Fatalf("step %d: maintained table differs from ComputeAllPairs", step)
@@ -279,7 +279,7 @@ func admitMixStream(t *testing.T, admits int, reg *metrics.Registry) *Allocator 
 func TestAdmitMixTableCounts(t *testing.T) {
 	reg := metrics.New()
 	a := admitMixStream(t, 1000, reg)
-	var st qos.IncrementalStats
+	var st qos.Stats
 	_ = a.exec(func() { st = a.mgr.table.Stats() })
 	a.Close()
 	recomputed := reg.Counter("alloc_table_rows_recomputed_total").Value()

@@ -225,8 +225,8 @@ func BenchmarkShortestWidestTiers(b *testing.B) {
 func BenchmarkIncrementalFlush(b *testing.B) {
 	g := benchGraph(120)
 	u := g.Nodes()[0]
-	inc := NewIncremental(g, 1, nil)
-	row := inc.AllPairs().From(u)
+	inc := New(g, Options{Workers: 1})
+	row := flushed(inc).From(u)
 	var arc *Arc
 	for i, a := range g.adj[u] {
 		if len(row.PathTo(a.To)) == 2 && a.Bandwidth > 1 {

@@ -92,8 +92,7 @@ const (
 // rank-bitmap drain, and the row builder's buffers. A Scratch grows to the
 // largest graph it has seen and is then reused without allocating, so
 // steady-state relaxations allocate nothing. It is owned by exactly one goroutine at a time and must not be
-// shared concurrently; ComputeAllPairsWorkers and Incremental.Flush thread
-// one per worker.
+// shared concurrently; an AllPairs fill threads one per worker.
 type Scratch struct {
 	width []int64 // phase-1 bottleneck bandwidth per index; 0 = unreached
 	lat   []int64 // phase-2 / latency-kernel distance per index; -1 = unreached

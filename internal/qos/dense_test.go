@@ -101,7 +101,7 @@ func TestCSRAllPairsMatchesRef(t *testing.T) {
 		ref := computeAllPairsRef(g)
 		for _, workers := range []int{1, 3} {
 			ap := ComputeAllPairsWorkers(g, workers)
-			if !ap.Equal(ref) || !ref.Equal(ap) {
+			if !TablesEqual(ap, ref) || !TablesEqual(ref, ap) {
 				t.Fatalf("trial %d workers %d: CSR all-pairs diverged from map reference", trial, workers)
 			}
 			for _, src := range g.Nodes() {
@@ -133,7 +133,7 @@ func TestCSRMetricsParity(t *testing.T) {
 		g := messyRandomGraph(rng, 4+rng.Intn(16), 0.3)
 
 		dense := metrics.New()
-		ComputeAllPairsWorkersMetrics(g, 2, dense)
+		New(g, Options{Workers: 2, Metrics: dense})
 
 		oracle := metrics.New()
 		ins := instrFor(oracle)
@@ -202,7 +202,7 @@ func TestPathToReturnsCopy(t *testing.T) {
 	check("oracle", func() []int { return oracle.PathTo(4) }, []int{1, 2, 4})
 	dense := ShortestWidestCSR(FreezeGraph(g), 1, nil)
 	check("dense", func() []int { return dense.PathTo(4) }, []int{1, 2, 4})
-	ap := ComputeAllPairs(g)
+	ap := ComputeAllPairsWorkers(g, 0)
 	check("allpairs", func() []int { return ap.Path(1, 4) }, []int{1, 2, 4})
 
 	if oracle.PathTo(99) != nil {

@@ -47,14 +47,6 @@ func (g *testGraph) removeNode(n int) (inNeighbors []int) {
 	return inNeighbors
 }
 
-// arcReporter is what a mutation report reaches: an Incremental or a
-// LazyAllPairs.
-type arcReporter interface {
-	ArcChanged(u, v int, b, b2 int64)
-	NodeAdded(n int)
-	NodeRemoved(n int)
-}
-
 // arcBW returns the bandwidth of the first arc u -> v, 0 when there is none.
 func (g *testGraph) arcBW(u, v int) int64 {
 	for _, a := range g.adj[u] {
@@ -67,7 +59,7 @@ func (g *testGraph) arcBW(u, v int) int64 {
 
 // setArcReported is setArc reported to ts: the latency may change too, so the
 // arc is reported going to 0 and coming back.
-func (g *testGraph) setArcReported(u, v int, bw, lat int64, ts ...arcReporter) {
+func (g *testGraph) setArcReported(u, v int, bw, lat int64, ts ...*AllPairs) {
 	b := g.arcBW(u, v)
 	g.setArc(u, v, bw, lat)
 	for _, t := range ts {
@@ -77,7 +69,7 @@ func (g *testGraph) setArcReported(u, v int, bw, lat int64, ts ...arcReporter) {
 }
 
 // addArcReported is addArc reported to ts.
-func (g *testGraph) addArcReported(u, v int, bw, lat int64, ts ...arcReporter) {
+func (g *testGraph) addArcReported(u, v int, bw, lat int64, ts ...*AllPairs) {
 	g.addArc(u, v, bw, lat)
 	for _, t := range ts {
 		t.ArcChanged(u, v, 0, bw)
@@ -85,7 +77,7 @@ func (g *testGraph) addArcReported(u, v int, bw, lat int64, ts ...arcReporter) {
 }
 
 // dropArcReported is dropArcTo reported to ts, one report per dropped arc.
-func (g *testGraph) dropArcReported(u, v int, ts ...arcReporter) {
+func (g *testGraph) dropArcReported(u, v int, ts ...*AllPairs) {
 	var gone []int64
 	for _, a := range g.adj[u] {
 		if a.To == v {
@@ -102,7 +94,7 @@ func (g *testGraph) dropArcReported(u, v int, ts ...arcReporter) {
 
 // removeNodeReported is removeNode reported to ts the way a session reports
 // an instance leaving: every incident arc going to 0, then the node.
-func (g *testGraph) removeNodeReported(n int, ts ...arcReporter) {
+func (g *testGraph) removeNodeReported(n int, ts ...*AllPairs) {
 	type arc struct {
 		u, v int
 		b    int64
@@ -127,11 +119,17 @@ func (g *testGraph) removeNodeReported(n int, ts ...arcReporter) {
 	}
 }
 
-func assertMatchesScratch(t *testing.T, inc *Incremental, g Graph) {
+// flushed flushes t and returns it.
+func flushed(t *AllPairs) *AllPairs {
+	t.Flush()
+	return t
+}
+
+func assertMatchesScratch(t *testing.T, inc *AllPairs, g Graph) {
 	t.Helper()
-	got := inc.AllPairs()
+	got := flushed(inc)
 	want := ComputeAllPairsWorkers(g, 1)
-	if !got.Equal(want) || !want.Equal(got) {
+	if !TablesEqual(got, want) || !TablesEqual(want, got) {
 		t.Fatalf("incremental table diverged from scratch:\n got sources %v\nwant sources %v",
 			got.Sources(), want.Sources())
 	}
@@ -153,7 +151,7 @@ func chainGraph() *testGraph {
 // above its width.
 func TestIncrementalDirtySetFollowsArcRules(t *testing.T) {
 	g := chainGraph()
-	inc := NewIncremental(g, 1, nil)
+	inc := New(g, Options{Workers: 1})
 	// (3, 4) is a tree arc of every row that reaches 4 through 3: 1, 2, 3
 	// and 5. Row 4 reaches nothing.
 	g.setArcReported(3, 4, 50, 20, inc)
@@ -177,7 +175,7 @@ func TestIncrementalDirtySetFollowsArcRules(t *testing.T) {
 
 func TestIncrementalNodeLifecycle(t *testing.T) {
 	g := chainGraph()
-	inc := NewIncremental(g, 1, nil)
+	inc := New(g, Options{Workers: 1})
 
 	// Join: the new node needs its own run; links arrive as ArcChanged.
 	g.addNode(9)
@@ -191,7 +189,7 @@ func TestIncrementalNodeLifecycle(t *testing.T) {
 	g.removeNodeReported(2, inc)
 	inc.Flush()
 	assertMatchesScratch(t, inc, g)
-	for _, src := range inc.AllPairs().Sources() {
+	for _, src := range flushed(inc).Sources() {
 		if src == 2 {
 			t.Fatal("removed node still has a result")
 		}
@@ -200,7 +198,7 @@ func TestIncrementalNodeLifecycle(t *testing.T) {
 
 func TestIncrementalDirtySourceRemovedBeforeFlush(t *testing.T) {
 	g := chainGraph()
-	inc := NewIncremental(g, 1, nil)
+	inc := New(g, Options{Workers: 1})
 	// Dirty node 5 (it reaches everything), then remove it before flushing:
 	// the flush must drop it, not recompute it.
 	g.setArcReported(1, 2, 42, 7, inc)
@@ -211,7 +209,7 @@ func TestIncrementalDirtySourceRemovedBeforeFlush(t *testing.T) {
 
 func TestIncrementalAddedThenRemovedBeforeFlush(t *testing.T) {
 	g := chainGraph()
-	inc := NewIncremental(g, 1, nil)
+	inc := New(g, Options{Workers: 1})
 	g.addNode(7)
 	inc.NodeAdded(7)
 	g.removeNodeReported(7, inc)
@@ -228,7 +226,7 @@ func TestIncrementalRandomTraceAllWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 2, 0} {
 		rng := rand.New(rand.NewSource(int64(37 + workers)))
 		g := randomGraph(rng, 16, 0.25)
-		inc := NewIncremental(g, workers, nil)
+		inc := New(g, Options{Workers: workers})
 		next := 100
 		steps := 300
 		if testing.Short() {
@@ -278,7 +276,7 @@ func TestIncrementalRandomTraceAllWorkerCounts(t *testing.T) {
 func TestIncrementalCounters(t *testing.T) {
 	reg := metrics.New()
 	g := chainGraph()
-	inc := NewIncremental(g, 1, reg)
+	inc := New(g, Options{Workers: 1, Metrics: reg})
 	g.setArcReported(3, 4, 50, 20, inc)
 	inc.Flush()
 	if got := reg.Counter("qos_incremental_flushes_total").Value(); got != 1 {
@@ -317,13 +315,13 @@ func TestAllPairsEqual(t *testing.T) {
 	g := chainGraph()
 	a := ComputeAllPairsWorkers(g, 1)
 	b := ComputeAllPairsWorkers(g, 1)
-	if !a.Equal(b) {
+	if !TablesEqual(a, b) {
 		t.Fatal("identical tables compare unequal")
 	}
 	// Different metric.
 	h := chainGraph()
 	h.setArc(1, 2, 99, 10)
-	if a.Equal(ComputeAllPairsWorkers(h, 1)) {
+	if TablesEqual(a, ComputeAllPairsWorkers(h, 1)) {
 		t.Fatal("tables with different metrics compare equal")
 	}
 	// Same metrics, different selected path: two equal-quality routes.
@@ -337,13 +335,13 @@ func TestAllPairsEqual(t *testing.T) {
 	p2.addArc(3, 4, 10, 5)
 	ap1 := ComputeAllPairsWorkers(p1, 1)
 	ap2 := ComputeAllPairsWorkers(p2, 1)
-	if ap1.Equal(ap2) {
+	if TablesEqual(ap1, ap2) {
 		t.Fatal("tables over different graphs compare equal")
 	}
 	// Different source sets.
 	i := chainGraph()
 	i.addNode(42)
-	if a.Equal(ComputeAllPairsWorkers(i, 1)) {
+	if TablesEqual(a, ComputeAllPairsWorkers(i, 1)) {
 		t.Fatal("tables with different source sets compare equal")
 	}
 }

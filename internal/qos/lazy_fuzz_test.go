@@ -14,7 +14,7 @@ import (
 // and a node leave as every incident arc going to 0. It reports false for an
 // op that is not a mutation (ops 5-7 are reads and flushes, which the
 // callers apply to their own tables).
-func applyArcFuzzOp(g *testGraph, ts []arcReporter, op, x, y byte, next *int) bool {
+func applyArcFuzzOp(g *testGraph, ts []*AllPairs, op, x, y byte, next *int) bool {
 	nodes := g.Nodes()
 	if len(nodes) == 0 {
 		return false
@@ -88,19 +88,16 @@ func fuzzBaseGraph() *testGraph {
 	return g
 }
 
-// requireKeptRowsFresh fails unless every completed, unqueued row of lt
+// requireKeptRowsFresh fails unless every resident, unqueued row of tb
 // equals a fresh row on g.
-func requireKeptRowsFresh(t *testing.T, lt *LazyAllPairs, g Graph, op int) {
+func requireKeptRowsFresh(t *testing.T, tb *AllPairs, g Graph, op int) {
 	t.Helper()
 	fresh := FreezeGraph(g)
-	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	for src, row := range lt.rows {
-		if _, queued := lt.dirty[src]; queued || row.res == nil {
-			continue
-		}
-		if !row.res.Equal(ShortestWidestCSR(fresh, src, nil)) {
-			t.Fatalf("op %d: lazy row %d was kept but changed", op, src)
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	for k, row := range tb.rows {
+		if row != nil && !tb.dirty[k] && !row.Equal(ShortestWidestCSR(fresh, row.Source, nil)) {
+			t.Fatalf("op %d: row %d was kept but changed", op, row.Source)
 		}
 	}
 }
@@ -112,8 +109,10 @@ func requireKeptRowsFresh(t *testing.T, lt *LazyAllPairs, g Graph, op int) {
 // moved, the comparison catches it. An unbounded and a MaxRows=2 bounded
 // table run the same trace side by side, so LRU eviction interleaved with
 // mutation-driven invalidation is fuzzed against the same oracle, and the
-// bound itself is asserted after every op. Any byte string is a valid trace:
-// three bytes per op, first byte selects the op.
+// bound itself is asserted after every op. After every explicit flush the
+// lazy table's freeze, patched in place, must describe the same graph as a
+// fresh FreezeGraph, as in FuzzIncrementalArcChanged. Any byte string is a
+// valid trace: three bytes per op, first byte selects the op.
 func FuzzLazyInvalidation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 0, 0, 1, 2, 5, 0, 0})           // read, grow, re-read
@@ -128,13 +127,13 @@ func FuzzLazyInvalidation(f *testing.F) {
 			trace = trace[:48]
 		}
 		g := fuzzBaseGraph()
-		lt := NewLazyAllPairs(g, nil)
-		bounded := NewLazyAllPairsOpts(g, LazyOptions{MaxRows: 2})
-		lts := []*LazyAllPairs{lt, bounded}
+		lt := New(g, Options{Lazy: true})
+		bounded := New(g, Options{Lazy: true, MaxRows: 2})
+		lts := []*AllPairs{lt, bounded}
 		next := 100
 		for i := 0; i+2 < len(trace); i += 3 {
 			op, x, y := trace[i], trace[i+1], trace[i+2]
-			if !applyArcFuzzOp(g, []arcReporter{lt, bounded}, op, x, y, &next) {
+			if !applyArcFuzzOp(g, []*AllPairs{lt, bounded}, op, x, y, &next) {
 				nodes := g.Nodes()
 				if len(nodes) == 0 {
 					continue
@@ -150,6 +149,7 @@ func FuzzLazyInvalidation(f *testing.F) {
 						if l.Stats().Computed != before {
 							t.Fatalf("op %d: lazy flush ran routing kernels", i/3)
 						}
+						requirePatchedFreeze(t, l, g, i/3)
 					case 7: // read a metric and a path
 						l.Metric(pick(x), pick(y))
 						l.Path(pick(y), pick(x))
@@ -172,18 +172,18 @@ func FuzzLazyInvalidation(f *testing.F) {
 	})
 }
 
-// requirePatchedFreeze fails unless the eager table's freeze says what a
+// requirePatchedFreeze fails unless the table's freeze says what a
 // fresh freeze of g says: per node the same usable arcs (target, bandwidth,
 // latency) in any order, usable-latency bounds that contain the fresh ones,
-// and a view whose rows are the freeze's rows sorted widest first over a
-// palette holding every usable bandwidth.
-func requirePatchedFreeze(t *testing.T, inc *Incremental, g Graph, op int) {
+// and, in eager mode, a view whose rows are the freeze's rows sorted widest
+// first over a palette holding every usable bandwidth.
+func requirePatchedFreeze(t *testing.T, inc *AllPairs, g Graph, op int) {
 	t.Helper()
 	if inc.refreeze != "" {
 		return // a re-freeze waits for a row that needs it
 	}
-	fz, view, fresh := inc.frozen, &inc.view, FreezeGraph(g)
-	if view.g != fz || view.gen != fz.Gen {
+	fz, view, fresh := inc.frozen, inc.view, FreezeGraph(g)
+	if view != nil && (view.g != fz || view.gen != fz.Gen) {
 		t.Fatalf("op %d: the view was derived from another freeze", op)
 	}
 	type arc struct {
@@ -210,6 +210,9 @@ func requirePatchedFreeze(t *testing.T, inc *Incremental, g Graph, op int) {
 		if got, want := usable(fz, j), usable(fresh, i); !slices.Equal(got, want) {
 			t.Fatalf("op %d: node %d arcs %v in the patched freeze, %v fresh", op, fresh.ID(i), got, want)
 		}
+		if view == nil {
+			continue
+		}
 		if row := view.bw[fz.Off[j]:fz.Off[j+1]]; !slices.IsSortedFunc(row, func(a, b int64) int { return cmp.Compare(b, a) }) {
 			t.Fatalf("op %d: view row of node %d not widest first: %v", op, fresh.ID(i), row)
 		}
@@ -217,7 +220,7 @@ func requirePatchedFreeze(t *testing.T, inc *Incremental, g Graph, op int) {
 	if fresh.MinLat < fresh.MaxLat && (fz.MinLat > fresh.MinLat || fz.MaxLat < fresh.MaxLat) {
 		t.Fatalf("op %d: patched latency bounds [%d, %d] miss fresh [%d, %d]", op, fz.MinLat, fz.MaxLat, fresh.MinLat, fresh.MaxLat)
 	}
-	if len(view.palette) > 0 {
+	if view != nil && len(view.palette) > 0 {
 		for _, bw := range fresh.BW {
 			if k := palettePos(view.palette, bw); bw > 0 && (k == len(view.palette) || view.palette[k] != bw) {
 				t.Fatalf("op %d: bandwidth %d missing from the palette %v", op, bw, view.palette)
@@ -227,7 +230,7 @@ func requirePatchedFreeze(t *testing.T, inc *Incremental, g Graph, op int) {
 }
 
 // FuzzIncrementalArcChanged is FuzzLazyInvalidation's eager twin: the same
-// arc-delta grammar against an eager Incremental, whose flushes patch their
+// arc-delta grammar against an eager table, whose flushes patch their
 // private freeze in place whenever the batch kept the node set. After every
 // op every row the table kept must equal a fresh row; after every flush the
 // table must equal a from-scratch computation and the patched freeze must
@@ -243,19 +246,14 @@ func FuzzIncrementalArcChanged(f *testing.F) {
 			trace = trace[:48]
 		}
 		g := fuzzBaseGraph()
-		inc := NewIncremental(g, 1, nil)
+		inc := New(g, Options{Workers: 1})
 		next := 100
 		for i := 0; i+2 < len(trace); i += 3 {
-			if !applyArcFuzzOp(g, []arcReporter{inc}, trace[i], trace[i+1], trace[i+2], &next) && trace[i]%8 == 6 {
+			if !applyArcFuzzOp(g, []*AllPairs{inc}, trace[i], trace[i+1], trace[i+2], &next) && trace[i]%8 == 6 {
 				inc.Flush()
 				requirePatchedFreeze(t, inc, g, i/3)
 			}
-			fresh := FreezeGraph(g)
-			for k, row := range inc.rows {
-				if row != nil && !inc.dirty[k] && !row.Equal(ShortestWidestCSR(fresh, inc.nodes[k], nil)) {
-					t.Fatalf("op %d: row %d was kept but changed", i/3, inc.nodes[k])
-				}
-			}
+			requireKeptRowsFresh(t, inc, g, i/3)
 		}
 		assertMatchesScratch(t, inc, g)
 		requirePatchedFreeze(t, inc, g, len(trace)/3)

@@ -32,7 +32,7 @@ func lruGraph() *testGraph {
 func TestLazyMaxRowsBound(t *testing.T) {
 	g := lruGraph()
 	reg := metrics.New()
-	lt := NewLazyAllPairsOpts(g, LazyOptions{Metrics: reg, MaxRows: 3})
+	lt := New(g, Options{Lazy: true, Metrics: reg, MaxRows: 3})
 	if lt.MaxRows() != 3 {
 		t.Fatalf("MaxRows() = %d, want 3", lt.MaxRows())
 	}
@@ -55,7 +55,7 @@ func TestLazyMaxRowsBound(t *testing.T) {
 // eviction victim is the least recently READ row, not the oldest computed.
 func TestLazyLRUTouchOnHit(t *testing.T) {
 	g := lruGraph()
-	lt := NewLazyAllPairsOpts(g, LazyOptions{MaxRows: 3})
+	lt := New(g, Options{Lazy: true, MaxRows: 3})
 	lt.From(1)
 	lt.From(2)
 	lt.From(3)
@@ -73,7 +73,7 @@ func TestLazyLRUTouchOnHit(t *testing.T) {
 // byte-identically on its next read — eviction is purely a memory decision.
 func TestLazyLRURecomputeByteIdentical(t *testing.T) {
 	g := lruGraph()
-	lt := NewLazyAllPairsOpts(g, LazyOptions{MaxRows: 2})
+	lt := New(g, Options{Lazy: true, MaxRows: 2})
 	first := lt.From(1)
 	lt.From(2)
 	lt.From(3) // evicts 1
@@ -98,7 +98,7 @@ func TestLazyLRURecomputeByteIdentical(t *testing.T) {
 // bound holds afterwards.
 func TestLazyLRUSingleFlight(t *testing.T) {
 	g := lruGraph()
-	lt := NewLazyAllPairsOpts(g, LazyOptions{MaxRows: 2})
+	lt := New(g, Options{Lazy: true, MaxRows: 2})
 	var wg sync.WaitGroup
 	results := make([]*Result, 16)
 	for i := range results {
@@ -131,7 +131,7 @@ func TestLazyLRUSingleFlight(t *testing.T) {
 // eager oracle on the current graph.
 func TestLazyLRUInvalidationInterplay(t *testing.T) {
 	g := lruGraph()
-	lt := NewLazyAllPairsOpts(g, LazyOptions{MaxRows: 3})
+	lt := New(g, Options{Lazy: true, MaxRows: 3})
 	for src := 1; src <= 4; src++ { // 1 LRU-evicted, 2..4 resident
 		lt.From(src)
 	}
@@ -154,7 +154,7 @@ func TestLazyLRUInvalidationInterplay(t *testing.T) {
 // two caches age independently.
 func TestLazyLRUSnapshotInheritance(t *testing.T) {
 	g := lruGraph()
-	lt := NewLazyAllPairsOpts(g, LazyOptions{MaxRows: 3})
+	lt := New(g, Options{Lazy: true, MaxRows: 3})
 	lt.From(1)
 	lt.From(2)
 	lt.From(3)
@@ -187,7 +187,7 @@ func TestLazyLRUSnapshotInheritance(t *testing.T) {
 // computed row, exactly the pre-bound behavior.
 func TestLazyUnboundedNeverLRUEvicts(t *testing.T) {
 	g := lruGraph()
-	lt := NewLazyAllPairs(g, nil)
+	lt := New(g, Options{Lazy: true})
 	for src := 1; src <= 8; src++ {
 		lt.From(src)
 	}
@@ -206,17 +206,19 @@ func TestLazyUnboundedNeverLRUEvicts(t *testing.T) {
 func TestLazyResidentGauges(t *testing.T) {
 	g := lruGraph()
 	reg := metrics.New()
-	lt := NewLazyAllPairsOpts(g, LazyOptions{Metrics: reg, MaxRows: 3})
+	lt := New(g, Options{Lazy: true, Metrics: reg, MaxRows: 3})
 	rows := reg.Gauge("qos_lazy_resident_rows", metrics.Volatile())
 	size := reg.Gauge("qos_lazy_resident_bytes", metrics.Volatile())
-	held := func(l *LazyAllPairs) (n, bytes int64) {
-		for _, src := range l.ComputedRows() {
-			n++
-			bytes += int64(l.rows[src].res.Bytes())
+	held := func(l *AllPairs) (n, bytes int64) {
+		for _, r := range l.rows {
+			if r != nil {
+				n++
+				bytes += int64(r.Bytes())
+			}
 		}
 		return n, bytes
 	}
-	check := func(when string, l *LazyAllPairs, wantRows int64) {
+	check := func(when string, l *AllPairs, wantRows int64) {
 		t.Helper()
 		n, bytes := held(l)
 		if n != wantRows || rows.Value() != n || size.Value() != bytes || (n > 0) != (bytes > 0) {

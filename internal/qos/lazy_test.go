@@ -12,7 +12,7 @@ import (
 // assertLazyMatchesEager materializes every row of the lazy table and
 // deep-compares it against a from-scratch eager computation on the same
 // graph — sources, reachable sets, metrics and selected paths.
-func assertLazyMatchesEager(t *testing.T, lt *LazyAllPairs, g Graph) {
+func assertLazyMatchesEager(t *testing.T, lt *AllPairs, g Graph) {
 	t.Helper()
 	want := ComputeAllPairsWorkers(g, 1)
 	if !TablesEqual(lt, want) || !TablesEqual(want, lt) {
@@ -45,7 +45,7 @@ func randomTestGraph(seed int64, n, degree int) *testGraph {
 func TestLazyMatchesEagerEveryRow(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomTestGraph(seed, 40, 3)
-		lt := NewLazyAllPairs(g, nil)
+		lt := New(g, Options{Lazy: true})
 		assertLazyMatchesEager(t, lt, g)
 		if got, want := lt.Stats().Computed, int64(len(g.Nodes())); got != want {
 			t.Fatalf("seed %d: computed %d rows, want %d (one per source)", seed, got, want)
@@ -55,7 +55,7 @@ func TestLazyMatchesEagerEveryRow(t *testing.T) {
 
 func TestLazyUnknownSourceMatchesEager(t *testing.T) {
 	g := chainGraph()
-	lt := NewLazyAllPairs(g, nil)
+	lt := New(g, Options{Lazy: true})
 	eager := ComputeAllPairsWorkers(g, 1)
 	if lt.From(42) != nil || eager.From(42) != nil {
 		t.Fatal("unknown source produced a row")
@@ -75,7 +75,7 @@ func TestLazyUnknownSourceMatchesEager(t *testing.T) {
 // rows runs exactly k kernels, and re-reads are memoized hits.
 func TestLazyRowsComputeOnDemandOnly(t *testing.T) {
 	g := randomTestGraph(1, 30, 3)
-	lt := NewLazyAllPairs(g, nil)
+	lt := New(g, Options{Lazy: true})
 	reads := []int{3, 7, 11}
 	for _, src := range reads {
 		if lt.From(src) == nil {
@@ -103,7 +103,7 @@ func TestLazyRowsComputeOnDemandOnly(t *testing.T) {
 func TestLazySingleFlight(t *testing.T) {
 	const goroutines = 32
 	g := randomTestGraph(2, 60, 3)
-	lt := NewLazyAllPairs(g, nil)
+	lt := New(g, Options{Lazy: true})
 
 	var start, done sync.WaitGroup
 	results := make([]*Result, goroutines)
@@ -152,13 +152,13 @@ func TestLazySingleFlight(t *testing.T) {
 	assertLazyMatchesEager(t, lt, g)
 }
 
-// TestLazyInvalidationFollowsArcRules mirrors the Incremental dirty-set
+// TestLazyInvalidationFollowsArcRules mirrors the eager dirty-set
 // test: a narrowed tree arc queues precisely the materialized rows whose
 // paths cross it, a new arc only the rows it can widen, and unmaterialized
 // rows cost nothing.
 func TestLazyInvalidationFollowsArcRules(t *testing.T) {
 	g := chainGraph() // 1 -> 2 -> 3 -> 4, 5 -> 1
-	lt := NewLazyAllPairs(g, nil)
+	lt := New(g, Options{Lazy: true})
 	for _, src := range []int{1, 2, 3, 4, 5} {
 		lt.From(src)
 	}
@@ -183,7 +183,7 @@ func TestLazyInvalidationFollowsArcRules(t *testing.T) {
 	assertLazyMatchesEager(t, lt, g)
 
 	// Same kind of mutation with NO materialized rows: nothing to evict.
-	lt2 := NewLazyAllPairs(g, nil)
+	lt2 := New(g, Options{Lazy: true})
 	g.setArcReported(2, 3, 70, 10, lt2)
 	if got := lt2.Dirty(); len(got) != 0 {
 		t.Fatalf("empty table queued evictions: %v", got)
@@ -198,7 +198,7 @@ func TestLazyInvalidationFollowsArcRules(t *testing.T) {
 // that were actually touched.
 func TestLazyFlushRunsNoRouting(t *testing.T) {
 	g := chainGraph()
-	lt := NewLazyAllPairs(g, nil)
+	lt := New(g, Options{Lazy: true})
 	for _, src := range []int{1, 2, 3, 4, 5} {
 		lt.From(src)
 	}
@@ -220,7 +220,7 @@ func TestLazyFlushRunsNoRouting(t *testing.T) {
 
 func TestLazyNodeLifecycle(t *testing.T) {
 	g := chainGraph()
-	lt := NewLazyAllPairs(g, nil)
+	lt := New(g, Options{Lazy: true})
 	assertLazyMatchesEager(t, lt, g)
 
 	// Join: next reads see the new node and its links.
@@ -248,7 +248,7 @@ func TestLazyNodeLifecycle(t *testing.T) {
 // parent tracks the live graph.
 func TestLazySnapshotPinned(t *testing.T) {
 	g := randomTestGraph(3, 25, 3)
-	lt := NewLazyAllPairs(g, nil)
+	lt := New(g, Options{Lazy: true})
 	lt.From(0) // one row materialized pre-snapshot
 	wantOld := ComputeAllPairsWorkers(g, 1)
 
@@ -271,7 +271,7 @@ func TestLazySnapshotPinned(t *testing.T) {
 func TestLazyCounters(t *testing.T) {
 	reg := metrics.New()
 	g := chainGraph()
-	lt := NewLazyAllPairs(g, reg)
+	lt := New(g, Options{Lazy: true, Metrics: reg})
 	lt.From(1)
 	lt.From(1)
 	g.setArcReported(1, 2, 5, 5, lt)
@@ -289,98 +289,21 @@ func TestLazyCounters(t *testing.T) {
 	}
 }
 
-// TestIncrementalLazyFlushDefersRouting is the regression test for the lazy
-// Incremental mode: Flush must do eviction work proportional to the touched
-// rows and run zero kernels; the next AllPairs/Table read pays only for what
-// it reads.
-func TestIncrementalLazyFlushDefersRouting(t *testing.T) {
-	g := chainGraph()
-	inc := NewIncrementalLazy(g, 1, nil)
-	lt := inc.Lazy()
-	if lt == nil {
-		t.Fatal("lazy incremental has no lazy table")
-	}
-	// Boot runs no routing at all.
-	if got := lt.Stats().Computed; got != 0 {
-		t.Fatalf("construction ran %d kernels, want 0", got)
-	}
-	tbl := inc.Table()
-	for _, src := range []int{1, 2, 3, 4, 5} {
-		tbl.From(src)
-	}
-	base := lt.Stats().Computed
-
-	g.setArcReported(3, 4, 50, 20, inc)
-	if got, want := inc.Dirty(), []int{1, 2, 3, 5}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("dirty = %v, want %v", got, want)
-	}
-	if n := inc.Flush(); n != 4 {
-		t.Fatalf("flush reported %d, want 4 evicted rows", n)
-	}
-	if got := lt.Stats().Computed; got != base {
-		t.Fatalf("lazy flush ran %d kernels, want 0", got-base)
-	}
-	if got, want := lt.Stats().Evicted, int64(4); got != want {
-		t.Fatalf("flush evicted %d rows, want %d", got, want)
-	}
-	// A single-row read after the flush recomputes exactly that row.
-	tbl.From(4) // untouched: memo hit
-	if got := lt.Stats().Computed; got != base {
-		t.Fatalf("untouched row recomputed (%d kernels)", got-base)
-	}
-	tbl.From(2)
-	if got := lt.Stats().Computed; got != base+1 {
-		t.Fatalf("touched-row read ran %d kernels, want 1", got-base)
-	}
-
-	// AllPairs materializes and equals a scratch rebuild.
-	got := inc.AllPairs()
-	want := ComputeAllPairsWorkers(g, 1)
-	if !got.Equal(want) || !want.Equal(got) {
-		t.Fatal("lazy incremental AllPairs diverged from scratch")
-	}
-}
-
-// TestIncrementalLazyLifecycleMatchesScratch drives the full mutation API of
-// the lazy Incremental and checks the materialized table after every step.
-func TestIncrementalLazyLifecycleMatchesScratch(t *testing.T) {
-	g := chainGraph()
-	inc := NewIncrementalLazy(g, 1, nil)
-
-	check := func() {
-		t.Helper()
-		got := inc.AllPairs()
-		want := ComputeAllPairsWorkers(g, 1)
-		if !got.Equal(want) || !want.Equal(got) {
-			t.Fatal("lazy incremental diverged from scratch")
-		}
-	}
-	check()
-
-	g.addNode(9)
-	inc.NodeAdded(9)
-	g.addArcReported(9, 2, 80, 5, inc)
-	check()
-
-	g.removeNodeReported(2, inc)
-	check()
-}
-
 func TestLazyPrefetch(t *testing.T) {
 	g := randomTestGraph(11, 40, 3)
 	for _, workers := range []int{0, 1, 4} {
-		lt := NewLazyAllPairs(g, nil)
-		lt.Prefetch(nil, workers) // no-op
+		lt := New(g, Options{Lazy: true, Workers: workers})
+		lt.Prefetch(nil) // no-op
 		if got := lt.Stats().Computed; got != 0 {
 			t.Fatalf("workers=%d: empty prefetch computed %d rows", workers, got)
 		}
 		srcs := []int{0, 3, 7, 12, 25}
-		lt.Prefetch(srcs, workers)
+		lt.Prefetch(srcs)
 		if got := lt.Stats().Computed; got != int64(len(srcs)) {
 			t.Fatalf("workers=%d: prefetch computed %d rows, want %d", workers, got, len(srcs))
 		}
 		// Prefetching again is free, and the rows match a scratch table.
-		lt.Prefetch(srcs, workers)
+		lt.Prefetch(srcs)
 		if got := lt.Stats().Computed; got != int64(len(srcs)) {
 			t.Fatalf("workers=%d: re-prefetch recomputed (%d rows)", workers, got)
 		}

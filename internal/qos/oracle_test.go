@@ -9,6 +9,7 @@ package qos
 
 import (
 	"cmp"
+	"maps"
 	"slices"
 	"sort"
 )
@@ -109,15 +110,38 @@ func shortestLatencyRef(g Graph, src int) *Result {
 	return res
 }
 
+// refTable is the oracle's all-pairs table: one map-engine row per node,
+// kept apart from the production AllPairs so that table changes never move
+// the oracle (or the benchmark calibration leg that runs it).
+type refTable map[int]*Result
+
 // computeAllPairsRef runs shortestWidestRef from every node of g.
-func computeAllPairsRef(g Graph) *AllPairs {
+func computeAllPairsRef(g Graph) refTable {
 	nodes := g.Nodes()
-	ap := &AllPairs{results: make(map[int]*Result, len(nodes))}
+	t := make(refTable, len(nodes))
 	for _, n := range nodes {
-		ap.results[n] = shortestWidestRef(g, n)
+		t[n] = shortestWidestRef(g, n)
 	}
-	return ap
+	return t
 }
+
+func (t refTable) From(src int) *Result { return t[src] }
+
+func (t refTable) Metric(src, dst int) Metric {
+	if r := t[src]; r != nil {
+		return r.Metric(dst)
+	}
+	return Unreachable
+}
+
+func (t refTable) Path(src, dst int) []int {
+	if r := t[src]; r != nil {
+		return r.PathTo(dst)
+	}
+	return nil
+}
+
+func (t refTable) Sources() []int { return slices.Sorted(maps.Keys(t)) }
 
 // indexNodes gives the nodes a run reached dense indexes in ascending id
 // order: the mapping an oracle row is laid out over.

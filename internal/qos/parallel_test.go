@@ -70,7 +70,7 @@ func TestComputeAllPairsWorkersMatchesBruteForce(t *testing.T) {
 func TestComputeAllPairsDefaultMatchesSequentialAboveThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng, parallelAllPairsMin+8, 0.2)
-	def := ComputeAllPairs(g)
+	def := ComputeAllPairsWorkers(g, 0)
 	seq := ComputeAllPairsWorkers(g, 1)
 	for _, src := range g.Nodes() {
 		for _, dst := range g.Nodes() {

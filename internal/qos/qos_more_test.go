@@ -54,7 +54,7 @@ func TestShortestWidestParallelArcs(t *testing.T) {
 
 func TestAllPairsEmptyGraph(t *testing.T) {
 	g := newTestGraph()
-	ap := ComputeAllPairs(g)
+	ap := ComputeAllPairsWorkers(g, 0)
 	if len(ap.Sources()) != 0 {
 		t.Fatal("empty graph has sources")
 	}

@@ -234,7 +234,7 @@ func pathMetric(g *testGraph, path []int) Metric {
 func TestAllPairsConsistentWithSingleSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 12, 0.3)
-	ap := ComputeAllPairs(g)
+	ap := ComputeAllPairsWorkers(g, 0)
 	if got := len(ap.Sources()); got != 12 {
 		t.Fatalf("Sources = %d, want 12", got)
 	}

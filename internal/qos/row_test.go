@@ -58,7 +58,7 @@ func TestRowOverridesMatchOracle(t *testing.T) {
 }
 
 // TestRowSurvivesIncrementalRefreeze holds rows across flushes that re-freeze
-// the Incremental's CSR graph in place with a different node list. A row
+// the eager table's CSR graph in place with a different node list. A row
 // answers from the mapping of the graph it was computed on, whatever happened
 // to that graph since.
 func TestRowSurvivesIncrementalRefreeze(t *testing.T) {
@@ -66,9 +66,9 @@ func TestRowSurvivesIncrementalRefreeze(t *testing.T) {
 	g.addArc(1, 2, 100, 10)
 	g.addArc(2, 3, 100, 10)
 	g.addArc(10, 11, 40, 7)
-	inc := NewIncremental(g, 1, nil)
-	far := inc.AllPairs().From(10) // reaches nothing the mutations touch
-	old := inc.AllPairs().From(1)  // will be recomputed; the old row is kept here
+	inc := New(g, Options{Workers: 1})
+	far := flushed(inc).From(10) // reaches nothing the mutations touch
+	old := flushed(inc).From(1)  // will be recomputed; the old row is kept here
 
 	// A link change alone: the flush re-freezes over the same node list.
 	g.setArcReported(2, 3, 90, 10, inc)
@@ -82,7 +82,7 @@ func TestRowSurvivesIncrementalRefreeze(t *testing.T) {
 	inc.Flush()
 	assertMatchesScratch(t, inc, g)
 
-	if inc.AllPairs().From(10) != far {
+	if flushed(inc).From(10) != far {
 		t.Fatal("the untouched row was recomputed")
 	}
 	if got, want := far.PathTo(11), []int{10, 11}; !reflect.DeepEqual(got, want) || far.Metric(11) != (Metric{Bandwidth: 40, Latency: 7}) {
@@ -95,7 +95,7 @@ func TestRowSurvivesIncrementalRefreeze(t *testing.T) {
 	if got, want := old.PathTo(3), []int{1, 2, 3}; !reflect.DeepEqual(got, want) || old.Metric(3) != (Metric{Bandwidth: 100, Latency: 20}) {
 		t.Fatalf("superseded row: PathTo(3) = %v Metric(3) = %+v", got, old.Metric(3))
 	}
-	if got := inc.AllPairs().From(1); got.Metric(3).Reachable() || got.Metric(2).Reachable() {
+	if got := flushed(inc).From(1); got.Metric(3).Reachable() || got.Metric(2).Reachable() {
 		t.Fatalf("current row still reaches through the removed node: %+v", got.Metric(3))
 	}
 }
@@ -140,12 +140,12 @@ func TestArcChangedDirtiesOnlyMovableRows(t *testing.T) {
 				continue
 			}
 			mayMove := reachers(g, u)
-			inc := NewIncremental(g, 1, nil)
-			lt := NewLazyAllPairs(g, nil)
-			lt.Prefetch(nodes, 1)
+			inc := New(g, Options{Workers: 1})
+			lt := New(g, Options{Lazy: true, Workers: 1})
+			lt.Prefetch(nodes)
 			before := map[int]*Result{}
 			for _, src := range nodes {
-				before[src] = inc.AllPairs().From(src)
+				before[src] = flushed(inc).From(src)
 			}
 			// Narrow (maybe to nothing: a dead arc is an absent one) or widen
 			// the first arc u -> v, or add one.
@@ -177,7 +177,7 @@ func TestArcChangedDirtiesOnlyMovableRows(t *testing.T) {
 			assertMatchesScratch(t, inc, g)
 			assertLazyMatchesEager(t, lt, g)
 			for _, src := range nodes {
-				if inc.AllPairs().From(src) == before[src] {
+				if flushed(inc).From(src) == before[src] {
 					kept++
 				} else {
 					dirtied++
@@ -217,10 +217,10 @@ func TestArcChangedImprovementBoundaries(t *testing.T) {
 		for _, a := range tc.arcs {
 			g.addArc(int(a[0]), int(a[1]), a[2], 1)
 		}
-		inc := NewIncremental(g, 1, nil)
-		lt := NewLazyAllPairs(g, nil)
-		lt.Prefetch(g.Nodes(), 1)
-		kept := inc.AllPairs().From(1)
+		inc := New(g, Options{Workers: 1})
+		lt := New(g, Options{Lazy: true, Workers: 1})
+		lt.Prefetch(g.Nodes())
+		kept := flushed(inc).From(1)
 		iu, iv := kept.idx[tc.u], kept.idx[tc.v]
 
 		g.setArc(tc.u, tc.v, tc.b2, 1)
@@ -239,7 +239,7 @@ func TestArcChangedImprovementBoundaries(t *testing.T) {
 		}
 		assertMatchesScratch(t, inc, g)
 		assertLazyMatchesEager(t, lt, g)
-		if inc.AllPairs().From(1) != kept {
+		if flushed(inc).From(1) != kept {
 			t.Fatalf("%s: the eager table recomputed row 1", tc.name)
 		}
 	}

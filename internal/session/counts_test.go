@@ -39,7 +39,7 @@ func churnPairStream(t *testing.T, pairs int) *session.Session {
 			t.Fatalf("batch %d: %v", step, err)
 		}
 		s.Flush()
-		if !qos.TablesEqual(s.AllPairs(), qos.ComputeAllPairsWorkers(s.Overlay(), 1)) {
+		if !qos.TablesEqual(s.Table(), qos.ComputeAllPairsWorkers(s.Overlay(), 1)) {
 			t.Fatalf("batch %d: the flushed table differs from a from-scratch one", step)
 		}
 	}
@@ -92,7 +92,7 @@ func TestChurnPairStreamCounts(t *testing.T) {
 	t.Logf("recomputed %d, saved %d, dirtied %d worsening + %d improvement, %d patches, re-freezes %d nodes + %d arc",
 		got.RecomputedSources, got.SavedSources, table.DirtiedWorsening, table.DirtiedImprovement,
 		table.Patches, table.RefreezesNodes, table.RefreezesArc)
-	want := qos.IncrementalStats{DirtiedWorsening: 470, DirtiedImprovement: 582, RefreezesNodes: 40, Patches: 80}
+	want := qos.Stats{DirtiedWorsening: 470, DirtiedImprovement: 582, RefreezesNodes: 40, Patches: 80}
 	if got.RecomputedSources != 1053 || table != want {
 		t.Fatalf("recomputed %d sources, table %+v; want 1053 and %+v", got.RecomputedSources, table, want)
 	}
@@ -134,7 +134,7 @@ func TestArcRulesKeepOnlyUnchangedRows(t *testing.T) {
 	}
 	var kept, changed, spared int
 	for ev := 0; ev < events; ev++ {
-		lt := s.Table().(*qos.LazyAllPairs)
+		lt := s.Table()
 		before := make(map[int]*qos.Result, len(tracked))
 		for _, src := range tracked {
 			before[src] = lt.From(src)

@@ -9,4 +9,4 @@ func (s *Session) Exit()           { s.exit() }
 
 // TableStats exposes the eager table's invalidation and freeze counts to the
 // blackbox count pins.
-func (s *Session) TableStats() qos.IncrementalStats { return s.inc.Stats() }
+func (s *Session) TableStats() qos.Stats { return s.inc.Stats() }

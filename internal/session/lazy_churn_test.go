@@ -8,22 +8,11 @@ import (
 	"sflow/internal/session"
 )
 
-// lazyTableOf flushes the session and returns its demand-driven table, which
-// the Options.Lazy contract guarantees.
-func lazyTableOf(t *testing.T, s *session.Session) *qos.LazyAllPairs {
-	t.Helper()
-	lt, ok := s.Table().(*qos.LazyAllPairs)
-	if !ok {
-		t.Fatalf("lazy session serves a %T, want *qos.LazyAllPairs", s.Table())
-	}
-	return lt
-}
-
 // assertRowsMatchScratch deep-compares every currently materialized lazy row
 // — reachable set, metrics, selected paths — against a from-scratch eager
 // rebuild on the session's current overlay. Rows nobody read are exactly the
 // rows allowed to be absent.
-func assertRowsMatchScratch(t *testing.T, s *session.Session, lt *qos.LazyAllPairs, seed int64, event int) {
+func assertRowsMatchScratch(t *testing.T, s *session.Session, lt *qos.AllPairs, seed int64, event int) {
 	t.Helper()
 	scratch := qos.ComputeAllPairsWorkers(s.Overlay(), 1)
 	for _, src := range lt.ComputedRows() {
@@ -66,7 +55,7 @@ func TestLazyEquivalenceOracleTrace(t *testing.T) {
 			if _, err := churn.Step(); err != nil {
 				t.Fatalf("seed %d event %d: %v", seed, e, err)
 			}
-			lt := lazyTableOf(t, s)
+			lt := s.Table()
 			assertRowsMatchScratch(t, s, lt, seed, e)
 			if e%25 == 0 {
 				want := qos.ComputeAllPairsWorkers(s.Overlay(), 1)

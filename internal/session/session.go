@@ -5,9 +5,9 @@
 //
 // Every overlay change (a link re-weighted, added or removed; an instance
 // joining or leaving) flows through the session as the bandwidth change of
-// each arc it touched, which qos.Incremental checks against every row's own
-// widths and tree arcs. A solve after k changed links recomputes only the
-// sources whose rows those changes could move, not all of them; on
+// each arc it touched, which the qos.AllPairs table checks against every
+// row's own widths and tree arcs. A solve after k changed links recomputes
+// only the sources whose rows those changes could move, not all of them; on
 // single-link churn that is typically a small fraction of the overlay (see
 // results/bench-dynamics.txt).
 //
@@ -37,8 +37,9 @@ import (
 // Options tunes a session. The zero value is ready to use.
 type Options struct {
 	// Workers bounds the fan-out of the initial all-pairs computation and
-	// of every incremental flush: 0 uses runtime.GOMAXPROCS(0), 1 forces
-	// sequential recomputation (results are identical either way).
+	// of every incremental flush: 0 uses runtime.GOMAXPROCS(0) from 24
+	// nodes up, 1 forces sequential recomputation (results are identical
+	// either way).
 	Workers int
 	// Metrics, when non-nil, receives session counters (events by kind,
 	// recomputed vs saved sources) and a volatile flush-latency histogram.
@@ -96,13 +97,11 @@ type Stats struct {
 // have silently corrupted the all-pairs cache now crashes with a clear
 // diagnosis at the exact call site.
 type Session struct {
-	ov      *overlay.Overlay
-	inc     *qos.Incremental
-	lazy    bool
-	workers int
-	reg     *metrics.Registry
-	stats   Stats
-	epoch   uint64
+	ov    *overlay.Overlay
+	inc   *qos.AllPairs
+	lazy  bool
+	stats Stats
+	epoch uint64
 
 	// inUse is the concurrent-misuse detector: 0 when idle, 1 while a
 	// guarded method runs.
@@ -129,19 +128,11 @@ func (s *Session) exit() { s.inUse.Store(0) }
 // caller's overlay do not affect the session, and vice versa).
 func New(ov *overlay.Overlay, opts Options) *Session {
 	own := ov.Clone()
-	var inc *qos.Incremental
-	if opts.Lazy {
-		inc = qos.NewIncrementalLazyOpts(own, opts.Workers,
-			qos.LazyOptions{Metrics: opts.Metrics, MaxRows: opts.MaxRows})
-	} else {
-		inc = qos.NewIncremental(own, opts.Workers, opts.Metrics)
-	}
 	s := &Session{
-		ov:      own,
-		inc:     inc,
-		lazy:    opts.Lazy,
-		workers: opts.Workers,
-		reg:     opts.Metrics,
+		ov: own,
+		inc: qos.New(own, qos.Options{Workers: opts.Workers, Lazy: opts.Lazy,
+			MaxRows: opts.MaxRows, Metrics: opts.Metrics}),
+		lazy: opts.Lazy,
 	}
 	if opts.Metrics != nil {
 		s.events = opts.Metrics.Counter("session_events_total")
@@ -298,28 +289,16 @@ func (s *Session) Dirty() []int {
 	return s.inc.Dirty()
 }
 
-// AllPairs flushes pending recomputation and returns the maintained
-// shortest-widest table in eager form. It equals a from-scratch
-// qos.ComputeAllPairs on the current overlay, byte for byte. In lazy mode
-// this materializes every row — use Table for demand-driven reads. The
-// returned table is the live maintained one in eager mode — later events
-// move it; use Snapshot for an immutable view.
-func (s *Session) AllPairs() *qos.AllPairs {
-	s.enter("AllPairs")
-	defer s.exit()
-	s.flush()
-	return s.inc.AllPairs()
-}
-
-// Table flushes pending invalidation and returns the maintained table
-// without forcing materialization: in lazy mode rows still compute only when
-// read. The returned table is the live maintained one — later events move
-// it; use Snapshot for an immutable view.
-func (s *Session) Table() qos.Table {
+// Table flushes pending recomputation and returns the maintained table. It
+// answers exactly like a fresh qos.New on the current overlay, byte for
+// byte; in lazy mode rows still compute only when read. The returned table
+// is the live maintained one — later events move it; use Snapshot for an
+// immutable view.
+func (s *Session) Table() *qos.AllPairs {
 	s.enter("Table")
 	defer s.exit()
 	s.flush()
-	return s.inc.Table()
+	return s.inc
 }
 
 // Abstract flushes pending recomputation and returns the service abstract
@@ -330,7 +309,7 @@ func (s *Session) Abstract(req *require.Requirement) (*abstract.Graph, error) {
 	s.enter("Abstract")
 	defer s.exit()
 	s.flush()
-	ag, err := abstract.FromAllPairs(s.ov, req, s.inc.Table())
+	ag, err := abstract.FromAllPairs(s.ov, req, s.inc)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
@@ -349,34 +328,28 @@ type Snapshot struct {
 	// Overlay is a private clone; the session's later mutations do not
 	// touch it. Readers must still treat it as read-only among themselves.
 	Overlay *overlay.Overlay
-	// AllPairs answers exactly like qos.ComputeAllPairs(Overlay) for every
-	// row read and shares no mutable state with the session's live table. In
-	// eager mode it is a *qos.AllPairs; in lazy mode a pinned
-	// *qos.LazyAllPairs that computes still-missing rows on demand from the
-	// snapshot's own frozen graph (safe for concurrent readers either way).
+	// AllPairs answers exactly like a fresh qos.New(Overlay, …) for every
+	// row read and shares no mutable state with the session's live table: a
+	// pinned *qos.AllPairs, which in lazy mode computes still-missing rows
+	// on demand from the freeze it shares with the session (safe for
+	// concurrent readers either way).
 	AllPairs qos.Table
 }
 
 // Snapshot flushes pending recomputation and publishes the current state as
 // an immutable Snapshot. The overlay is deep-cloned and the table snapshotted
-// (a cheap shallow copy over immutable per-source results), so the cost is
-// O(overlay + sources), independent of how much routing state the epoch
-// carries.
+// (a copy of its row pointers over immutable per-source results), so the
+// cost is O(overlay + sources), independent of how much routing state the
+// epoch carries.
 func (s *Session) Snapshot() *Snapshot {
 	s.enter("Snapshot")
 	defer s.exit()
 	s.flush()
 	s.epoch++
-	var table qos.Table
-	if s.lazy {
-		table = s.inc.Lazy().Snapshot()
-	} else {
-		table = s.inc.AllPairs().Snapshot()
-	}
 	return &Snapshot{
 		Epoch:    s.epoch,
 		Overlay:  s.ov.Clone(),
-		AllPairs: table,
+		AllPairs: s.inc.Snapshot(),
 	}
 }
 

@@ -30,9 +30,9 @@ func traceScenario(t testing.TB, seed int64) *scenario.Scenario {
 // deep-equal to a from-scratch recomputation on its current overlay.
 func assertTableEqual(t *testing.T, s *session.Session, seed int64, event int) {
 	t.Helper()
-	got := s.AllPairs()
+	got := s.Table()
 	want := qos.ComputeAllPairsWorkers(s.Overlay(), 1)
-	if !got.Equal(want) || !want.Equal(got) {
+	if !qos.TablesEqual(got, want) || !qos.TablesEqual(want, got) {
 		t.Fatalf("seed %d event %d: maintained table diverged from scratch rebuild", seed, event)
 	}
 }
@@ -43,7 +43,7 @@ func assertTableEqual(t *testing.T, s *session.Session, seed int64, event int) {
 func assertAbstractEqual(t *testing.T, s *session.Session, req *require.Requirement, seed int64, event int) {
 	t.Helper()
 	got, gerr := s.Abstract(req)
-	want, werr := abstract.BuildWorkers(s.Overlay(), req, 1)
+	want, werr := abstract.BuildWith(s.Overlay(), req, qos.Options{Workers: 1})
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("seed %d event %d: abstract error mismatch: session %v, scratch %v", seed, event, gerr, werr)
 	}
@@ -191,7 +191,7 @@ func TestSessionAbstractErrorParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, gerr := s.Abstract(req)
-	_, werr := abstract.BuildWorkers(s.Overlay(), req, 1)
+	_, werr := abstract.BuildWith(s.Overlay(), req, qos.Options{Workers: 1})
 	if gerr == nil || werr == nil {
 		t.Fatalf("missing required service not rejected: session %v, scratch %v", gerr, werr)
 	}

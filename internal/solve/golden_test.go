@@ -54,7 +54,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	kinds := []scenario.Kind{scenario.KindPath, scenario.KindDisjoint, scenario.KindSplitMerge,
 		scenario.KindGeneral, scenario.KindTree}
 	build := func(ov *overlay.Overlay, req *require.Requirement) *abstract.Graph {
-		ag, err := abstract.BuildWorkers(ov, req, 1)
+		ag, err := abstract.BuildWith(ov, req, qos.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,14 +56,14 @@ func BenchmarkLazyCalibration(b *testing.B) {
 // BenchmarkLazyRowHit prices a read of a resident row of the 10k-node
 // overlay. read=row is Result.Metric alone, the id lookup and array read a
 // solve repeats per destination once it holds the row; read=table is the
-// whole hit path through a bounded LazyAllPairs: one lock, one row lookup,
+// whole hit path through a bounded lazy AllPairs: one lock, one row lookup,
 // one LRU touch, then the same read.
 func BenchmarkLazyRowHit(b *testing.B) {
 	sc, err := sflow.GenerateLargeScenario(sflow.LargeScenarioConfig{Seed: 1, Nodes: 10_000})
 	if err != nil {
 		b.Fatal(err)
 	}
-	lt := qos.NewLazyAllPairsOpts(sc.Overlay, qos.LazyOptions{MaxRows: 16})
+	lt := qos.New(sc.Overlay, qos.Options{Lazy: true, MaxRows: 16})
 	row := lt.From(sc.SourceNID)
 	dsts := sc.Overlay.Nodes()
 	var sink qos.Metric

@@ -43,7 +43,7 @@ func TestLazyLargeKernelCounts(t *testing.T) {
 		t.Fatalf("%d rows in the read set, want 25", len(sources))
 	}
 	reg := sflow.NewMetrics()
-	table := qos.NewLazyAllPairs(sc.Overlay, reg)
+	table := qos.New(sc.Overlay, qos.Options{Lazy: true, Metrics: reg})
 	for _, src := range sources {
 		table.From(src)
 	}

@@ -41,7 +41,6 @@ import (
 
 	"sflow/internal/augment"
 	"sflow/internal/choice"
-	"sflow/internal/cluster"
 	"sflow/internal/core"
 	"sflow/internal/dot"
 	"sflow/internal/experiments"
@@ -287,18 +286,6 @@ type (
 
 // NewServiceRegistry returns an empty typed-service registry.
 func NewServiceRegistry() *ServiceRegistry { return service.NewRegistry() }
-
-// Hierarchical federates through a latency-based cluster hierarchy (the
-// divide-and-conquer approach of the related work): one cluster is chosen
-// per required service on summarised inter-cluster quality, then the
-// instance-level problem is solved inside the chosen clusters.
-func Hierarchical(ov *Overlay, req *Requirement, src, k int) (*FlowGraph, Metric, error) {
-	r, err := cluster.Federate(ov, req, src, k)
-	if err != nil {
-		return nil, qos.Unreachable, err
-	}
-	return r.Flow, r.Metric, nil
-}
 
 // Mesh-augmentation surface (the cost-effective augmentation of the paper's
 // related work): thin a mesh down and build it back up with shortcut links.

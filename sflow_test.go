@@ -3,7 +3,6 @@ package sflow_test
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -329,30 +328,19 @@ func TestPublicHierarchical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fg, m, err := sflow.Hierarchical(sc.Overlay, sc.Req, sc.SourceNID, 3)
+	sol, err := sflow.Solve("hierarchical", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{ClusterK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fg.Validate(sc.Req, sc.Overlay); err != nil {
+	if err := sol.Flow.Validate(sc.Req, sc.Overlay); err != nil {
 		t.Fatal(err)
 	}
 	opt, err := sflow.Solve("optimal", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Better(opt.Metric) {
-		t.Fatalf("hierarchical %+v beats optimal %+v", m, opt.Metric)
-	}
-	// Solve's "hierarchical" entry is the same federation.
-	sol, err := sflow.Solve("hierarchical", sc.Overlay, sc.Req, sc.SourceNID, sflow.SolveOptions{ClusterK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Metric != m || !reflect.DeepEqual(sol.Flow.Assignment(), fg.Assignment()) {
-		t.Fatalf("Solve(hierarchical) = %v %+v, Hierarchical = %v %+v", sol.Flow, sol.Metric, fg, m)
-	}
-	if _, _, err := sflow.Hierarchical(sc.Overlay, sc.Req, sc.SourceNID, 0); err == nil {
-		t.Fatal("k=0 accepted")
+	if sol.Metric.Better(opt.Metric) {
+		t.Fatalf("hierarchical %+v beats optimal %+v", sol.Metric, opt.Metric)
 	}
 }
 

@@ -50,8 +50,9 @@ type SolveOptions struct {
 	// (0 defaults to 4, clamped to the overlay's instance count).
 	ClusterK int
 	// Workers bounds the all-pairs shortest-widest fan-out behind the
-	// abstract-graph build: 0 uses runtime.GOMAXPROCS(0), 1 forces the
-	// sequential computation.
+	// abstract-graph build, as qos.Options.Workers does: 0 uses
+	// runtime.GOMAXPROCS(0) from 24 nodes up, 1 forces the sequential
+	// computation.
 	Workers int
 	// Metrics, when non-nil, collects instrumentation from the build and
 	// the algorithm run.
@@ -96,10 +97,7 @@ type PartialFederationError = core.PartialFederationError
 // algorithm, mapping build failures (a required service without instances)
 // onto the facade's (nil, Unreachable, error) convention.
 func buildAbstract(ov *Overlay, req *Requirement, opts SolveOptions) (*abstract.Graph, error) {
-	if opts.Lazy {
-		return abstract.BuildLazy(ov, req, opts.Workers, opts.Metrics)
-	}
-	return abstract.BuildWorkersMetrics(ov, req, opts.Workers, opts.Metrics)
+	return abstract.BuildWith(ov, req, qos.Options{Workers: opts.Workers, Lazy: opts.Lazy, Metrics: opts.Metrics})
 }
 
 // abstractSolver resolves a registry algorithm (every name but
