@@ -42,11 +42,11 @@ race-hot:
 
 # Race-instrumented equivalence-oracle tests: the session's incremental
 # flushes fan per-source recomputation out over a worker pool, so the oracle
-# traces, the churn-eager pair-stream count pin and the lazy arc-delta
-# property run under the race detector on every check (-short keeps the gate
+# traces, the churn-eager pair-stream and lazy epoch-stream count pins and
+# the lazy arc-delta property run under the race detector on every check (-short keeps the gate
 # fast; the full 5x1000-event traces run in `make race-hot` and CI).
 race-session:
-	$(GO) test -race -short ./internal/session/ -run 'TestEquivalenceOracleTrace|TestBatchedEventsSingleFlush|TestChurnPairStreamCounts|TestArcRulesKeepOnlyUnchangedRows'
+	$(GO) test -race -short ./internal/session/ -run 'TestEquivalenceOracleTrace|TestBatchedEventsSingleFlush|TestChurnPairStreamCounts|TestLazyEpochStreamCounts|TestArcRulesKeepOnlyUnchangedRows'
 
 # Race-instrumented serving smoke: concurrent TCP clients solving against
 # sflowd's epoch machinery while another client streams mutations, plus the
@@ -70,15 +70,16 @@ race-admit:
 	$(GO) test -race . -run 'TestAllocatorPublicAPI|TestReplayAdmissionsWithNilAlgFor'
 
 # Race-instrumented lazy-routing battery: the single-flight row memoization
-# is the one place concurrent readers share mutable state with a computing
-# goroutine, so the qos lazy and snapshot tests (a lazy snapshot routes on
-# the freeze it shares with the live table), the lazy churn oracle and the
-# root byte-equivalence battery all run under the race detector on every
-# check.
+# and its batch fill are the one place concurrent readers share mutable state
+# with computing goroutines, so the qos lazy and snapshot tests (a lazy
+# snapshot routes on the freeze it shares with the live table, which adopts
+# its rows), the lazy churn oracle, the root byte-equivalence battery and a
+# lazy daemon's concurrent clients under a mutation stream all run under the
+# race detector on every check.
 race-lazy:
 	$(GO) test -race ./internal/qos/ -run 'TestLazy|TestSnapshot|FuzzLazyInvalidation'
 	$(GO) test -race -short ./internal/session/ -run 'TestLazyEquivalenceOracleTrace|TestLazySnapshotIsConsistentAndImmutable'
-	$(GO) test -race -short . -run 'TestLazySolveByteIdentical|TestLazySessionSolveByteIdentical|TestContractedHierarchicalSolves'
+	$(GO) test -race -short . -run 'TestLazySolveByteIdentical|TestLazySessionSolveByteIdentical|TestContractedHierarchicalSolves|TestDaemonLazyConcurrentEpochs'
 
 # Race-instrumented re-optimization battery: the link-load ledger must
 # deep-equal a from-scratch recount after any seeded interleaving, gated live

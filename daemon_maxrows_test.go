@@ -161,3 +161,85 @@ func TestDaemonLazyMaxRowsDriftingReadSet(t *testing.T) {
 		t.Fatal("the bound never fired: qos_lazy_lru_evicted_rows_total = 0 under a read set wider than MaxRows")
 	}
 }
+
+// TestDaemonLazyConcurrentEpochs is the race leg of the lazy daemon:
+// concurrent clients solve against a bounded lazy daemon at the default
+// fan-out while another client streams grow-bandwidth mutations. Readers of
+// one epoch fill its rows in parallel batches beside each other's reads, and
+// the writer adopts an epoch's rows while its readers still fill it. Every
+// answer must equal the stateless solve over the epoch it names, byte for
+// byte.
+func TestDaemonLazyConcurrentEpochs(t *testing.T) {
+	const nodes, maxRows = 2000, 8
+	sc, err := sflow.GenerateLargeScenario(sflow.LargeScenarioConfig{Seed: 3, Nodes: nodes,
+		Services: 6, InstancesPerService: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := &epochOracle{byID: make(map[uint64]*session.Snapshot)}
+	srv := daemon.New(sc.Overlay, daemon.Options{Lazy: true, MaxRows: maxRows, PublishHook: oracle.record})
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	var reqs []*sflow.Requirement
+	for _, sids := range [][]int{{1, 2}, {1, 2, 6}, {1, 3, 6}, {1, 4, 6}, {1, 5, 6}} {
+		req, err := sflow.PathRequirement(sids...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, req)
+	}
+	links := sc.Overlay.Links()
+
+	const readers, calls, mutations = 4, 12, 16
+	var wg sync.WaitGroup
+	errs := make(chan error, readers+1)
+	wg.Add(1)
+	go func() { // the writer: one grown link per batch, one epoch each
+		defer wg.Done()
+		c, err := daemon.Dial(srv.Addr())
+		if err != nil {
+			errs <- err
+			return
+		}
+		defer c.Close()
+		for i := 0; i < mutations; i++ {
+			l := links[(i*7919)%len(links)]
+			if _, err := c.Mutate(daemon.Mutation{Kind: daemon.MutGrowBandwidth, From: l.From, To: l.To, Delta: int64(1 + i)}); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			c, err := daemon.Dial(srv.Addr())
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			for i := 0; i < calls; i++ {
+				req := reqs[(id+i)%len(reqs)]
+				resp, err := c.Solve("heuristic", req, sc.SourceNID)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if err := checkEquivalentLazy(oracle, "heuristic", req, sc.SourceNID, resp); err != nil {
+					errs <- fmt.Errorf("reader %d call %d: %w", id, i, err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}

@@ -47,21 +47,18 @@ func Build(ov *overlay.Overlay, req *require.Requirement) (*Graph, error) {
 // build-time histogram). With opts.Lazy no all-pairs computation runs up
 // front: only the rows the federation algorithms read — the rows of
 // instances populating service slots with outgoing requirement edges — are
-// computed, prefetched here in a Workers-wide fan-out so a following solve
-// reads them warm. Answers are byte-identical in both modes at any worker
-// count; the lazy mode is what makes federating against 10k–100k-node
-// overlays interactive, since its cost scales with slot instances, not
-// overlay size.
+// computed, in one Graph.Prefetch batch over a Workers-wide fan-out, so a
+// following solve reads them warm. Answers are byte-identical in both modes
+// at any worker count; the lazy mode is what makes federating against
+// 10k–100k-node overlays interactive, since its cost scales with slot
+// instances, not overlay size.
 func BuildWith(ov *overlay.Overlay, req *require.Requirement, opts qos.Options) (*Graph, error) {
 	if err := checkServices(ov, req); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	t := qos.New(ov, opts)
-	if opts.Lazy {
-		t.Prefetch(SlotSources(ov, req))
-	}
-	g := &Graph{req: req, ov: ov, ap: t}
+	g := &Graph{req: req, ov: ov, ap: qos.New(ov, opts)}
+	g.Prefetch()
 	if reg := opts.Metrics; reg != nil {
 		if opts.Lazy {
 			reg.Counter("abstract_lazy_builds_total").Inc()
@@ -91,6 +88,16 @@ func FromAllPairs(ov *overlay.Overlay, req *require.Requirement, ap qos.Table) (
 		return nil, err
 	}
 	return &Graph{req: req, ov: ov, ap: ap}, nil
+}
+
+// Prefetch fills every row a federation solve over g reads (SlotSources)
+// in one qos.AllPairs.Prefetch batch when g's table is a lazy *qos.AllPairs,
+// so the solve that follows reads them warm. Over any other table it does
+// nothing and allocates nothing. Answers are the same either way.
+func (g *Graph) Prefetch() {
+	if t, ok := g.ap.(*qos.AllPairs); ok && t.Lazy() {
+		t.Prefetch(SlotSources(g.ov, g.req))
+	}
 }
 
 // checkServices fails if some required service has no instance in ov.

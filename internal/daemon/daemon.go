@@ -44,9 +44,11 @@ type epoch struct {
 	id uint64
 	ov *overlay.Overlay
 	// ap is the epoch's shortest-widest table: a pinned *qos.AllPairs
-	// snapshot, whose still-missing rows in lazy mode compute on first read
-	// (single-flight across the epoch's concurrent readers) from the freeze
-	// it shares with the session — immutable either way.
+	// snapshot, whose still-missing rows in lazy mode compute in each
+	// solve's batch fill or on first read (single-flight across the epoch's
+	// concurrent readers) from the freeze it shares with the session —
+	// immutable either way. The session takes the rows back at its next
+	// mutation, so the next epoch starts with them.
 	ap      qos.Table
 	readers atomic.Int64
 }
@@ -370,9 +372,11 @@ func (s *Server) pin() *epoch {
 
 func unpin(e *epoch) { e.readers.Add(-1) }
 
-// solve answers OpSolve against the pinned epoch. Everything on this path is
-// lock-free: one atomic epoch load, atomic reader pin, a pure-computation
-// abstract build and algorithm run, atomic metric updates.
+// solve answers OpSolve against the pinned epoch. On an eager epoch
+// everything on this path is lock-free: one atomic epoch load, atomic reader
+// pin, a pure-computation abstract build and algorithm run, atomic metric
+// updates. A lazy epoch first fills the rows the solve reads in one batch,
+// under its table's own mutex.
 func (s *Server) solve(r *Request) *Response {
 	start := time.Now()
 	e := s.pin()
@@ -393,6 +397,7 @@ func (s *Server) solve(r *Request) *Response {
 		if err != nil {
 			return solve.Solution{}, err
 		}
+		ag.Prefetch()
 		return fn(ag, r.Source)
 	}()
 	if err != nil {

@@ -96,7 +96,7 @@ func requireKeptRowsFresh(t *testing.T, tb *AllPairs, g Graph, op int) {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	for k, row := range tb.rows {
-		if row != nil && !tb.dirty[k] && !row.Equal(ShortestWidestCSR(fresh, row.Source, nil)) {
+		if row != nil && !tb.live.dirty[k] && !row.Equal(ShortestWidestCSR(fresh, row.Source, nil)) {
 			t.Fatalf("op %d: row %d was kept but changed", op, row.Source)
 		}
 	}
@@ -111,8 +111,12 @@ func requireKeptRowsFresh(t *testing.T, tb *AllPairs, g Graph, op int) {
 // mutation-driven invalidation is fuzzed against the same oracle, and the
 // bound itself is asserted after every op. After every explicit flush the
 // lazy table's freeze, patched in place, must describe the same graph as a
-// fresh FreezeGraph, as in FuzzIncrementalArcChanged. Any byte string is a
-// valid trace: three bytes per op, first byte selects the op.
+// fresh FreezeGraph, as in FuzzIncrementalArcChanged. Before each batch of
+// mutations (the ops since the last read or flush) a snapshot of each table
+// reads a seeded subset of rows, so the kept-row and freeze checks cover the
+// rows the live tables adopt from it, and each snapshot must keep answering
+// like the graph as of the snapshot. Any byte string is a valid trace: three
+// bytes per op, first byte selects the op.
 func FuzzLazyInvalidation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 0, 0, 1, 2, 5, 0, 0})           // read, grow, re-read
@@ -130,9 +134,36 @@ func FuzzLazyInvalidation(f *testing.F) {
 		lt := New(g, Options{Lazy: true})
 		bounded := New(g, Options{Lazy: true, MaxRows: 2})
 		lts := []*AllPairs{lt, bounded}
+		var snaps []*AllPairs
+		var pinned *AllPairs // the eager oracle as of the snapshots
+		requireSnapsPinned := func(op int) {
+			for _, s := range snaps {
+				if !TablesEqual(s, pinned) || !TablesEqual(pinned, s) {
+					t.Fatalf("op %d: a snapshot diverged from the graph as of the snapshot", op)
+				}
+			}
+		}
+		batch := false // a mutation since the last read or flush
 		next := 100
 		for i := 0; i+2 < len(trace); i += 3 {
 			op, x, y := trace[i], trace[i+1], trace[i+2]
+			if op%8 <= 4 && !batch {
+				// Before each batch a pinned snapshot of each table reads a
+				// seeded subset of rows, most of them never computed live;
+				// the batch's first report adopts them.
+				requireSnapsPinned(i / 3)
+				snaps, pinned = snaps[:0], ComputeAllPairsWorkers(g, 1)
+				for _, l := range lts {
+					s := l.Snapshot()
+					for k, n := range g.Nodes() {
+						if (k+int(x)+int(y))%3 != 0 {
+							s.From(n)
+						}
+					}
+					snaps = append(snaps, s)
+				}
+			}
+			batch = op%8 <= 4
 			if !applyArcFuzzOp(g, []*AllPairs{lt, bounded}, op, x, y, &next) {
 				nodes := g.Nodes()
 				if len(nodes) == 0 {
@@ -165,10 +196,16 @@ func FuzzLazyInvalidation(f *testing.F) {
 			if rows := bounded.ComputedRows(); len(rows) > 2 {
 				t.Fatalf("op %d: bounded table holds %v, over MaxRows 2", i/3, rows)
 			}
+			if len(snaps) > 0 {
+				if rows := snaps[1].ComputedRows(); len(rows) > 2 {
+					t.Fatalf("op %d: bounded snapshot holds %v, over MaxRows 2", i/3, rows)
+				}
+			}
 			if !TablesEqual(bounded, want) || !TablesEqual(want, bounded) {
 				t.Fatalf("op %d (byte %d): bounded lazy table diverged from eager oracle", i/3, op%8)
 			}
 		}
+		requireSnapsPinned(len(trace) / 3)
 	})
 }
 
@@ -179,10 +216,10 @@ func FuzzLazyInvalidation(f *testing.F) {
 // first over a palette holding every usable bandwidth.
 func requirePatchedFreeze(t *testing.T, inc *AllPairs, g Graph, op int) {
 	t.Helper()
-	if inc.refreeze != "" {
+	if inc.live.refreeze != "" {
 		return // a re-freeze waits for a row that needs it
 	}
-	fz, view, fresh := inc.frozen, inc.view, FreezeGraph(g)
+	fz, view, fresh := inc.frozen, inc.live.view, FreezeGraph(g)
 	if view != nil && (view.g != fz || view.gen != fz.Gen) {
 		t.Fatalf("op %d: the view was derived from another freeze", op)
 	}

@@ -201,8 +201,8 @@ func TestLazyUnboundedNeverLRUEvicts(t *testing.T) {
 
 // TestLazyResidentGauges pins the cache-fullness gauges: they follow the rows
 // held by the table that last gained or lost one, in rows and in the bytes
-// those rows own, through LRU eviction, a pinned snapshot's own reads and a
-// flush that empties the live table.
+// those rows own, through LRU eviction, a pinned snapshot's own reads, the
+// live table adopting them and a flush that empties the live table.
 func TestLazyResidentGauges(t *testing.T) {
 	g := lruGraph()
 	reg := metrics.New()
@@ -234,6 +234,14 @@ func TestLazyResidentGauges(t *testing.T) {
 	snap := lt.Snapshot()
 	snap.From(6) // evicts the snapshot's oldest row, not the parent's
 	check("after the snapshot's own read", snap, 3)
+
+	// The live table's next flush adopts the snapshot's rows, 6 included,
+	// and the gauges follow it.
+	lt.Flush()
+	if got, want := lt.ComputedRows(), snap.ComputedRows(); !slices.Equal(got, want) {
+		t.Fatalf("live table holds %v after adoption, want the snapshot's %v", got, want)
+	}
+	check("after adopting the snapshot's rows", lt, 3)
 
 	for _, src := range lt.ComputedRows() {
 		// Every row leaves its source over its own out-arcs: dropping them

@@ -268,6 +268,48 @@ func TestLazySnapshotPinned(t *testing.T) {
 	assertLazyMatchesEager(t, lt, g)
 }
 
+// TestLazyAdoptsSnapshotRows: rows a snapshot's readers computed move into
+// the live table at its next report, and the report's rules then run over
+// them like over any resident row. Of two adopted rows the batch's worsened
+// tree arc evicts the one that uses it; the other survives as the same
+// *Result, and the live table hits it instead of computing it.
+func TestLazyAdoptsSnapshotRows(t *testing.T) {
+	g := newTestGraph()
+	g.addArc(1, 2, 50, 1)
+	g.addArc(3, 4, 50, 1)
+	lt := New(g, Options{Lazy: true, MaxRows: 4})
+	snap := lt.Snapshot()
+	kept := snap.From(3)
+	snap.From(1)
+	if rows := lt.ComputedRows(); len(rows) != 0 {
+		t.Fatalf("live table holds %v before its next report", rows)
+	}
+
+	old := ComputeAllPairsWorkers(g, 1)
+	g.setArc(1, 2, 20, 1)
+	lt.ArcChanged(1, 2, 50, 20) // row 1's tree arc narrows
+	lt.Flush()
+	if got, want := lt.Stats(), (Stats{DirtiedWorsening: 1, Evicted: 1}); got != want {
+		t.Fatalf("live stats %+v, want %+v", got, want)
+	}
+	if got, want := snap.Stats(), (Stats{Computed: 2}); got != want {
+		t.Fatalf("snapshot stats %+v, want %+v", got, want)
+	}
+	if got := lt.ComputedRows(); !reflect.DeepEqual(got, []int{3}) {
+		t.Fatalf("live table holds %v after the flush, want [3]", got)
+	}
+	if lt.From(3) != kept {
+		t.Fatal("the surviving row is not the snapshot's")
+	}
+	if got, want := lt.Stats(), (Stats{DirtiedWorsening: 1, Evicted: 1, Hits: 1}); got != want {
+		t.Fatalf("live stats after reading the kept row %+v, want %+v", got, want)
+	}
+	assertLazyMatchesEager(t, lt, g)
+	if !TablesEqual(snap, old) || !TablesEqual(old, snap) {
+		t.Fatal("the snapshot diverged from the graph as of the snapshot")
+	}
+}
+
 func TestLazyCounters(t *testing.T) {
 	reg := metrics.New()
 	g := chainGraph()
@@ -289,6 +331,12 @@ func TestLazyCounters(t *testing.T) {
 	}
 }
 
+// TestLazyPrefetch pins the batch fill. Unbounded, it computes exactly the
+// missing rows, once. Bounded, it is one deterministic batch: the same
+// Stats, resident rows and recency at any worker count; the resident rows
+// of a batch survive the batch's own evictions; a read set larger than
+// MaxRows is left to the reads, which then compute what on-read filling
+// computes; and a batch of resident rows allocates nothing.
 func TestLazyPrefetch(t *testing.T) {
 	g := randomTestGraph(11, 40, 3)
 	for _, workers := range []int{0, 1, 4} {
@@ -316,4 +364,101 @@ func TestLazyPrefetch(t *testing.T) {
 			}
 		}
 	}
+
+	t.Run("same at any worker count", func(t *testing.T) {
+		type outcome struct {
+			stats    Stats
+			rows     []int
+			recency  []int
+			snapshot []int
+		}
+		run := func(workers int) outcome {
+			lt := New(g, Options{Lazy: true, Workers: workers, MaxRows: 5})
+			lt.Prefetch([]int{0, 3, 7})
+			lt.Prefetch([]int{3, 12, 25, 30, 7}) // 0 goes
+			lt.From(1)
+			lt.Prefetch([]int{2, 4, 5, 6, 1})
+			snap := lt.Snapshot()
+			snap.Prefetch([]int{8, 9, 10, 2})
+			snap.Prefetch([]int{11, 13, 14, 15, 16})
+			return outcome{lt.Stats(), lt.ComputedRows(), recency(lt), recency(snap)}
+		}
+		want := run(1)
+		for rep := 0; rep < 20; rep++ {
+			for _, workers := range []int{1, 2, 4} {
+				if got := run(workers); !reflect.DeepEqual(got, want) {
+					t.Fatalf("repeat %d, workers=%d: %+v, want %+v as at workers=1", rep, workers, got, want)
+				}
+			}
+		}
+		if want.stats.Computed != 11 || want.stats.LRUEvicted != 6 || want.stats.Hits != 0 {
+			t.Fatalf("stats %+v: want Computed 11, LRUEvicted 6, Hits 0", want.stats)
+		}
+	})
+
+	t.Run("resident rows of a batch survive it", func(t *testing.T) {
+		lt := New(g, Options{Lazy: true, Workers: 2, MaxRows: 3})
+		for _, src := range []int{1, 2, 3} {
+			lt.From(src)
+		}
+		lt.Prefetch([]int{1, 4}) // 1 is the oldest row, and stays
+		if got, want := lt.ComputedRows(), []int{1, 3, 4}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("resident rows %v, want %v", got, want)
+		}
+		if got, want := recency(lt), []int{4, 1, 3}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("recency %v, want %v", got, want)
+		}
+		if st := lt.Stats(); st.Computed != 4 || st.LRUEvicted != 1 {
+			t.Fatalf("stats %+v: want Computed 4, LRUEvicted 1", st)
+		}
+	})
+
+	t.Run("a read set over MaxRows fills on read", func(t *testing.T) {
+		srcs := []int{1, 2, 3, 4, 5}
+		batch := New(g, Options{Lazy: true, Workers: 2, MaxRows: 3})
+		onRead := New(g, Options{Lazy: true, Workers: 2, MaxRows: 3})
+		batch.From(4)
+		onRead.From(4)
+		batch.Prefetch(srcs)
+		if got := batch.Stats().Computed; got != 1 {
+			t.Fatalf("a batch over MaxRows computed %d rows", got-1)
+		}
+		for _, src := range srcs {
+			batch.From(src)
+			onRead.From(src)
+		}
+		if got, want := batch.Stats(), onRead.Stats(); got != want {
+			t.Fatalf("stats %+v, on-read filling %+v", got, want)
+		}
+		if got, want := recency(batch), recency(onRead); !reflect.DeepEqual(got, want) {
+			t.Fatalf("recency %v, on-read filling %v", got, want)
+		}
+	})
+
+	t.Run("an all-hit batch allocates nothing", func(t *testing.T) {
+		srcs := []int{0, 3, 7}
+		lt := New(g, Options{Lazy: true, Workers: 2, MaxRows: 4})
+		lt.Prefetch(srcs)
+		snap := lt.Snapshot()
+		for _, tb := range []*AllPairs{lt, snap} {
+			if n := testing.AllocsPerRun(100, func() { tb.Prefetch(srcs) }); n != 0 {
+				t.Fatalf("an all-hit batch allocated %v times", n)
+			}
+		}
+		if st := lt.Stats(); st.Computed != int64(len(srcs)) || st.Hits != 0 {
+			t.Fatalf("stats %+v: want Computed %d and no hits counted", st, len(srcs))
+		}
+	})
+}
+
+// recency lists a bounded lazy table's resident rows, most recently read
+// first.
+func recency(t *AllPairs) []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []int
+	for n := t.lz.lruHead; n != nil; n = n.next {
+		out = append(out, n.src)
+	}
+	return out
 }

@@ -8,9 +8,9 @@
 //
 //   - eager: every row at construction, and every dirty row at Flush;
 //   - lazy: a row on its first read (single-flight per row, optionally under
-//     a MaxRows LRU bound), while Flush evicts dirty rows instead of
-//     recomputing them. A row nobody reads never costs a Dijkstra, which is
-//     what makes 10k–100k-node overlays interactive.
+//     a MaxRows LRU bound) or in a Prefetch batch, while Flush evicts dirty
+//     rows instead of recomputing them. A row nobody reads never costs a
+//     Dijkstra, which is what makes 10k–100k-node overlays interactive.
 //
 // Every mutation this module makes changes one arc's bandwidth, with 0
 // meaning absent: a link is re-weighted, added or removed, and an instance
@@ -23,16 +23,27 @@
 //
 // The kernels run on the private freeze: an eager fill's workers share one
 // view derived from it, a lazy fill's pooled scratches derive their own. A
-// flush whose batch kept the node set, and whose every changed arc already has a slot in the freeze (a
-// saturated arc keeps its slot as a dead arc), patches those slots in place
-// and re-derives the widest-first order of the touched rows only; anything
-// else re-freezes.
+// flush whose batch kept the node set, and whose every changed arc already
+// has a slot in the freeze (a saturated arc keeps its slot as a dead arc),
+// patches those slots in place and re-derives the widest-first order of the
+// touched rows only; anything else re-freezes.
 //
 // Snapshot copies the row-pointer slice; rows are immutable once published,
 // so the two tables share them. A snapshot that still owes rows (lazy mode)
 // also shares the freeze to compute them from, and the live table then
 // re-freezes into fresh arrays instead of patching the shared ones. An eager
-// snapshot is always complete and shares no freeze.
+// snapshot is always complete and shares no freeze, and carries the row store
+// only: the maintenance state lives behind a pointer only the live table
+// allocates, the lazy fill's behind one only a lazy table allocates.
+//
+// Adoption: a lazy live table remembers the last snapshot it handed out, and
+// at its next mutation report, flush or read it first takes over that
+// snapshot's resident rows and recency. The snapshot's readers computed them
+// from the freeze the two tables share, for the graph as it still is, so
+// each is exact, and the report then runs the rules over them like over any
+// other resident row. Rows the snapshot completes after that stay in it. So
+// the rows an epoch's readers paid for carry into the next epoch, less the
+// ones its batch can move.
 //
 // Concurrency: the read methods (Metric, Path, From, Sources, Prefetch) are
 // safe for any number of concurrent readers. The mutation methods
@@ -130,10 +141,11 @@ type Stats struct {
 	// rewriting arc slots in place.
 	Patches int64
 
-	// The lazy fill's counts: rows computed on read, reads served by a
-	// resident row, reads that waited for another reader's computation of
-	// the same row, rows evicted by mutations and rows dropped by the
-	// MaxRows bound.
+	// The lazy fill's counts: rows computed on read or by Prefetch, reads
+	// served by a resident row, reads that waited for another reader's
+	// computation of the same row, rows evicted by mutations and rows
+	// dropped by the MaxRows bound. Rows a live table adopts from its
+	// snapshot count in the snapshot, which computed them.
 	Computed, Hits, DedupWaits, Evicted, LRUEvicted int64
 }
 
@@ -148,45 +160,51 @@ const (
 const parallelAllPairsMin = 24
 
 // AllPairs is the shortest-widest table of a graph. See the file comment for
-// the fill policies, the snapshot rule and the concurrency contract.
+// the fill policies, the snapshot and adoption rules and the concurrency
+// contract.
 type AllPairs struct {
-	// g is the live graph the caller mutates and reports on; nil in a
-	// snapshot, which can never go stale.
-	g       Graph
-	lazy    bool
-	workers int
-	maxRows int
-	ins     instr
-	m       tableMetrics
-
-	// mu guards rows, flight, the resident counts and the recency list in
-	// lazy mode, where reads fill rows. Eager reads take no lock.
-	mu sync.Mutex
-
 	// nodes is the node list the rows follow: rows[i] is the row of
-	// nodes[i], nil while it is owed, and dirty[i] queues it for the next
-	// flush. At every flush the list is the freeze's node order, so i is
-	// also the row's dense source index. NodeAdded appends; a flush after
-	// any node-set notice reconciles the list with the graph's.
-	nodes        []int
-	rows         []*Result
-	dirty        []bool
-	ndirty       int
-	nodesChanged bool
-	// index maps a node id to its row and declared bounds the rows the
-	// freeze covers. The index and nodes[:declared] are replaced on
-	// re-freeze, never written, so snapshots share them.
+	// nodes[i], nil while it is owed. At every flush the list is the
+	// freeze's node order, so i is also the row's dense source index.
+	// NodeAdded appends; a flush after any node-set notice reconciles the
+	// list with the graph's. index maps a node id to its row and declared
+	// bounds the rows the freeze covers. The index and nodes[:declared] are
+	// replaced on re-freeze, never written, so snapshots share them.
+	nodes    []int
+	rows     []*Result
 	index    map[int]int32
 	declared int
 
 	// frozen is the CSR freeze the kernels run on, read-only while kernels
-	// run, and view its derived arc data in eager mode. shared marks the
-	// freeze as held by a snapshot that still owes rows. patches lists the arcs reported since
-	// the freeze was last brought up to date; refreeze names why the next
-	// flush must re-freeze instead of patching ("" when it need not).
-	frozen    *csr.Graph
+	// run; nil in an eager snapshot, which never computes.
+	frozen  *csr.Graph
+	workers int
+	ins     instr
+
+	// mu guards rows and the lazy state in lazy mode, where reads fill
+	// rows, and the maintenance state. Eager reads take no lock.
+	mu   sync.Mutex
+	lz   *lazyFill // nil in eager mode
+	live *upkeep   // nil in a snapshot, which can never go stale
+}
+
+// upkeep is what only the live table carries: the graph the caller mutates
+// and reports on, the dirty marks and the freeze's upkeep.
+type upkeep struct {
+	g   Graph
+	reg *metrics.Registry
+	m   *flushMetrics
+	// dirty[i] queues rows[i] for the next flush, and nodesChanged a
+	// reconcile. shared marks the freeze as held by a snapshot that still
+	// owes rows.
+	dirty                []bool
+	ndirty               int
+	nodesChanged, shared bool
+	// view is the freeze's derived arc data in eager mode. patches lists the
+	// arcs reported since the freeze was last brought up to date; refreeze
+	// names why the next flush must re-freeze instead of patching ("" when
+	// it need not).
 	view      *arcView
-	shared    bool
 	patches   [][2]int
 	slots     []int32 // patch scratch: the slots rewritten
 	touched   []int32 // and their rows
@@ -194,19 +212,27 @@ type AllPairs struct {
 	srcs      []int32
 	scratches []*Scratch
 	stats     Stats
+}
 
-	// Lazy fill: flight holds the single-flight latch of each row being
-	// computed; resident counts the completed rows and residentBytes sums
-	// their Result.Bytes. With MaxRows set, lru tracks the completed rows'
-	// recency by source, most recent at lruHead. pool shares kernel scratch
-	// between concurrent fills, snapshots included.
+// lazyFill is what only a lazy table carries, live or snapshot. flight holds
+// the single-flight latch of each row being computed; resident counts the
+// completed rows and residentBytes sums their Result.Bytes. With MaxRows set,
+// lru tracks the completed rows' recency by source, most recent at lruHead.
+// pool shares kernel scratch between concurrent fills, snapshots included.
+type lazyFill struct {
+	maxRows                                         int
 	flight                                          map[int32]*lazyRow
 	resident                                        int
 	residentBytes                                   int64
 	lru                                             map[int]*lruNode
 	lruHead, lruTail                                *lruNode
 	pool                                            *sync.Pool
+	m                                               lazyMetrics
 	computed, hits, dedupWaits, evicted, lruEvicted atomic.Int64
+	// handed is the last snapshot a live table handed out, adopted at the
+	// table's next report, flush or read; nil in a snapshot and once
+	// adopted.
+	handed *AllPairs
 }
 
 // lazyRow is the single-flight latch of one row: the reader that started it
@@ -225,59 +251,67 @@ type lruNode struct {
 	prev, next *lruNode
 }
 
-// tableMetrics holds a table's counter handles, copied into its snapshots
-// (nil handles are no-op updates). The qos_incremental_* family is resolved
-// on the first mutation report, so a table that never changes adds nothing
-// to a registry beyond its routing counters.
-type tableMetrics struct {
-	reg                                                    *metrics.Registry
-	mutated                                                bool
-	flushes, recomputed, saved                             *metrics.Counter
-	dirtiedWorse, dirtiedBetter                            *metrics.Counter
-	refreezeNodes, refreezeArc                             *metrics.Counter
+// flushMetrics holds the live table's qos_incremental_* counter handles (nil
+// handles are no-op updates), resolved on the first mutation report, so a
+// table that never changes adds nothing to a registry beyond its routing
+// counters. Until then a table points at unmetered.
+type flushMetrics struct {
+	flushes, recomputed, saved  *metrics.Counter
+	dirtiedWorse, dirtiedBetter *metrics.Counter
+	refreezeNodes, refreezeArc  *metrics.Counter
+}
+
+// unmetered is the flushMetrics of every table without resolved handles;
+// never written.
+var unmetered flushMetrics
+
+// lazyMetrics holds a lazy table's qos_lazy_* handles, copied into its
+// snapshots. The resident gauges show the cache of whichever table last
+// gained or lost a row: the pinned epoch serving reads, or the live table
+// right after it adopts or flushes.
+type lazyMetrics struct {
 	rowsComputed, rowHits, dedups, evictions, lruEvictions *metrics.Counter
-	// The resident gauges show the cache of whichever table last gained or
-	// lost a row: the pinned epoch serving reads, or the live table right
-	// after a flush.
-	residentRows, residentSize *metrics.Gauge
+	residentRows, residentSize                             *metrics.Gauge
 }
 
 // New builds the table of g. An eager table computes every row here; a lazy
 // one neither routes nor freezes until it is first read, flushed or
 // snapshotted.
 func New(g Graph, opts Options) *AllPairs {
-	t := &AllPairs{
-		g:       g,
-		lazy:    opts.Lazy,
-		workers: opts.Workers,
-		ins:     instrFor(opts.Metrics),
-		m:       tableMetrics{reg: opts.Metrics},
-	}
-	if !t.lazy {
-		t.view = &arcView{}
+	// A live table and its upkeep are one allocation.
+	live := &struct {
+		t  AllPairs
+		up upkeep
+	}{up: upkeep{g: g, reg: opts.Metrics, m: &unmetered}}
+	t := &live.t
+	t.workers, t.ins, t.live = opts.Workers, instrFor(opts.Metrics), &live.up
+	if !opts.Lazy {
+		u := t.live
+		u.view = &arcView{}
 		t.start()
-		t.srcs = make([]int32, len(t.nodes))
-		for i := range t.srcs {
-			t.srcs[i] = int32(i)
-		}
-		t.scratches = denseRows(t.view, t.srcs, t.rows, t.fanout(), nil, t.ins)
+		u.scratches = denseRows(u.view, nil, t.rows, t.fanout(), nil, t.ins)
 		return t
 	}
-	t.maxRows = opts.MaxRows
-	t.flight = make(map[int32]*lazyRow)
-	t.pool = &sync.Pool{New: func() any { return NewScratch() }}
-	if t.maxRows > 0 {
-		t.lru = make(map[int]*lruNode)
+	lz := &lazyFill{
+		maxRows: opts.MaxRows,
+		flight:  make(map[int32]*lazyRow),
+		pool:    &sync.Pool{New: func() any { return NewScratch() }},
+	}
+	if lz.maxRows > 0 {
+		lz.lru = make(map[int]*lruNode)
 	}
 	if reg := opts.Metrics; reg != nil {
-		t.m.rowsComputed = reg.Counter("qos_lazy_rows_computed_total")
-		t.m.rowHits = reg.Counter("qos_lazy_row_hits_total")
-		t.m.dedups = reg.Counter("qos_lazy_dedup_waits_total")
-		t.m.evictions = reg.Counter("qos_lazy_evicted_rows_total")
-		t.m.lruEvictions = reg.Counter("qos_lazy_lru_evicted_rows_total")
-		t.m.residentRows = reg.Gauge("qos_lazy_resident_rows", metrics.Volatile())
-		t.m.residentSize = reg.Gauge("qos_lazy_resident_bytes", metrics.Volatile())
+		lz.m = lazyMetrics{
+			rowsComputed: reg.Counter("qos_lazy_rows_computed_total"),
+			rowHits:      reg.Counter("qos_lazy_row_hits_total"),
+			dedups:       reg.Counter("qos_lazy_dedup_waits_total"),
+			evictions:    reg.Counter("qos_lazy_evicted_rows_total"),
+			lruEvictions: reg.Counter("qos_lazy_lru_evicted_rows_total"),
+			residentRows: reg.Gauge("qos_lazy_resident_rows", metrics.Volatile()),
+			residentSize: reg.Gauge("qos_lazy_resident_bytes", metrics.Volatile()),
+		}
 	}
+	t.lz = lz
 	return t
 }
 
@@ -299,19 +333,28 @@ func (t *AllPairs) fanout() int {
 }
 
 // denseRows computes the row of every src in srcs (dense indexes of the
-// view's graph) into rows[src], fanned out over up to workers goroutines with
-// one Scratch each. Every worker reads the one view. scratches is the
-// caller's reusable supply, returned grown to the worker count.
+// view's graph; nil means every row) into rows[src], fanned out over up to
+// workers goroutines with one Scratch each. Every worker reads the one view.
+// scratches is the caller's reusable supply, returned grown to the worker
+// count.
 func denseRows(v *arcView, srcs []int32, rows []*Result, workers int, scratches []*Scratch, ins instr) []*Scratch {
-	workers = min(workers, len(srcs))
+	n := len(srcs)
+	if srcs == nil {
+		n = len(rows)
+	}
+	workers = min(workers, n)
 	for len(scratches) < workers {
 		scratches = append(scratches, NewScratch())
 	}
 	for _, sc := range scratches[:workers] {
 		sc.view = v
 	}
-	fanOut(len(srcs), workers, func(w, i int) {
-		rows[srcs[i]] = shortestWidestDense(v.g, srcs[i], scratches[w], ins)
+	fanOut(n, workers, func(w, i int) {
+		src := int32(i)
+		if srcs != nil {
+			src = srcs[i]
+		}
+		rows[src] = shortestWidestDense(v.g, src, scratches[w], ins)
 	})
 	return scratches
 }
@@ -339,12 +382,15 @@ func fanOut(n, workers int, do func(w, i int)) {
 	wg.Wait()
 }
 
+// Lazy reports whether the table fills its rows lazily.
+func (t *AllPairs) Lazy() bool { return t.lz != nil }
+
 // From returns the row of src (nil if src is not a node of the graph). A
 // lazy table computes a missing row here, byte-identical to the eager row,
 // and applies the live table's pending mutation reports first; an eager
 // table answers from its last flush.
 func (t *AllPairs) From(src int) *Result {
-	if t.lazy {
+	if t.lz != nil {
 		return t.fill(src)
 	}
 	if i, ok := t.index[src]; ok && int(i) < t.declared {
@@ -355,8 +401,9 @@ func (t *AllPairs) From(src int) *Result {
 
 // fill is the lazy From.
 func (t *AllPairs) fill(src int) *Result {
+	lz := t.lz
 	t.mu.Lock()
-	if t.g != nil {
+	if t.live != nil {
 		t.applyLocked()
 	}
 	i, ok := t.index[src]
@@ -366,46 +413,54 @@ func (t *AllPairs) fill(src int) *Result {
 	}
 	if r := t.rows[i]; r != nil {
 		// A hit, and the freshest entry of the recency list.
-		t.lruTouchLocked(src)
+		lz.touch(src)
 		t.mu.Unlock()
-		t.hits.Add(1)
-		t.m.rowHits.Inc()
+		lz.hits.Add(1)
+		lz.m.rowHits.Inc()
 		return r
 	}
-	if f, ok := t.flight[i]; ok {
+	if f, ok := lz.flight[i]; ok {
 		// res is published under mu before done closes, so the read below
 		// is ordered by the close.
 		t.mu.Unlock()
-		t.dedupWaits.Add(1)
-		t.m.dedups.Inc()
+		lz.dedupWaits.Add(1)
+		lz.m.dedups.Inc()
 		<-f.done
 		return f.res
 	}
 	f := &lazyRow{done: make(chan struct{})}
-	t.flight[i] = f
+	lz.flight[i] = f
 	frozen := t.frozen
 	t.mu.Unlock()
 
-	sc := t.pool.Get().(*Scratch)
+	sc := lz.pool.Get().(*Scratch)
 	res := shortestWidestDense(frozen, i, sc, t.ins)
-	t.pool.Put(sc)
+	lz.pool.Put(sc)
 
 	// Accounting, recency and the MaxRows bound move in one critical
 	// section, so no reader can observe a row outside the bound.
 	t.mu.Lock()
-	f.res = res
-	delete(t.flight, i)
-	t.rows[i] = res
-	t.resident++
-	t.residentBytes += int64(res.Bytes())
-	t.lruTouchLocked(src)
+	t.publishLocked(i, f, res)
 	t.lruEnforceLocked()
 	t.publishResidentLocked()
 	t.mu.Unlock()
 	close(f.done)
-	t.computed.Add(1)
-	t.m.rowsComputed.Inc()
+	lz.computed.Add(1)
+	lz.m.rowsComputed.Inc()
 	return res
+}
+
+// publishLocked makes res, computed under the latch f, row i: resident and
+// the most recent entry of the recency list. The caller holds mu, enforces
+// the bound and closes f.done after unlocking.
+func (t *AllPairs) publishLocked(i int32, f *lazyRow, res *Result) {
+	lz := t.lz
+	f.res = res
+	delete(lz.flight, i)
+	t.rows[i] = res
+	lz.resident++
+	lz.residentBytes += int64(res.Bytes())
+	lz.touch(res.Source)
 }
 
 // Metric returns the shortest-widest quality from src to dst.
@@ -428,9 +483,9 @@ func (t *AllPairs) Path(src, dst int) []int {
 // Sources returns every source the table covers — all graph nodes,
 // ascending, whether or not their rows are resident.
 func (t *AllPairs) Sources() []int {
-	if t.lazy {
+	if t.lz != nil {
 		t.mu.Lock()
-		if t.g != nil {
+		if t.live != nil {
 			t.applyLocked()
 		}
 		defer t.mu.Unlock()
@@ -438,7 +493,9 @@ func (t *AllPairs) Sources() []int {
 	return slices.Sorted(slices.Values(t.nodes[:t.declared]))
 }
 
-// ComputedRows returns the sources whose rows are resident, ascending.
+// ComputedRows returns the sources whose rows are resident, ascending. It
+// reads the table as it stands: a lazy live table that handed its cache to a
+// snapshot lists nothing until it adopts the cache back.
 func (t *AllPairs) ComputedRows() []int {
 	t.mu.Lock()
 	var out []int
@@ -453,47 +510,118 @@ func (t *AllPairs) ComputedRows() []int {
 }
 
 // MaxRows returns the lazy row-cache bound (<= 0 means unbounded).
-func (t *AllPairs) MaxRows() int { return t.maxRows }
-
-// Prefetch computes the missing rows of srcs, fanned out over the table's
-// workers. It never changes an answer — a row is byte-identical whether
-// computed here or on first read — it only moves the cost onto more cores.
-func (t *AllPairs) Prefetch(srcs []int) {
-	if t.lazy && t.g != nil {
-		t.mu.Lock()
-		t.applyLocked() // the fan-out is sized by the node list
-		t.mu.Unlock()
+func (t *AllPairs) MaxRows() int {
+	if t.lz == nil {
+		return 0
 	}
-	fanOut(len(srcs), t.fanout(), func(_, i int) { t.From(srcs[i]) })
+	return t.lz.maxRows
+}
+
+// Prefetch fills the rows of srcs in one deterministic batch, so the reads
+// that follow hit. Under one lock, in srcs order, it refreshes the recency
+// of the resident rows and claims the missing ones that no other reader is
+// computing (a read of those waits for their reader, as it would anyway).
+// It computes the claimed rows over the table's Workers fan-out with pooled
+// scratches, then under one lock publishes them in srcs order and applies
+// the MaxRows bound: no row of the batch is dropped unless concurrent reads
+// came between the two locks. It counts no hits, so Stats, the resident
+// rows and their recency come out the same at any worker count. A read set
+// larger than MaxRows would evict its own rows, so Prefetch leaves it to be
+// filled on read. Prefetch never changes an answer — a row is
+// byte-identical however it is computed — and does nothing on an eager
+// table, whose rows are all present. An all-hit batch allocates nothing.
+func (t *AllPairs) Prefetch(srcs []int) {
+	lz := t.lz
+	if lz == nil || (lz.maxRows > 0 && len(srcs) > lz.maxRows) {
+		return
+	}
+	var claimed []int32
+	t.mu.Lock()
+	if t.live != nil {
+		t.applyLocked()
+	}
+	for _, src := range srcs {
+		i, ok := t.index[src]
+		if !ok || int(i) >= t.declared {
+			continue
+		}
+		if t.rows[i] != nil {
+			lz.touch(src)
+			continue
+		}
+		if _, busy := lz.flight[i]; !busy {
+			lz.flight[i] = &lazyRow{done: make(chan struct{})}
+			claimed = append(claimed, i)
+		}
+	}
+	frozen := t.frozen
+	t.mu.Unlock()
+	if len(claimed) == 0 {
+		return
+	}
+
+	res := t.computeBatch(frozen, claimed)
+	latches := make([]*lazyRow, len(claimed))
+	t.mu.Lock()
+	for k, i := range claimed {
+		latches[k] = lz.flight[i]
+		t.publishLocked(i, latches[k], res[k])
+	}
+	t.lruEnforceLocked()
+	t.publishResidentLocked()
+	t.mu.Unlock()
+	for _, f := range latches {
+		close(f.done)
+	}
+	lz.computed.Add(int64(len(claimed)))
+	lz.m.rowsComputed.Add(int64(len(claimed)))
+}
+
+// computeBatch computes the rows of claimed (dense indexes of frozen) over
+// the table's fan-out, each worker with a pooled scratch.
+func (t *AllPairs) computeBatch(frozen *csr.Graph, claimed []int32) []*Result {
+	res := make([]*Result, len(claimed))
+	fanOut(len(claimed), t.fanout(), func(_, k int) {
+		sc := t.lz.pool.Get().(*Scratch)
+		res[k] = shortestWidestDense(frozen, claimed[k], sc, t.ins)
+		t.lz.pool.Put(sc)
+	})
+	return res
 }
 
 // Stats returns what the table has done so far.
 func (t *AllPairs) Stats() Stats {
-	t.mu.Lock()
-	st := t.stats
-	t.mu.Unlock()
-	st.Computed, st.Hits, st.DedupWaits = t.computed.Load(), t.hits.Load(), t.dedupWaits.Load()
-	st.Evicted, st.LRUEvicted = t.evicted.Load(), t.lruEvicted.Load()
+	var st Stats
+	if t.live != nil {
+		t.mu.Lock()
+		st = t.live.stats
+		t.mu.Unlock()
+	}
+	if lz := t.lz; lz != nil {
+		st.Computed, st.Hits, st.DedupWaits = lz.computed.Load(), lz.hits.Load(), lz.dedupWaits.Load()
+		st.Evicted, st.LRUEvicted = lz.evicted.Load(), lz.lruEvicted.Load()
+	}
 	return st
 }
 
 // reported resolves the qos_incremental_* counters on the first mutation
 // report.
-func (m *tableMetrics) reported() {
-	if m.mutated || m.reg == nil {
+func (up *upkeep) reported() {
+	reg := up.reg
+	if reg == nil || up.m != &unmetered {
 		return
 	}
-	m.mutated = true
-	reg := m.reg
 	rule := func(r string) metrics.Option { return metrics.WithLabels(metrics.Label{Name: "rule", Value: r}) }
 	cause := func(c string) metrics.Option { return metrics.WithLabels(metrics.Label{Name: "cause", Value: c}) }
-	m.flushes = reg.Counter("qos_incremental_flushes_total")
-	m.recomputed = reg.Counter("qos_incremental_recomputed_sources_total")
-	m.saved = reg.Counter("qos_incremental_saved_sources_total")
-	m.dirtiedWorse = reg.Counter("qos_incremental_rows_dirtied_total", rule("worsening"))
-	m.dirtiedBetter = reg.Counter("qos_incremental_rows_dirtied_total", rule("improvement"))
-	m.refreezeNodes = reg.Counter("qos_incremental_refreezes_total", cause(causeNodes))
-	m.refreezeArc = reg.Counter("qos_incremental_refreezes_total", cause(causeArc))
+	up.m = &flushMetrics{
+		flushes:       reg.Counter("qos_incremental_flushes_total"),
+		recomputed:    reg.Counter("qos_incremental_recomputed_sources_total"),
+		saved:         reg.Counter("qos_incremental_saved_sources_total"),
+		dirtiedWorse:  reg.Counter("qos_incremental_rows_dirtied_total", rule("worsening")),
+		dirtiedBetter: reg.Counter("qos_incremental_rows_dirtied_total", rule("improvement")),
+		refreezeNodes: reg.Counter("qos_incremental_refreezes_total", cause(causeNodes)),
+		refreezeArc:   reg.Counter("qos_incremental_refreezes_total", cause(causeArc)),
+	}
 }
 
 // ArcChanged records that arc u -> v went from bandwidth b to b2, where 0
@@ -508,38 +636,40 @@ func (t *AllPairs) ArcChanged(u, v int, b, b2 int64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.m.reported()
+	up := t.live
+	up.reported()
 	if t.frozen == nil {
 		return // a lazy table not frozen yet holds no row and no freeze
 	}
+	t.adoptLocked()
 	// A patch list longer than the freeze's arc count stopped being
 	// cheaper than a re-freeze.
-	if t.refreeze == "" && len(t.patches) >= t.frozen.NumArcs() {
-		t.refreeze = causeArc
+	if up.refreeze == "" && len(up.patches) >= t.frozen.NumArcs() {
+		up.refreeze = causeArc
 	}
-	if t.refreeze == "" {
-		t.patches = append(t.patches, [2]int{u, v})
+	if up.refreeze == "" {
+		up.patches = append(up.patches, [2]int{u, v})
 	}
 	// Rows of one freeze share one mapping, so u and v are resolved once
 	// per mapping the walk meets.
 	ends := arcEnds{u: u, v: v}
 	var n int64
 	for i, r := range t.rows {
-		if r == nil || t.dirty[i] {
+		if r == nil || up.dirty[i] {
 			continue
 		}
 		if iu, iv := ends.of(r); r.canMove(iu, iv, b, b2) {
-			t.dirty[i] = true
+			up.dirty[i] = true
 			n++
 		}
 	}
-	t.ndirty += int(n)
+	up.ndirty += int(n)
 	if b2 < b {
-		t.stats.DirtiedWorsening += n
-		t.m.dirtiedWorse.Add(n)
+		up.stats.DirtiedWorsening += n
+		up.m.dirtiedWorse.Add(n)
 	} else {
-		t.stats.DirtiedImprovement += n
-		t.m.dirtiedBetter.Add(n)
+		up.stats.DirtiedImprovement += n
+		up.m.dirtiedBetter.Add(n)
 	}
 }
 
@@ -548,13 +678,16 @@ func (t *AllPairs) ArcChanged(u, v int, b, b2 int64) {
 func (t *AllPairs) NodeAdded(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.m.reported()
-	t.nodesChanged = true
+	up := t.live
+	up.reported()
+	t.adoptLocked()
+	up.nodesChanged = true
 	t.nodes = append(t.nodes, n)
 	t.rows = append(t.rows, nil)
-	t.dirty = append(t.dirty, !t.lazy)
-	if !t.lazy {
-		t.ndirty++
+	eager := t.lz == nil
+	up.dirty = append(up.dirty, eager)
+	if eager {
+		up.ndirty++
 	}
 }
 
@@ -565,23 +698,25 @@ func (t *AllPairs) NodeAdded(n int) {
 func (t *AllPairs) NodeRemoved(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.m.reported()
-	t.nodesChanged = true
+	up := t.live
+	up.reported()
+	t.adoptLocked()
+	up.nodesChanged = true
 	for i := len(t.nodes) - 1; i >= 0; i-- {
-		if t.nodes[i] != n || (t.rows[i] == nil && !t.dirty[i]) {
+		if t.nodes[i] != n || (t.rows[i] == nil && !up.dirty[i]) {
 			continue
 		}
-		if t.lazy {
-			if !t.dirty[i] {
-				t.dirty[i] = true
-				t.ndirty++
+		if t.lz != nil {
+			if !up.dirty[i] {
+				up.dirty[i] = true
+				up.ndirty++
 			}
 			return
 		}
-		if t.dirty[i] {
-			t.ndirty--
+		if up.dirty[i] {
+			up.ndirty--
 		}
-		t.rows[i], t.dirty[i] = nil, false
+		t.rows[i], up.dirty[i] = nil, false
 		return
 	}
 }
@@ -592,15 +727,15 @@ func (t *AllPairs) NodeRemoved(n int) {
 func (t *AllPairs) Pending() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.ndirty > 0 || t.nodesChanged
+	return t.live.ndirty > 0 || t.live.nodesChanged
 }
 
 // Dirty returns the sources currently queued for recomputation (eager) or
 // eviction (lazy), ascending.
 func (t *AllPairs) Dirty() []int {
 	t.mu.Lock()
-	out := make([]int, 0, t.ndirty)
-	for i, d := range t.dirty {
+	out := make([]int, 0, t.live.ndirty)
+	for i, d := range t.live.dirty {
 		if d {
 			out = append(out, t.nodes[i])
 		}
@@ -618,68 +753,95 @@ func (t *AllPairs) Dirty() []int {
 func (t *AllPairs) Flush() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.lazy {
+	if t.lz != nil {
 		return t.applyLocked()
 	}
-	if t.nodesChanged {
+	up := t.live
+	if up.nodesChanged {
 		t.reconcile()
 	}
-	if t.ndirty == 0 {
+	if up.ndirty == 0 {
 		// Patching is cheap enough to keep up with, and a node-set change
 		// moves the index reads go through; an arc re-freeze waits for a
 		// row that needs it.
-		if t.refreeze != causeArc {
+		if up.refreeze != causeArc {
 			t.syncFreeze()
 		}
 		return 0
 	}
 	t.syncFreeze()
-	srcs := t.srcs[:0]
-	for i, d := range t.dirty {
+	srcs := up.srcs[:0]
+	for i, d := range up.dirty {
 		if d {
 			srcs = append(srcs, int32(i))
 		}
 	}
-	t.srcs = srcs
-	t.scratches = denseRows(t.view, srcs, t.rows, t.fanout(), t.scratches, t.ins)
+	up.srcs = srcs
+	up.scratches = denseRows(up.view, srcs, t.rows, t.fanout(), up.scratches, t.ins)
 	for _, i := range srcs {
-		t.dirty[i] = false
+		up.dirty[i] = false
 	}
-	t.ndirty = 0
-	t.m.flushes.Inc()
-	t.m.recomputed.Add(int64(len(srcs)))
-	t.m.saved.Add(int64(len(t.nodes) - len(srcs)))
+	up.ndirty = 0
+	up.m.flushes.Inc()
+	up.m.recomputed.Add(int64(len(srcs)))
+	up.m.saved.Add(int64(len(t.nodes) - len(srcs)))
 	return len(srcs)
 }
 
-// applyLocked is the lazy flush: it evicts the dirty rows, reconciles the
-// node list and brings the freeze up to date, and returns how many rows it
-// evicted. The caller holds mu.
+// applyLocked is the lazy flush: it adopts the last snapshot's rows, evicts
+// the dirty rows, reconciles the node list and brings the freeze up to date,
+// and returns how many rows it evicted. The caller holds mu.
 func (t *AllPairs) applyLocked() int {
 	if t.frozen == nil {
 		t.start()
 		return 0
 	}
+	t.adoptLocked()
+	up, lz := t.live, t.lz
 	evicted := 0
-	if t.ndirty > 0 {
-		for i, d := range t.dirty {
+	if up.ndirty > 0 {
+		for i, d := range up.dirty {
 			if r := t.rows[i]; d && r != nil {
 				t.dropLocked(r.Source)
 				evicted++
 			}
-			t.dirty[i] = false
+			up.dirty[i] = false
 		}
-		t.ndirty = 0
-		t.evicted.Add(int64(evicted))
-		t.m.evictions.Add(int64(evicted))
-		t.m.flushes.Inc()
+		up.ndirty = 0
+		lz.evicted.Add(int64(evicted))
+		lz.m.evictions.Add(int64(evicted))
+		up.m.flushes.Inc()
 		t.publishResidentLocked()
 	}
-	if t.nodesChanged {
+	if up.nodesChanged {
 		t.reconcile()
 	}
 	t.syncFreeze()
 	return evicted
+}
+
+// adoptLocked makes a lazy live table take back the cache it handed to its
+// last snapshot, as the snapshot's readers left it: its resident rows and
+// their recency. A no-op in eager mode or with nothing to adopt. The table
+// has held no row and taken no report since, so the two still share row
+// layout and freeze. The caller holds mu; adoptLocked takes the snapshot's.
+func (t *AllPairs) adoptLocked() {
+	lz := t.lz
+	if lz == nil || lz.handed == nil {
+		return
+	}
+	s := lz.handed
+	lz.handed = nil
+	s.mu.Lock()
+	copy(t.rows, s.rows)
+	lz.resident, lz.residentBytes = s.lz.resident, s.lz.residentBytes
+	// Replay the snapshot's recency oldest-first; the snapshot keeps its
+	// own list.
+	for n := s.lz.lruTail; n != nil; n = n.prev {
+		lz.touch(n.src)
+	}
+	s.mu.Unlock()
+	t.publishResidentLocked()
 }
 
 // reconcile lines the row list up with the graph's node list after
@@ -688,46 +850,48 @@ func (t *AllPairs) applyLocked() int {
 // left is dropped. It re-freezes at the next flush when the list differs
 // from the freeze's.
 func (t *AllPairs) reconcile() {
-	t.nodesChanged = false
-	nodes := slices.Clone(t.g.Nodes()) // NodeAdded appends to the list
+	up := t.live
+	up.nodesChanged = false
+	nodes := slices.Clone(up.g.Nodes()) // NodeAdded appends to the list
 	type slot struct {
 		row   *Result
 		dirty bool
 	}
 	have := make(map[int]slot, len(t.nodes))
 	for i, n := range t.nodes {
-		if t.rows[i] != nil || t.dirty[i] {
-			have[n] = slot{t.rows[i], t.dirty[i]}
+		if t.rows[i] != nil || up.dirty[i] {
+			have[n] = slot{t.rows[i], up.dirty[i]}
 		}
 	}
 	rows := make([]*Result, len(nodes))
 	dirty := make([]bool, len(nodes))
-	t.ndirty = 0
+	up.ndirty = 0
 	for i, n := range nodes {
 		s, ok := have[n]
-		rows[i], dirty[i] = s.row, s.dirty || (!ok && !t.lazy)
+		rows[i], dirty[i] = s.row, s.dirty || (!ok && t.lz == nil)
 		if dirty[i] {
-			t.ndirty++
+			up.ndirty++
 		}
 		delete(have, n)
 	}
 	for n := range have {
-		if t.lazy {
+		if t.lz != nil {
 			t.dropLocked(n) // left without a NodeRemoved notice
 		}
 	}
 	if !slices.Equal(nodes, t.frozen.IDs[:t.declared]) {
-		t.refreeze = causeNodes
+		up.refreeze = causeNodes
 	}
-	t.nodes, t.rows, t.dirty = nodes, rows, dirty
+	t.nodes, t.rows, up.dirty = nodes, rows, dirty
 }
 
 // start takes the graph's node list, every row owed, and freezes it: at New
 // in eager mode, at first use in lazy mode, when no row exists yet.
 func (t *AllPairs) start() {
-	t.nodes = slices.Clone(t.g.Nodes())
-	t.rows, t.dirty = make([]*Result, len(t.nodes)), make([]bool, len(t.nodes))
-	t.nodesChanged = false
+	up := t.live
+	t.nodes = slices.Clone(up.g.Nodes())
+	t.rows, up.dirty = make([]*Result, len(t.nodes)), make([]bool, len(t.nodes))
+	up.nodesChanged = false
 	t.freeze()
 }
 
@@ -735,14 +899,15 @@ func (t *AllPairs) start() {
 // previous freeze's arrays unless a snapshot still routes on them, and
 // derives the eager view afresh.
 func (t *AllPairs) freeze() {
-	if t.shared {
-		t.frozen, t.shared = nil, false
+	up := t.live
+	if up.shared {
+		t.frozen, up.shared = nil, false
 	}
-	t.frozen = freezeNodes(t.frozen, t.g, t.nodes)
+	t.frozen = freezeNodes(t.frozen, up.g, t.nodes)
 	t.declared = len(t.nodes)
 	t.index = t.frozen.IndexMap()
-	if t.view != nil {
-		t.view.derive(t.frozen)
+	if up.view != nil {
+		up.view.derive(t.frozen)
 	}
 }
 
@@ -750,38 +915,39 @@ func (t *AllPairs) freeze() {
 // when every reported arc has exactly one slot, the node list held and no
 // snapshot shares the freeze; re-frozen otherwise.
 func (t *AllPairs) syncFreeze() {
-	if t.refreeze == "" && len(t.patches) > 0 {
+	up := t.live
+	if up.refreeze == "" && len(up.patches) > 0 {
 		switch {
-		case t.shared:
+		case up.shared:
 			t.freeze() // into fresh arrays: a snapshot routes on these
 		case !t.patch():
-			t.refreeze = causeArc
+			up.refreeze = causeArc
 		}
 	}
-	switch t.refreeze {
+	switch up.refreeze {
 	case causeNodes:
-		t.stats.RefreezesNodes++
-		t.m.refreezeNodes.Inc()
+		up.stats.RefreezesNodes++
+		up.m.refreezeNodes.Inc()
 	case causeArc:
-		t.stats.RefreezesArc++
-		t.m.refreezeArc.Inc()
+		up.stats.RefreezesArc++
+		up.m.refreezeArc.Inc()
 	}
-	if t.refreeze != "" {
+	if up.refreeze != "" {
 		t.freeze()
-		t.refreeze = ""
+		up.refreeze = ""
 	}
-	t.patches = t.patches[:0]
+	up.patches = up.patches[:0]
 }
 
 // patch writes each reported arc's live bandwidth and latency into its slot
 // of the freeze and re-derives the touched rows of the eager view (a lazy
-// fill's scratches see the freeze's generation move and derive anew). It reports
-// false, leaving a freeze only a re-freeze can repair, when an arc has no
-// single slot or the graph holds it twice.
+// fill's scratches see the freeze's generation move and derive anew). It
+// reports false, leaving a freeze only a re-freeze can repair, when an arc
+// has no single slot or the graph holds it twice.
 func (t *AllPairs) patch() bool {
-	fz := t.frozen
-	t.slots, t.touched = t.slots[:0], t.touched[:0]
-	for _, p := range t.patches {
+	up, fz := t.live, t.frozen
+	up.slots, up.touched = up.slots[:0], up.touched[:0]
+	for _, p := range up.patches {
 		iu, ok1 := fz.Index(p[0])
 		iv, ok2 := fz.Index(p[1])
 		if !ok1 || !ok2 {
@@ -792,7 +958,7 @@ func (t *AllPairs) patch() bool {
 			return false
 		}
 		bw, lat, seen := int64(0), fz.Lat[e], 0
-		for _, a := range t.g.Out(p[0]) {
+		for _, a := range up.g.Out(p[0]) {
 			if a.To == p[1] {
 				bw, lat = a.Bandwidth, a.Latency
 				seen++
@@ -802,14 +968,14 @@ func (t *AllPairs) patch() bool {
 			return false
 		}
 		fz.SetArc(e, bw, lat)
-		t.slots = append(t.slots, e)
-		t.touched = append(t.touched, iu)
+		up.slots = append(up.slots, e)
+		up.touched = append(up.touched, iu)
 	}
-	if t.view != nil {
-		slices.Sort(t.touched)
-		t.view.patch(t.slots, slices.Compact(t.touched))
+	if up.view != nil {
+		slices.Sort(up.touched)
+		up.view.patch(up.slots, slices.Compact(up.touched))
 	}
-	t.stats.Patches++
+	up.stats.Patches++
 	return true
 }
 
@@ -818,113 +984,122 @@ func (t *AllPairs) patch() bool {
 // (rows are immutable once published) and shares the node index. A lazy
 // snapshot inherits the MaxRows bound with its own recency state, seeded in
 // the parent's order, and computes the rows it still owes from the freeze it
-// shares with the parent; its cache then ages independently, and its
-// computations still land in the parent's counters. Safe for any number of
-// concurrent readers.
+// shares with the parent; its cache then ages independently, its
+// computations count in its own Stats and in the parent's registry, and the
+// parent adopts its rows and recency at the parent's next report, flush or
+// read. Safe for any number of concurrent readers.
 func (t *AllPairs) Snapshot() *AllPairs {
 	t.Flush()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := &AllPairs{
-		lazy:     t.lazy,
-		workers:  t.workers,
-		maxRows:  t.maxRows,
-		ins:      t.ins,
-		m:        t.m,
-		rows:     slices.Clone(t.rows),
 		index:    t.index,
 		declared: t.declared,
 		nodes:    t.nodes[:t.declared],
 	}
-	if !t.lazy {
+	lz := t.lz
+	if lz == nil {
+		s.rows = slices.Clone(t.rows)
 		return s
 	}
-	s.flight = make(map[int32]*lazyRow)
-	s.pool = t.pool
-	s.resident, s.residentBytes = t.resident, t.residentBytes
-	if t.resident < len(t.rows) {
-		s.frozen, t.shared = t.frozen, true
+	s.workers, s.ins = t.workers, t.ins
+	if lz.resident < len(t.rows) {
+		s.frozen, t.live.shared = t.frozen, true
 	}
-	if s.maxRows > 0 {
-		s.lru = make(map[int]*lruNode, t.resident)
-		// Walk the parent's recency list oldest-first so the snapshot ends
-		// up in the same order.
-		for n := t.lruTail; n != nil; n = n.prev {
-			s.lruTouchLocked(n.src)
-		}
+	// The cache moves into the snapshot, rows and recency, and comes back
+	// grown by the snapshot's readers when the live table adopts it. Until
+	// then the live table pins no row the snapshot drops.
+	s.rows, t.rows = t.rows, make([]*Result, len(t.rows))
+	s.lz = &lazyFill{
+		maxRows:       lz.maxRows,
+		flight:        make(map[int32]*lazyRow),
+		resident:      lz.resident,
+		residentBytes: lz.residentBytes,
+		lru:           lz.lru,
+		lruHead:       lz.lruHead,
+		lruTail:       lz.lruTail,
+		pool:          lz.pool,
+		m:             lz.m,
 	}
+	lz.resident, lz.residentBytes, lz.lruHead, lz.lruTail = 0, 0, nil, nil
+	if lz.maxRows > 0 {
+		lz.lru = make(map[int]*lruNode, lz.maxRows)
+	}
+	lz.handed = s
 	return s
 }
 
 // dropLocked forgets src's resident row and its recency state. The caller
 // holds mu.
 func (t *AllPairs) dropLocked(src int) {
-	if n, ok := t.lru[src]; ok {
-		t.lruUnlinkLocked(n)
-		delete(t.lru, src)
+	lz := t.lz
+	if n, ok := lz.lru[src]; ok {
+		lz.unlink(n)
+		delete(lz.lru, src)
 	}
 	i, ok := t.index[src]
 	if !ok || int(i) >= len(t.rows) || t.rows[i] == nil || t.rows[i].Source != src {
 		return
 	}
-	t.resident--
-	t.residentBytes -= int64(t.rows[i].Bytes())
+	lz.resident--
+	lz.residentBytes -= int64(t.rows[i].Bytes())
 	t.rows[i] = nil
 }
 
 // publishResidentLocked shows this table's cache in the resident gauges.
 func (t *AllPairs) publishResidentLocked() {
-	t.m.residentRows.Set(int64(t.resident))
-	t.m.residentSize.Set(t.residentBytes)
-}
-
-// lruTouchLocked moves src to the head of the recency list, inserting it if
-// absent. No-op when the cache is unbounded. The caller holds mu.
-func (t *AllPairs) lruTouchLocked(src int) {
-	if t.maxRows <= 0 {
-		return
-	}
-	n, ok := t.lru[src]
-	if ok {
-		if n == t.lruHead {
-			return
-		}
-		t.lruUnlinkLocked(n)
-	} else {
-		n = &lruNode{src: src}
-		t.lru[src] = n
-	}
-	n.next = t.lruHead
-	if t.lruHead != nil {
-		t.lruHead.prev = n
-	}
-	t.lruHead = n
-	if t.lruTail == nil {
-		t.lruTail = n
-	}
-}
-
-// lruUnlinkLocked removes n from the recency list (not from the lru map).
-func (t *AllPairs) lruUnlinkLocked(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		t.lruHead = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		t.lruTail = n.prev
-	}
-	n.prev, n.next = nil, nil
+	t.lz.m.residentRows.Set(int64(t.lz.resident))
+	t.lz.m.residentSize.Set(t.lz.residentBytes)
 }
 
 // lruEnforceLocked drops least recently read rows until the cache fits
 // maxRows again. The caller holds mu.
 func (t *AllPairs) lruEnforceLocked() {
-	for t.maxRows > 0 && len(t.lru) > t.maxRows {
-		t.dropLocked(t.lruTail.src)
-		t.lruEvicted.Add(1)
-		t.m.lruEvictions.Inc()
+	lz := t.lz
+	for lz.maxRows > 0 && len(lz.lru) > lz.maxRows {
+		t.dropLocked(lz.lruTail.src)
+		lz.lruEvicted.Add(1)
+		lz.m.lruEvictions.Inc()
 	}
+}
+
+// touch moves src to the head of the recency list, inserting it if absent.
+// No-op when the cache is unbounded. The caller holds the table's mu.
+func (lz *lazyFill) touch(src int) {
+	if lz.maxRows <= 0 {
+		return
+	}
+	n, ok := lz.lru[src]
+	if ok {
+		if n == lz.lruHead {
+			return
+		}
+		lz.unlink(n)
+	} else {
+		n = &lruNode{src: src}
+		lz.lru[src] = n
+	}
+	n.next = lz.lruHead
+	if lz.lruHead != nil {
+		lz.lruHead.prev = n
+	}
+	lz.lruHead = n
+	if lz.lruTail == nil {
+		lz.lruTail = n
+	}
+}
+
+// unlink removes n from the recency list (not from the lru map).
+func (lz *lazyFill) unlink(n *lruNode) {
+	if n.prev != nil {
+		n.prev.next = n.next
+	} else {
+		lz.lruHead = n.next
+	}
+	if n.next != nil {
+		n.next.prev = n.prev
+	} else {
+		lz.lruTail = n.prev
+	}
+	n.prev, n.next = nil, nil
 }

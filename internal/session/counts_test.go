@@ -4,7 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"sflow/internal/overlay"
 	"sflow/internal/qos"
+	"sflow/internal/reduce"
+	"sflow/internal/require"
 	"sflow/internal/scenario"
 	"sflow/internal/session"
 )
@@ -95,6 +98,98 @@ func TestChurnPairStreamCounts(t *testing.T) {
 	want := qos.Stats{DirtiedWorsening: 470, DirtiedImprovement: 582, RefreezesNodes: 40, Patches: 80}
 	if got.RecomputedSources != 1053 || table != want {
 		t.Fatalf("recomputed %d sources, table %+v; want 1053 and %+v", got.RecomputedSources, table, want)
+	}
+}
+
+// lazyPopularity weighs lazyEpochStream's requirements as the lazy-large
+// benchmark workload weighs its pool.
+var lazyPopularity = []int{15, 20, 9, 4, 2}
+
+// lazyEpochStream drives lazy-large's shape at tier-1 size through a lazy
+// session at the given worker count: a 2,000-node GenerateLarge overlay (seed
+// 1, 6 services of 6 instances), the path requirements 1→2 and 1→s→6 for s
+// in 2..5, whose slot rows make a 25-row read set, under a 16-row cache.
+// Each epoch publishes a snapshot, serves ten solves through
+// Snapshot.Abstract, drawn by lazyPopularity, and grows one seeded link. It returns the rows computed
+// and LRU-dropped by the live table and every epoch, and the rows the
+// mutations evicted.
+func lazyEpochStream(t *testing.T, workers, epochs int) qos.Stats {
+	t.Helper()
+	sc, err := scenario.GenerateLarge(scenario.LargeConfig{Seed: 1, Nodes: 2000, Services: 6, InstancesPerService: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reqs []*require.Requirement
+	for _, sids := range [][]int{{1, 2}, {1, 2, 6}, {1, 3, 6}, {1, 4, 6}, {1, 5, 6}} {
+		req, err := require.NewPath(sids...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, req)
+	}
+	s := session.New(sc.Overlay, session.Options{Lazy: true, MaxRows: 16, Workers: workers})
+	// Every other grown link leaves a slot instance: its rows reach the link's
+	// head through it, so the growth can move them.
+	links := sc.Overlay.Links()
+	var slotLinks []overlay.Link
+	for _, l := range links {
+		if sid := sc.Overlay.SIDOf(l.From); sid >= 1 && sid <= 5 {
+			slotLinks = append(slotLinks, l)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	var got qos.Stats
+	for e := 0; e < epochs; e++ {
+		sn := s.Snapshot()
+		for i := 0; i < 10; i++ {
+			k, draw := 0, rng.Intn(50)
+			for ; draw >= lazyPopularity[k]; k++ {
+				draw -= lazyPopularity[k]
+			}
+			ag, err := sn.Abstract(reqs[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reduce.Solve(ag, sc.SourceNID, nil); err != nil {
+				t.Fatalf("epoch %d: %v", e, err)
+			}
+		}
+		st := sn.AllPairs.(*qos.AllPairs).Stats()
+		got.Computed += st.Computed
+		got.LRUEvicted += st.LRUEvicted
+		l := links[rng.Intn(len(links))]
+		if e%2 == 1 {
+			l = slotLinks[rng.Intn(len(slotLinks))]
+		}
+		if err := s.GrowLinkBandwidth(l.From, l.To, 1+rng.Int63n(512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Flush()
+	st := s.TableStats()
+	got.Computed += st.Computed
+	got.LRUEvicted += st.LRUEvicted
+	got.Evicted = st.Evicted
+	return got
+}
+
+// The lazy epoch stream's work is an exact count. Every epoch's solves fill
+// their slot rows in one batch, and the live table adopts what the epoch
+// computed before the next mutation, so a row is computed again only when a
+// grown link can move it or the 16-row bound dropped it. Before adoption and
+// the batch fill the same stream computed 416 rows (0 evicted, 117
+// LRU-dropped): each epoch started from the rows the live table held, which
+// readers never filled. The counts are the same at any worker count. Change
+// them only with a change to what the table fills, adopts or evicts, and say
+// why in the same diff.
+func TestLazyEpochStreamCounts(t *testing.T) {
+	want := qos.Stats{Computed: 162, Evicted: 12, LRUEvicted: 134}
+	for _, workers := range []int{1, 2} {
+		got := lazyEpochStream(t, workers, 20)
+		t.Logf("workers %d: computed %d, evicted %d, LRU-dropped %d", workers, got.Computed, got.Evicted, got.LRUEvicted)
+		if got != want {
+			t.Errorf("workers %d: %+v, want %+v", workers, got, want)
+		}
 	}
 }
 

@@ -303,8 +303,9 @@ func (s *Session) Table() *qos.AllPairs {
 
 // Abstract flushes pending recomputation and returns the service abstract
 // graph of req over the session's overlay, backed by the maintained table
-// instead of a rebuild. It fails exactly when abstract.Build would: some
-// required service has no instance left.
+// instead of a rebuild; in lazy mode the rows a solve over it reads are
+// filled first, in one batch. It fails exactly when abstract.Build would:
+// some required service has no instance left.
 func (s *Session) Abstract(req *require.Requirement) (*abstract.Graph, error) {
 	s.enter("Abstract")
 	defer s.exit()
@@ -313,6 +314,7 @@ func (s *Session) Abstract(req *require.Requirement) (*abstract.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
+	ag.Prefetch()
 	return ag, nil
 }
 
@@ -332,7 +334,8 @@ type Snapshot struct {
 	// row read and shares no mutable state with the session's live table: a
 	// pinned *qos.AllPairs, which in lazy mode computes still-missing rows
 	// on demand from the freeze it shares with the session (safe for
-	// concurrent readers either way).
+	// concurrent readers either way). The session's next event takes the
+	// lazy snapshot's rows back into the live table.
 	AllPairs qos.Table
 }
 
@@ -354,13 +357,15 @@ func (s *Session) Snapshot() *Snapshot {
 }
 
 // Abstract builds the service abstract graph of req over the snapshot —
-// the read-side counterpart of Session.Abstract, safe to call from any
-// number of goroutines concurrently.
+// the read-side counterpart of Session.Abstract (a lazy table fills the rows
+// a solve reads first, in one batch), safe to call from any number of
+// goroutines concurrently.
 func (sn *Snapshot) Abstract(req *require.Requirement) (*abstract.Graph, error) {
 	ag, err := abstract.FromAllPairs(sn.Overlay, req, sn.AllPairs)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
+	ag.Prefetch()
 	return ag, nil
 }
 
