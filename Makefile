@@ -51,11 +51,13 @@ race-session:
 # Race-instrumented serving smoke: concurrent TCP clients solving against
 # sflowd's epoch machinery while another client streams mutations, plus the
 # root-level byte-equivalence battery between served and stateless solves,
-# and the read-only contract every request's requirement is shared under
-# (structural queries and Validate from many goroutines on one requirement).
+# the read-only contract every request's requirement is shared under
+# (structural queries and Validate from many goroutines on one requirement),
+# and the admission side built on first use: once under concurrent first
+# admits, from the boot substrate after mutation epochs, never after Close.
 race-daemon:
 	$(GO) test -race ./internal/require/ -run 'TestSharedRequirementIsReadOnly|TestMutatingFrozenRequirementDropsViews'
-	$(GO) test -race ./internal/daemon/ -run 'TestConcurrentClientsUnderChurn|TestSolveOverTCPMatchesDirectComputation'
+	$(GO) test -race ./internal/daemon/ -run 'TestConcurrentClientsUnderChurn|TestSolveOverTCPMatchesDirectComputation|TestFirstAdmitAfterEpochsMatchesBootAllocator|TestLinksOnFreshDaemonListsBootLinks|TestConcurrentFirstAdmitsBuildOneAllocator|TestCloseWithoutAdmissionLeavesNoGoroutine'
 	$(GO) test -race . -run 'TestDaemonServingEquivalenceBattery'
 
 # Race-instrumented multi-tenant admission oracle: many goroutines admitting,
@@ -83,12 +85,13 @@ race-lazy:
 
 # Race-instrumented re-optimization battery: the link-load ledger must
 # deep-equal a from-scratch recount after any seeded interleaving, gated live
-# migrations must never regress max utilization, and the daemon's background
-# reoptimizer loop must relieve a hot link end-to-end over RPC.
+# migrations must never regress max utilization, the daemon's background
+# reoptimizer loop must relieve a hot link end-to-end over RPC, and a step
+# that re-places nobody must build no mirror session.
 race-reopt:
 	$(GO) test -race ./internal/reopt/
 	$(GO) test -race ./internal/provision/ -run 'TestMigrate|TestExpiryReleaseRaceKeepsLedgerExact|TestMigrationCarriesLease'
-	$(GO) test -race ./internal/daemon/ -run 'TestLinksRPCTracksAdmittedLoad|TestReoptLoopRelievesHotLink'
+	$(GO) test -race ./internal/daemon/ -run 'TestLinksRPCTracksAdmittedLoad|TestReoptLoopRelievesHotLink|TestReoptimizeOnceWithoutHotLinkBuildsNoMirror'
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

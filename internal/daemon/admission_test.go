@@ -25,6 +25,17 @@ func sortedOverlayLinks(ov *overlay.Overlay) []overlay.Link {
 	return ls
 }
 
+// mustAllocator returns the server's allocator, failing the test if the
+// server is closed.
+func mustAllocator(t testing.TB, srv *Server) *provision.Allocator {
+	t.Helper()
+	alloc, err := srv.Allocator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return alloc
+}
+
 func TestAdmitReleaseTenantsRPC(t *testing.T) {
 	sc := testScenario(t, 5)
 	srv := startServer(t, sc, Options{Workers: 1,
@@ -154,7 +165,7 @@ func TestConcurrentAdmitRPCMatchesSequentialReplay(t *testing.T) {
 	}
 	wg.Wait()
 
-	alloc := srv.Allocator()
+	alloc := mustAllocator(t, srv)
 	log := alloc.Log()
 	if len(log) < 500 {
 		t.Fatalf("log has %d events, want >= 500", len(log))
@@ -217,7 +228,7 @@ func TestAdmissionIndependentOfEpochMutations(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatalf("admit: %s", resp.Err)
 	}
-	before := sortedOverlayLinks(srv.Allocator().Residual())
+	before := sortedOverlayLinks(mustAllocator(t, srv).Residual())
 
 	// Mutate the served overlay: a fresh epoch publishes.
 	links := sc.Overlay.Links()
@@ -228,7 +239,7 @@ func TestAdmissionIndependentOfEpochMutations(t *testing.T) {
 	if mr.Err != "" {
 		t.Fatalf("mutate: %s", mr.Err)
 	}
-	if got := sortedOverlayLinks(srv.Allocator().Residual()); !reflect.DeepEqual(got, before) {
+	if got := sortedOverlayLinks(mustAllocator(t, srv).Residual()); !reflect.DeepEqual(got, before) {
 		t.Fatal("epoch mutation leaked into the admission residual")
 	}
 	// And the tenant is still admitted.

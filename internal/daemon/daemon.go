@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -84,12 +85,17 @@ type Options struct {
 	// (provision.Allocator.Placement): the first admit builds it, and each
 	// later one recomputes only the rows the reservations and releases
 	// since could have changed (alloc_table_rows_recomputed_total and
-	// alloc_table_rows_kept_total count them); a server that never admits
-	// never builds it. Admission.Metrics defaults to Options.Metrics.
+	// alloc_table_rows_kept_total count them). The allocator, its residual,
+	// the link ledger and the reoptimizer's planner are built together by
+	// the first admission-side request (admit, release, tenants, links, a
+	// reoptimizer step or Allocator), so a server that never admits never
+	// builds any of them and registers no alloc_* or reopt_* metric.
+	// Admission.Metrics defaults to Options.Metrics.
 	Admission provision.AllocatorOptions
 	// Reopt configures the congestion-driven reoptimizer. The link-load
-	// ledger behind the `links` RPC is always on; the background migration
-	// loop runs only when Reopt.Enabled is set.
+	// ledger behind the `links` RPC is built with the allocator, whatever
+	// these say; the background migration loop runs only when
+	// Reopt.Enabled is set.
 	Reopt ReoptOptions
 }
 
@@ -123,16 +129,16 @@ type Server struct {
 	cur  atomic.Pointer[epoch]
 	hook func(*session.Snapshot)
 
-	// alloc is the multi-tenant capacity allocator; it serializes its own
-	// operations, so admit/release/tenants handlers run on RPC goroutines
-	// without involving the epoch writer.
-	alloc *provision.Allocator
+	// boot is the boot epoch's overlay, an immutable private clone of the
+	// caller's: the one substrate the admission side is built from. opts
+	// keeps what that build needs.
+	boot *overlay.Overlay
+	opts Options
 
-	// ledger folds the allocator's committed transitions into per-link
-	// loads (always on — it backs the `links` RPC); planner is the
-	// congestion-driven migrator, nil unless Options.Reopt.Enabled.
-	ledger    *reopt.Ledger
-	planner   *reopt.Planner
+	// admOnce guards adm: the admission side, built by the first request
+	// that needs it (see admission), or marked never-built by Close.
+	admOnce   sync.Once
+	adm       *admissionState
 	reoptDone chan struct{}
 
 	mutCh chan writerCmd
@@ -160,48 +166,41 @@ type Server struct {
 	publishUS    *metrics.Histogram
 }
 
+// admissionState is the server's admission side: the multi-tenant capacity
+// allocator, the link ledger observing it and the reoptimizer's planner, all
+// over the boot substrate.
+type admissionState struct {
+	// alloc serializes its own operations, so admit/release/tenants
+	// handlers run on RPC goroutines without involving the epoch writer.
+	alloc *provision.Allocator
+	// ledger folds the allocator's committed transitions into per-link
+	// loads (it backs the `links` RPC); planner is the congestion-driven
+	// migrator, stepped only by the background loop
+	// (Options.Reopt.Enabled) or ReoptimizeOnce.
+	ledger  *reopt.Ledger
+	planner *reopt.Planner
+}
+
+// ErrClosed is the error an admission-side call made after Close gets.
+var ErrClosed = errors.New("daemon: shutting down")
+
 // New builds a server over a private clone of ov, publishes the initial
-// epoch and starts the writer goroutine. Call Serve to accept clients and
-// Close to shut down.
+// epoch and starts the writer goroutine. It builds only the serving state;
+// the admission side waits for its first request (see Options.Admission).
+// Call Serve to accept clients and Close to shut down.
 func New(ov *overlay.Overlay, opts Options) *Server {
-	if opts.Admission.Metrics == nil {
-		opts.Admission.Metrics = opts.Metrics
-	}
-	// The link ledger observes every committed allocator transition; it must
-	// be installed before the first admission, so it is wired here rather
-	// than left to callers. A caller-provided observer still sees
-	// everything, after the ledger.
-	ledger := reopt.NewLedger(ov, opts.Metrics)
-	if prev := opts.Admission.Observer; prev != nil {
-		opts.Admission.Observer = fanoutObserver{ledger, prev}
-	} else {
-		opts.Admission.Observer = ledger
-	}
 	s := &Server{
 		sess: session.New(ov, session.Options{
 			Workers: opts.Workers, Metrics: opts.Metrics,
 			Lazy: opts.Lazy, MaxRows: opts.MaxRows,
 		}),
 		hook:      opts.PublishHook,
-		alloc:     provision.NewAllocator(ov, opts.Admission),
-		ledger:    ledger,
+		opts:      opts,
 		reoptDone: make(chan struct{}),
 		mutCh:     make(chan writerCmd, 256),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	s.planner = reopt.NewPlanner(s.alloc, ledger, ov, reopt.PlannerConfig{
-		Detector: reopt.DetectorConfig{
-			HotThreshold:   opts.Reopt.HotThreshold,
-			ClearThreshold: opts.Reopt.ClearThreshold,
-			Sustain:        opts.Reopt.Sustain,
-		},
-		MaxMovesPerLink: opts.Reopt.MaxMovesPerLink,
-		Workers:         opts.Workers,
-		Lazy:            opts.Lazy,
-		MaxRows:         opts.MaxRows,
-		Metrics:         opts.Metrics,
-	})
 	if reg := opts.Metrics; reg != nil {
 		s.solves = reg.Counter("daemon_solves_total")
 		s.mutations = reg.Counter("daemon_mutations_total")
@@ -217,7 +216,9 @@ func New(ov *overlay.Overlay, opts Options) *Server {
 		s.publishUS = reg.Histogram("daemon_publish_us",
 			metrics.ExponentialBounds(10, 10, 6), metrics.Volatile())
 	}
-	s.publish(s.sess.Snapshot())
+	boot := s.sess.Snapshot()
+	s.boot = boot.Overlay
+	s.publish(boot)
 	go s.writerLoop()
 	if opts.Reopt.Enabled {
 		interval := opts.Reopt.Interval
@@ -229,6 +230,53 @@ func New(ov *overlay.Overlay, opts Options) *Server {
 		close(s.reoptDone)
 	}
 	return s
+}
+
+// admission returns the admission side, building it over the boot substrate
+// on first use; concurrent first callers build it once. Once Close has run,
+// it returns ErrClosed unless the side was built before.
+func (s *Server) admission() (*admissionState, error) {
+	s.admOnce.Do(func() { s.adm = newAdmission(s.boot, s.opts) })
+	if s.adm == nil {
+		return nil, ErrClosed
+	}
+	return s.adm, nil
+}
+
+// newAdmission builds the allocator, the ledger and the planner over boot,
+// which stays unchanged for their lifetime: the allocator takes a residual
+// clone of it, the ledger and the planner read it directly.
+func newAdmission(boot *overlay.Overlay, opts Options) *admissionState {
+	aopts := opts.Admission
+	if aopts.Metrics == nil {
+		aopts.Metrics = opts.Metrics
+	}
+	// The link ledger observes every committed allocator transition, so it
+	// is installed before the allocator exists. A caller-provided observer
+	// still sees everything, after the ledger.
+	ledger := reopt.NewLedger(boot, opts.Metrics)
+	if prev := aopts.Observer; prev != nil {
+		aopts.Observer = fanoutObserver{ledger, prev}
+	} else {
+		aopts.Observer = ledger
+	}
+	alloc := provision.NewAllocator(boot, aopts)
+	return &admissionState{
+		alloc:  alloc,
+		ledger: ledger,
+		planner: reopt.NewPlanner(alloc, ledger, boot, reopt.PlannerConfig{
+			Detector: reopt.DetectorConfig{
+				HotThreshold:   opts.Reopt.HotThreshold,
+				ClearThreshold: opts.Reopt.ClearThreshold,
+				Sustain:        opts.Reopt.Sustain,
+			},
+			MaxMovesPerLink: opts.Reopt.MaxMovesPerLink,
+			Workers:         opts.Workers,
+			Lazy:            opts.Lazy,
+			MaxRows:         opts.MaxRows,
+			Metrics:         opts.Metrics,
+		}),
+	}
 }
 
 // fanoutObserver forwards allocator transitions to several observers in
@@ -266,16 +314,26 @@ func (s *Server) reoptLoop(interval time.Duration) {
 		case <-s.stop:
 			return
 		case <-tick.C:
-			s.planner.Step()
+			if adm, err := s.admission(); err == nil {
+				adm.planner.Step()
+			}
 		}
 	}
 }
 
-// ReoptimizeOnce runs one synchronous planner step and returns its report.
-// It is the test/CLI entry point; the background loop (Options.Reopt.Enabled)
-// calls the same Step. Do not call concurrently with a running background
-// loop.
-func (s *Server) ReoptimizeOnce() reopt.StepReport { return s.planner.Step() }
+// ReoptimizeOnce runs one synchronous planner step and returns its report,
+// building the admission side first if no request has yet. It is the
+// test/CLI entry point; the background loop (Options.Reopt.Enabled) calls the
+// same Step. Do not call concurrently with a running background loop. After
+// Close on a server that never built its admission side it returns an empty
+// report.
+func (s *Server) ReoptimizeOnce() reopt.StepReport {
+	adm, err := s.admission()
+	if err != nil {
+		return reopt.StepReport{}
+	}
+	return adm.planner.Step()
+}
 
 // Serve starts answering RPCs on addr ("127.0.0.1:0" picks a free port; read
 // it back with Addr).
@@ -291,10 +349,12 @@ func (s *Server) Serve(addr string) error {
 // Addr returns the served address. Panics if Serve was not called.
 func (s *Server) Addr() string { return s.rpc.Addr() }
 
-// Close drains client connections, then stops the writer goroutine. Safe to
-// call more than once. The order matters: the RPC server is closed first so
-// every in-flight handler (possibly parked on the writer queue) completes
-// while the writer is still alive.
+// Close drains client connections, then stops the writer goroutine and, if
+// it was built, the allocator. Safe to call more than once. The order
+// matters: the RPC server is closed first so every in-flight handler
+// (possibly parked on the writer queue) completes while the writer is still
+// alive. An admission side never built by then never will be: later
+// admission-side calls get ErrClosed.
 func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
@@ -308,16 +368,29 @@ func (s *Server) Close() {
 	// still needs the allocator's writer loop for its migrations.
 	<-s.reoptDone
 	// The allocator closes after the RPC server: no admit/release handler
-	// can still be running.
-	s.alloc.Close()
+	// can still be running. Running the once here waits out a build in
+	// flight, or settles that none will happen.
+	s.admOnce.Do(func() {})
+	if s.adm != nil {
+		s.adm.alloc.Close()
+	}
 	// Final retirement sweep: with no handlers left every tracked epoch has
 	// drained.
 	s.sweepRetired()
 }
 
-// Allocator exposes the server's capacity allocator; tests use it to run the
-// sequential-replay oracle against the recorded admission log.
-func (s *Server) Allocator() *provision.Allocator { return s.alloc }
+// Allocator exposes the server's capacity allocator, building the admission
+// side if no request has yet; tests use it to run the sequential-replay
+// oracle against the recorded admission log. After Close it returns the
+// allocator if it was built (its operations then report
+// provision.ErrClosed), and ErrClosed otherwise.
+func (s *Server) Allocator() (*provision.Allocator, error) {
+	adm, err := s.admission()
+	if err != nil {
+		return nil, err
+	}
+	return adm.alloc, nil
+}
 
 // Epoch returns the currently published epoch id.
 func (s *Server) Epoch() uint64 { return s.cur.Load().id }
@@ -459,7 +532,7 @@ func admissionPlacement(name string) (provision.Place, error) {
 // admissionAlgorithm is one named solver as a provision.Algorithm that
 // builds its abstract graph from scratch over whatever overlay it is handed:
 // what Replay of a daemon's admission log runs. The server itself admits
-// through s.alloc.Placement, which reads the allocator's maintained residual
+// through its allocator's Placement, which reads the allocator's maintained residual
 // table instead and answers byte-identically.
 func admissionAlgorithm(name string) (provision.Algorithm, error) {
 	place, err := admissionPlacement(name)
@@ -494,14 +567,19 @@ func (s *Server) admit(r *Request) *Response {
 		resp.Err = err.Error()
 		return resp
 	}
-	tk, err := s.alloc.Admit(provision.AdmitRequest{
+	adm, err := s.admission()
+	if err != nil {
+		resp.Err = err.Error()
+		return resp
+	}
+	tk, err := adm.alloc.Admit(provision.AdmitRequest{
 		Req:    r.Requirement,
 		Src:    r.Source,
 		Demand: r.Demand,
 		Class:  r.Class,
 		TTL:    time.Duration(r.TTLMS) * time.Millisecond,
 		Tag:    name,
-		Alg:    s.alloc.Placement(place),
+		Alg:    adm.alloc.Placement(place),
 	})
 	if err != nil {
 		resp.Err = err.Error()
@@ -527,7 +605,11 @@ func (s *Server) admit(r *Request) *Response {
 // release answers OpRelease on the RPC goroutine.
 func (s *Server) release(r *Request) *Response {
 	resp := &Response{Epoch: s.cur.Load().id}
-	if err := s.alloc.Release(r.Ticket); err != nil {
+	adm, err := s.admission()
+	if err == nil {
+		err = adm.alloc.Release(r.Ticket)
+	}
+	if err != nil {
 		resp.Err = err.Error()
 		return resp
 	}
@@ -540,12 +622,16 @@ func (s *Server) release(r *Request) *Response {
 // and residual utilization, all snapshotted through the allocator's writer
 // loop.
 func (s *Server) tenants() *Response {
-	return &Response{
-		Epoch:       s.cur.Load().id,
-		Tenants:     s.alloc.Tenants(),
-		Classes:     s.alloc.ClassCounters(),
-		Utilization: s.alloc.Utilization(),
+	resp := &Response{Epoch: s.cur.Load().id}
+	adm, err := s.admission()
+	if err != nil {
+		resp.Err = err.Error()
+		return resp
 	}
+	resp.Tenants = adm.alloc.Tenants()
+	resp.Classes = adm.alloc.ClassCounters()
+	resp.Utilization = adm.alloc.Utilization()
+	return resp
 }
 
 // links answers OpLinks from the ledger on the RPC goroutine. Hot reflects
@@ -553,9 +639,13 @@ func (s *Server) tenants() *Response {
 // the instantaneous threshold, so a spike the detector has not confirmed yet
 // reads as Hot=false.
 func (s *Server) links() *Response {
-	lls := s.ledger.Links()
+	adm, err := s.admission()
+	if err != nil {
+		return &Response{Epoch: s.cur.Load().id, Err: err.Error()}
+	}
+	lls := adm.ledger.Links()
 	out := make([]LinkStatus, len(lls))
-	det := s.planner.Detector()
+	det := adm.planner.Detector()
 	for i, ll := range lls {
 		out[i] = LinkStatus{
 			From: ll.From, To: ll.To,
@@ -580,13 +670,13 @@ func (s *Server) submit(r *Request) *Response {
 	select {
 	case s.mutCh <- writerCmd{req: r, reply: reply}:
 	case <-s.stop:
-		return &Response{Err: "daemon: shutting down"}
+		return &Response{Err: ErrClosed.Error()}
 	}
 	select {
 	case resp := <-reply:
 		return resp
 	case <-s.stop:
-		return &Response{Err: "daemon: shutting down"}
+		return &Response{Err: ErrClosed.Error()}
 	}
 }
 

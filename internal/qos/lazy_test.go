@@ -462,3 +462,40 @@ func recency(t *AllPairs) []int {
 	}
 	return out
 }
+
+// The fills of a lazy table read one arc view per freeze: a batch over
+// several workers derives it once into the table's shared view, the pooled
+// scratches derive none of their own, and a fill on another freeze while
+// the view is in use derives into its scratch instead of re-deriving it
+// under its readers — with the same rows either way.
+func TestLazyFillsShareOneView(t *testing.T) {
+	g := randomTestGraph(5, 60, 3)
+	lt := New(g, Options{Lazy: true, Workers: 4})
+	lt.Prefetch([]int{0, 5, 9, 17, 23, 31, 40, 52})
+	sv := lt.lz.view
+	if sv.v.g != lt.frozen || sv.users != 0 {
+		t.Fatalf("after the batch the shared view holds %p with %d users, want the freeze %p and 0",
+			sv.v.g, sv.users, lt.frozen)
+	}
+	for i := 0; i < 4; i++ {
+		if sc := lt.lz.pool.Get().(*Scratch); sc.view != nil || sc.own.g != nil {
+			t.Fatalf("a pooled scratch kept a view of its own")
+		}
+	}
+
+	busy := sv.acquire(lt.frozen)
+	other := FreezeGraph(g)
+	if v := sv.acquire(other); v != nil {
+		t.Fatal("the shared view was handed out for another freeze while in use")
+	}
+	eager := ComputeAllPairsWorkers(g, 1)
+	own := lt.lz.compute(other, 7, nil, lt.ins)
+	shared := lt.lz.compute(lt.frozen, 7, busy, lt.ins)
+	if !reflect.DeepEqual(own, eager.From(other.IDs[7])) || !reflect.DeepEqual(shared, own) {
+		t.Fatal("a row computed on its scratch's own view differs from the shared view's and eager's")
+	}
+	sv.release(busy)
+	if v := sv.acquire(other); v == nil || v.g != other {
+		t.Fatal("an idle shared view was not re-derived for the next freeze")
+	}
+}

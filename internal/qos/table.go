@@ -218,7 +218,8 @@ type upkeep struct {
 // the single-flight latch of each row being computed; resident counts the
 // completed rows and residentBytes sums their Result.Bytes. With MaxRows set,
 // lru tracks the completed rows' recency by source, most recent at lruHead.
-// pool shares kernel scratch between concurrent fills, snapshots included.
+// pool shares kernel scratch, and view the one derived arc view, between
+// concurrent fills, snapshots included.
 type lazyFill struct {
 	maxRows                                         int
 	flight                                          map[int32]*lazyRow
@@ -227,6 +228,7 @@ type lazyFill struct {
 	lru                                             map[int]*lruNode
 	lruHead, lruTail                                *lruNode
 	pool                                            *sync.Pool
+	view                                            *sharedView
 	m                                               lazyMetrics
 	computed, hits, dedupWaits, evicted, lruEvicted atomic.Int64
 	// handed is the last snapshot a live table handed out, adopted at the
@@ -296,6 +298,7 @@ func New(g Graph, opts Options) *AllPairs {
 		maxRows: opts.MaxRows,
 		flight:  make(map[int32]*lazyRow),
 		pool:    &sync.Pool{New: func() any { return NewScratch() }},
+		view:    &sharedView{},
 	}
 	if lz.maxRows > 0 {
 		lz.lru = make(map[int]*lruNode)
@@ -433,9 +436,9 @@ func (t *AllPairs) fill(src int) *Result {
 	frozen := t.frozen
 	t.mu.Unlock()
 
-	sc := lz.pool.Get().(*Scratch)
-	res := shortestWidestDense(frozen, i, sc, t.ins)
-	lz.pool.Put(sc)
+	v := lz.view.acquire(frozen)
+	res := lz.compute(frozen, i, v, t.ins)
+	lz.view.release(v)
 
 	// Accounting, recency and the MaxRows bound move in one critical
 	// section, so no reader can observe a row outside the bound.
@@ -578,15 +581,68 @@ func (t *AllPairs) Prefetch(srcs []int) {
 }
 
 // computeBatch computes the rows of claimed (dense indexes of frozen) over
-// the table's fan-out, each worker with a pooled scratch.
+// the table's fan-out, each worker with a pooled scratch, all reading one
+// arc view.
 func (t *AllPairs) computeBatch(frozen *csr.Graph, claimed []int32) []*Result {
 	res := make([]*Result, len(claimed))
+	v := t.lz.view.acquire(frozen)
 	fanOut(len(claimed), t.fanout(), func(_, k int) {
-		sc := t.lz.pool.Get().(*Scratch)
-		res[k] = shortestWidestDense(frozen, claimed[k], sc, t.ins)
-		t.lz.pool.Put(sc)
+		res[k] = t.lz.compute(frozen, claimed[k], v, t.ins)
 	})
+	t.lz.view.release(v)
 	return res
+}
+
+// compute computes row i of frozen with a pooled scratch, reading v (when
+// non-nil) instead of the scratch's own view.
+func (lz *lazyFill) compute(frozen *csr.Graph, i int32, v *arcView, ins instr) *Result {
+	sc := lz.pool.Get().(*Scratch)
+	if v != nil {
+		sc.view = v
+	}
+	res := shortestWidestDense(frozen, i, sc, ins)
+	if v != nil {
+		sc.view = nil
+	}
+	lz.pool.Put(sc)
+	return res
+}
+
+// sharedView is the one arc view the fills of a lazy table and its
+// snapshots read, so a freeze is derived once however many workers and
+// readers fill rows on it, into arrays reused from freeze to freeze. users
+// counts the fills reading it; it is re-derived only when none is. A fill on
+// another freeze while it is in use (an old epoch's reader beside a new
+// one's) gets nil and derives into its scratch's own view.
+type sharedView struct {
+	mu    sync.Mutex
+	v     arcView
+	users int
+}
+
+// acquire returns the view of g, deriving it if it holds another graph or
+// generation and no fill is reading it; nil if one is. Pair with release.
+func (s *sharedView) acquire(g *csr.Graph) *arcView {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.v.g != g || s.v.gen != g.Gen {
+		if s.users > 0 {
+			return nil
+		}
+		s.v.derive(g)
+	}
+	s.users++
+	return &s.v
+}
+
+// release ends a fill's use of the view acquire returned.
+func (s *sharedView) release(v *arcView) {
+	if v == nil {
+		return
+	}
+	s.mu.Lock()
+	s.users--
+	s.mu.Unlock()
 }
 
 // Stats returns what the table has done so far.
@@ -1019,6 +1075,7 @@ func (t *AllPairs) Snapshot() *AllPairs {
 		lruHead:       lz.lruHead,
 		lruTail:       lz.lruTail,
 		pool:          lz.pool,
+		view:          lz.view,
 		m:             lz.m,
 	}
 	lz.resident, lz.residentBytes, lz.lruHead, lz.lruTail = 0, 0, nil, nil

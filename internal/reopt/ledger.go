@@ -60,20 +60,20 @@ type TenantShare struct {
 	Amount int64
 }
 
-// capInfo is a boot link's immutable capacity and latency.
-type capInfo struct {
-	capacity, latency int64
-}
-
 // Ledger is the per-link traffic account over one boot overlay. Install it as
 // the allocator's Observer and it folds every committed admission, departure
 // and migration into per-link loads, in the exact serialization order of the
-// writer loop. All methods are safe for concurrent use.
+// writer loop. Capacities and latencies are read from the boot overlay
+// itself, so the ledger holds state only for loaded links. All methods are
+// safe for concurrent use.
 type Ledger struct {
-	mu      sync.Mutex
-	caps    map[Link]capInfo
-	order   []Link // boot links sorted (From, To) — the Links() iteration order
+	boot *overlay.Overlay // read-only
+
+	mu sync.Mutex
+	// load and count hold each loaded link's booked bandwidth and the number
+	// of tenants booking it; idle links are absent from both.
 	load    map[Link]int64
+	count   map[Link]int
 	tenants map[uint64]map[Link]int64
 
 	updates *metrics.Counter
@@ -81,28 +81,18 @@ type Ledger struct {
 }
 
 // NewLedger builds a ledger over the boot overlay's links. reg may be nil.
-// Links admitted flows cross must exist in boot — the allocator reserves
-// against a residual clone of the same overlay, so they always do.
+// boot must not change while the ledger is in use: the ledger reads each
+// link's capacity and latency from it. Links admitted flows cross must exist
+// in boot — the allocator reserves against a residual clone of the same
+// overlay, so they always do.
 func NewLedger(boot *overlay.Overlay, reg *metrics.Registry) *Ledger {
-	links := boot.Links()
 	l := &Ledger{
-		caps:    make(map[Link]capInfo, len(links)),
-		order:   make([]Link, 0, len(links)),
-		load:    make(map[Link]int64, len(links)),
+		boot:    boot,
+		load:    make(map[Link]int64),
+		count:   make(map[Link]int),
 		tenants: make(map[uint64]map[Link]int64),
 		updates: reg.Counter("reopt_ledger_updates_total"),
 	}
-	for _, lk := range links {
-		key := Link{lk.From, lk.To}
-		l.caps[key] = capInfo{capacity: lk.Bandwidth, latency: lk.Latency}
-		l.order = append(l.order, key)
-	}
-	sort.Slice(l.order, func(i, j int) bool {
-		if l.order[i][0] != l.order[j][0] {
-			return l.order[i][0] < l.order[j][0]
-		}
-		return l.order[i][1] < l.order[j][1]
-	})
 	if reg != nil {
 		// Max utilization is a point-in-time reading; keep it out of the
 		// stable snapshot like every other gauge.
@@ -139,6 +129,7 @@ func (l *Ledger) apply(id uint64, res map[Link]provision.Reservation) {
 	for link, r := range res {
 		amounts[link] = r.Amount
 		l.load[link] += r.Amount
+		l.count[link]++
 	}
 	l.tenants[id] = amounts
 	l.updates.Inc()
@@ -158,6 +149,9 @@ func (l *Ledger) remove(id uint64) {
 		if l.load[link] == 0 {
 			delete(l.load, link)
 		}
+		if l.count[link]--; l.count[link] == 0 {
+			delete(l.count, link)
+		}
 	}
 	delete(l.tenants, id)
 	l.updates.Inc()
@@ -171,8 +165,8 @@ func (l *Ledger) observeLocked() {
 	}
 	var max float64
 	for link, load := range l.load {
-		if c := l.caps[link]; c.capacity > 0 {
-			if u := float64(load) / float64(c.capacity); u > max {
+		if c, _, _ := l.Capacity(link); c > 0 {
+			if u := float64(load) / float64(c); u > max {
 				max = u
 			}
 		}
@@ -194,19 +188,14 @@ func (l *Ledger) Loads() map[Link]int64 {
 
 // Links returns every boot link's current account, sorted by (From, To).
 func (l *Ledger) Links() []LinkLoad {
+	links := l.boot.Links()
+	out := make([]LinkLoad, len(links))
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]LinkLoad, 0, len(l.order))
-	for _, link := range l.order {
-		c := l.caps[link]
-		ll := LinkLoad{From: link[0], To: link[1],
-			Capacity: c.capacity, Latency: c.latency, Load: l.load[link]}
-		for _, amounts := range l.tenants {
-			if _, ok := amounts[link]; ok {
-				ll.Tenants++
-			}
-		}
-		out = append(out, ll)
+	for i, lk := range links {
+		key := Link{lk.From, lk.To}
+		out[i] = LinkLoad{From: lk.From, To: lk.To, Capacity: lk.Bandwidth,
+			Latency: lk.Latency, Load: l.load[key], Tenants: l.count[key]}
 	}
 	return out
 }
@@ -214,21 +203,22 @@ func (l *Ledger) Links() []LinkLoad {
 // Capacity returns a boot link's pristine bandwidth and latency; ok is false
 // for a link the boot overlay never had.
 func (l *Ledger) Capacity(link Link) (capacity, latency int64, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c, ok := l.caps[link]
-	return c.capacity, c.latency, ok
+	m, ok := l.boot.LinkMetric(link[0], link[1])
+	if !ok {
+		return 0, 0, false
+	}
+	return m.Bandwidth, m.Latency, true
 }
 
 // Utilization returns one link's current Load/Capacity.
 func (l *Ledger) Utilization(link Link) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c := l.caps[link]
-	if c.capacity <= 0 {
+	c, _, _ := l.Capacity(link)
+	if c <= 0 {
 		return 0
 	}
-	return float64(l.load[link]) / float64(c.capacity)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return float64(l.load[link]) / float64(c)
 }
 
 // TenantLoads returns a copy of one tenant's per-link holds (nil if the

@@ -87,9 +87,11 @@ type Planner struct {
 	det    *Detector
 	cfg    PlannerConfig
 
-	// sess mirrors the residual view used for candidate re-federation;
+	// sess mirrors the residual view used for candidate re-federation; the
+	// first candidate re-placement builds it from boot (see mirror).
 	// applied is the per-link load currently subtracted from it. Both are
 	// touched only inside Migrate closures (see above).
+	boot    *overlay.Overlay
 	sess    *session.Session
 	applied map[Link]int64
 
@@ -99,24 +101,36 @@ type Planner struct {
 // NewPlanner builds a planner over the allocator's boot overlay. ledger must
 // be installed as the allocator's Observer (and must have seen every
 // admission) for candidate selection and the no-regression gate to be exact.
+// The planner routes nothing here: its mirror session is built from boot at
+// the first Step that re-places a tenant, so boot must stay unchanged until
+// then (the ledger reads it for the planner's lifetime anyway).
 func NewPlanner(alloc *provision.Allocator, ledger *Ledger, boot *overlay.Overlay, cfg PlannerConfig) *Planner {
 	cfg = cfg.withDefaults()
 	reg := cfg.Metrics
 	return &Planner{
-		alloc:  alloc,
-		ledger: ledger,
-		det:    NewDetector(cfg.Detector),
-		cfg:    cfg,
-		sess: session.New(boot, session.Options{
-			Workers: cfg.Workers, Lazy: cfg.Lazy,
-			MaxRows: cfg.MaxRows, Metrics: cfg.Metrics,
-		}),
+		alloc:      alloc,
+		ledger:     ledger,
+		det:        NewDetector(cfg.Detector),
+		cfg:        cfg,
+		boot:       boot,
 		applied:    make(map[Link]int64),
 		steps:      reg.Counter("reopt_steps_total"),
 		migrations: reg.Counter("reopt_migrations_total"),
 		vetoes:     reg.Counter("reopt_vetoes_total"),
 		failures:   reg.Counter("reopt_failures_total"),
 	}
+}
+
+// mirror returns the mirror session, building it over the boot overlay on
+// first use. Called only inside Migrate closures.
+func (p *Planner) mirror() *session.Session {
+	if p.sess == nil {
+		p.sess = session.New(p.boot, session.Options{
+			Workers: p.cfg.Workers, Lazy: p.cfg.Lazy,
+			MaxRows: p.cfg.MaxRows, Metrics: p.cfg.Metrics,
+		})
+	}
+	return p.sess
 }
 
 // Detector exposes the planner's detector (for status RPCs).
@@ -197,6 +211,7 @@ func (p *Planner) algorithm(hot Link, cand uint64) provision.Algorithm {
 				delete(target, link)
 			}
 		}
+		sess := p.mirror()
 		if err := p.syncSession(target); err != nil {
 			return nil, qos.Metric{}, err
 		}
@@ -205,7 +220,7 @@ func (p *Planner) algorithm(hot Link, cand uint64) provision.Algorithm {
 		hotRes := capBW - target[hot]
 		masked := ok && hotRes > 0
 		if masked {
-			if err := p.sess.RemoveLink(hot[0], hot[1]); err != nil {
+			if err := sess.RemoveLink(hot[0], hot[1]); err != nil {
 				return nil, qos.Metric{}, err
 			}
 		}
@@ -213,9 +228,9 @@ func (p *Planner) algorithm(hot Link, cand uint64) provision.Algorithm {
 			if !masked {
 				return nil
 			}
-			return p.sess.AddLink(hot[0], hot[1], hotRes, lat)
+			return sess.AddLink(hot[0], hot[1], hotRes, lat)
 		}
-		ag, err := p.sess.Abstract(req)
+		ag, err := sess.Abstract(req)
 		if err != nil {
 			if uerr := unmask(); uerr != nil {
 				return nil, qos.Metric{}, uerr

@@ -521,3 +521,128 @@ func TestMigrateNoTicket(t *testing.T) {
 		t.Fatalf("err after release = %v, want ErrNoTicket", err)
 	}
 }
+
+// Every ledger reading must equal a brute-force recount of the allocator's
+// active reservations after every single step — admits, releases, in-place
+// migrations and the preemptions a higher class forces: Links (capacity,
+// latency, load and tenant count of every boot link, in (From, To) order),
+// Loads, and TenantsOn of every link.
+func TestLedgerMatchesRecountEveryStep(t *testing.T) {
+	ov, req, _ := concentrateOverlay(t, 3)
+	ledger := NewLedger(ov, metrics.New())
+	alloc := provision.NewAllocator(ov, provision.AllocatorOptions{
+		Classes: 2, Preempt: true, Observer: ledger,
+	})
+	defer alloc.Close()
+
+	check := func(step int) {
+		t.Helper()
+		res := alloc.Reservations()
+		loads := recount(alloc)
+		on := map[Link][]TenantShare{}
+		for id, links := range res {
+			for link, r := range links {
+				on[link] = append(on[link], TenantShare{Ticket: id, Amount: r.Amount})
+			}
+		}
+		var want []LinkLoad
+		for _, lk := range sortedLinks(ov) {
+			key := Link{lk.From, lk.To}
+			want = append(want, LinkLoad{From: lk.From, To: lk.To, Capacity: lk.Bandwidth,
+				Latency: lk.Latency, Load: loads[key], Tenants: len(on[key])})
+			shares := on[key]
+			sort.Slice(shares, func(i, j int) bool {
+				if shares[i].Amount != shares[j].Amount {
+					return shares[i].Amount < shares[j].Amount
+				}
+				return shares[i].Ticket < shares[j].Ticket
+			})
+			if got := ledger.TenantsOn(key); !reflect.DeepEqual(got, shares) {
+				t.Fatalf("step %d: TenantsOn(%v) = %v, recount %v", step, key, got, shares)
+			}
+		}
+		if got := ledger.Links(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: Links\n%v\nrecount\n%v", step, got, want)
+		}
+		if got := ledger.Loads(); !reflect.DeepEqual(got, loads) {
+			t.Fatalf("step %d: Loads %v, recount %v", step, got, loads)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	var live []uint64
+	check(-1)
+	for step := 0; step < 400; step++ {
+		switch k := rng.Intn(100); {
+		case k < 55:
+			tkt, err := alloc.Admit(provision.AdmitRequest{
+				Req: req, Src: 0, Demand: int64(20 + rng.Intn(120)),
+				Class: rng.Intn(2), Tag: fmt.Sprintf("t%d", step), Alg: heuristicAlg,
+			})
+			if err == nil {
+				live = append(live, tkt.ID)
+			}
+		case k < 80:
+			if len(live) == 0 {
+				continue
+			}
+			i := rng.Intn(len(live))
+			if err := alloc.Release(live[i]); err != nil && !errors.Is(err, provision.ErrNoTicket) {
+				t.Fatalf("release: %v", err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		default:
+			if len(live) == 0 {
+				continue
+			}
+			_, err := alloc.Migrate(live[rng.Intn(len(live))], heuristicAlg, nil, "reopt:0-1")
+			if err != nil && !errors.Is(err, provision.ErrNoTicket) && !errors.Is(err, provision.ErrRejected) {
+				t.Fatalf("migrate: %v", err)
+			}
+		}
+		check(step)
+	}
+	kinds := map[provision.EventKind]int{}
+	for _, ev := range alloc.Log() {
+		kinds[ev.Kind]++
+		kinds[provision.EventPreempt] += len(ev.Preempted)
+	}
+	for _, k := range []provision.EventKind{provision.EventAdmit, provision.EventRelease,
+		provision.EventMigrate, provision.EventPreempt} {
+		if kinds[k] == 0 {
+			t.Errorf("the sequence logged no %s event: %v", k, kinds)
+		}
+	}
+}
+
+// NewPlanner routes nothing and a step that re-places no tenant builds no
+// mirror session: an eager mirror's all-pairs runs at the first step that
+// tries a candidate, not before.
+func TestPlannerBuildsMirrorAtFirstReplacement(t *testing.T) {
+	const alts = 4
+	ov, req, _ := concentrateOverlay(t, alts)
+	ledger := NewLedger(ov, nil)
+	alloc := provision.NewAllocator(ov, provision.AllocatorOptions{Observer: ledger})
+	defer alloc.Close()
+	admitConcentrated(t, alloc, req, alts)
+
+	reg := metrics.New()
+	runs := reg.Counter("qos_shortest_widest_runs_total")
+	p := NewPlanner(alloc, ledger, ov, PlannerConfig{
+		Detector: DetectorConfig{HotThreshold: 0.85, Sustain: 2},
+		Metrics:  reg,
+	})
+	if got := runs.Value(); got != 0 {
+		t.Fatalf("NewPlanner ran %d rows", got)
+	}
+	// The hub is hot but not yet sustained: nothing to re-place.
+	if rep := p.Step(); len(rep.Hot) != 0 || runs.Value() != 0 {
+		t.Fatalf("unsustained step: hot %v, %d rows", rep.Hot, runs.Value())
+	}
+	if rep := p.Step(); rep.Migrations == 0 {
+		t.Fatalf("sustained step migrated nobody: %+v", rep)
+	}
+	if got, want := runs.Value(), int64(ov.NumInstances()); got < want {
+		t.Fatalf("first re-placing step ran %d rows, want the mirror's %d at least", got, want)
+	}
+}
