@@ -44,9 +44,13 @@ race-hot:
 # flushes fan per-source recomputation out over a worker pool, so the oracle
 # traces, the churn-eager pair-stream and lazy epoch-stream count pins and
 # the lazy arc-delta property run under the race detector on every check (-short keeps the gate
-# fast; the full 5x1000-event traces run in `make race-hot` and CI).
+# fast; the full 5x1000-event traces run in `make race-hot` and CI). Every
+# epoch's overlay is a copy-on-write clone of the session's, so the overlay
+# package's tests run here too: several goroutines clone one shared overlay
+# and mutate their copies, as parallel experiment cells do.
 race-session:
 	$(GO) test -race -short ./internal/session/ -run 'TestEquivalenceOracleTrace|TestBatchedEventsSingleFlush|TestChurnPairStreamCounts|TestLazyEpochStreamCounts|TestArcRulesKeepOnlyUnchangedRows'
+	$(GO) test -race ./internal/overlay/
 
 # Race-instrumented serving smoke: concurrent TCP clients solving against
 # sflowd's epoch machinery while another client streams mutations, plus the
@@ -231,8 +235,9 @@ vulncheck:
 # arc-delta rules with its patched freeze), the
 # bucket-vs-heap kernel equivalence over fuzz-built graphs declared in
 # permuted id order (the rank-bitmap drains), the layered
-# placement DP against the map oracle over fuzz-built tied overlays, and the
-# slice-backed digraph against its map-backed oracle over fuzzed edits.
+# placement DP against the map oracle over fuzz-built tied overlays, the
+# slice-backed digraph against its map-backed oracle over fuzzed edits, and
+# copy-on-write overlay versions against their replays and a plain model.
 fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
@@ -247,6 +252,7 @@ fuzz:
 	$(GO) test ./internal/baseline -run '^$$' -fuzz FuzzLayeredDP -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/daemon -run '^$$' -fuzz FuzzDaemonCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzDigraphOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/overlay -run '^$$' -fuzz FuzzOverlayCloneIsolation -fuzztime $(FUZZTIME)
 
 # The committed figures and the sflowbench flags of each: the one list both
 # `figures` and `results-check` read.

@@ -219,6 +219,16 @@ func (g *Graph) SetArc(e int32, bw, lat int64) {
 	g.Gen = freezeGen.Add(1)
 }
 
+// CloneArcs returns a copy of g with private arc arrays (Off, To, BW, Lat)
+// and g's node mapping, which is immutable: the copy may SetArc or be
+// re-frozen while others still route on g.
+func (g *Graph) CloneArcs() *Graph {
+	c := *g
+	c.Off, c.To, c.BW, c.Lat = slices.Clone(g.Off), slices.Clone(g.To), slices.Clone(g.BW), slices.Clone(g.Lat)
+	c.Gen = freezeGen.Add(1)
+	return &c
+}
+
 // Len returns the number of nodes (declared plus implicit).
 func (g *Graph) Len() int { return len(g.IDs) }
 

@@ -251,6 +251,32 @@ func (c *corpus) seededResponse(seed int64, s string) *Response {
 	return r
 }
 
+// TestListResponsesMatchEncodingJSON holds the hand-encoded links, tenants
+// and classes lists to encoding/json's bytes on the values omitempty and
+// float formatting decide: zero and non-zero load, fractional, tiny and huge
+// utilizations, hot and cold links, zero and non-zero optional counters.
+// A NaN or infinite utilization fails as it does in encoding/json.
+func TestListResponsesMatchEncodingJSON(t *testing.T) {
+	r := &Response{Epoch: 3, Links: []LinkStatus{
+		{From: 1, To: 2, Capacity: 100},
+		{From: 1, To: 3, Capacity: 300, Load: 100, Utilization: 1.0 / 3, Tenants: 2},
+		{From: 2, To: 3, Capacity: 1 << 40, Load: 1, Utilization: 1.0 / (1 << 40), Tenants: 1},
+		{From: 3, To: 1, Capacity: 10, Load: 9, Utilization: 0.9, Tenants: 4, Hot: true},
+		{From: 3, To: 2, Capacity: 1, Load: 1e15, Utilization: 1e22, Hot: true},
+		{From: -1, To: 0, Capacity: -5, Load: -2, Utilization: -2.5e-9},
+	}}
+	checkResponseEncode(t, r)
+	checkResponseEncode(t, &Response{Epoch: 1, Links: r.Links[:1]})
+	checkResponseEncode(t, &Response{Epoch: 4, Utilization: 7,
+		Tenants: []provision.TenantInfo{{Ticket: 1, Class: 0, Src: 0, Demand: 10},
+			{Ticket: 2, Tag: "<gold & co>", Class: 1, Src: 5, Demand: 50, ExpiresMS: 1700000000000}},
+		Classes: []provision.ClassCounters{{Class: 0},
+			{Class: 1, Admitted: 3, Rejected: 1, Preempted: 1, Released: 1, Expired: 1, Migrated: 2, Active: 1}}})
+	for _, u := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		checkResponseEncode(t, &Response{Links: []LinkStatus{{From: 1, To: 2, Capacity: 1, Utilization: u}}})
+	}
+}
+
 // goldenRequests returns the request lines of the golden frames file.
 func goldenRequests(t testing.TB) [][]byte {
 	data, err := os.ReadFile(goldenPath)

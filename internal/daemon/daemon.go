@@ -129,9 +129,11 @@ type Server struct {
 	cur  atomic.Pointer[epoch]
 	hook func(*session.Snapshot)
 
-	// boot is the boot epoch's overlay, an immutable private clone of the
-	// caller's: the one substrate the admission side is built from. opts
-	// keeps what that build needs.
+	// boot is the boot epoch's overlay, an immutable copy-on-write clone of
+	// the caller's: the one substrate the admission side is built from. It
+	// shares every map and list that later epochs have not rewritten, so
+	// keeping it alive costs only what the mutations since boot changed.
+	// opts keeps what that build needs.
 	boot *overlay.Overlay
 	opts Options
 

@@ -306,8 +306,7 @@ func (r *Response) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
 // AppendJSON appends the response's JSON to b: the fields in declaration
 // order under encoding/json's omitempty and escaping rules. Flow and Overlay
 // are copied verbatim, without the re-scan encoding/json gives a RawMessage;
-// they must be compact encoder output, which every handler puts there. The
-// rarely served tenant, class and link lists are left to encoding/json.
+// they must be compact encoder output, which every handler puts there.
 func (r *Response) AppendJSON(b []byte) ([]byte, error) {
 	b = slices.Grow(b, 96+len(r.Flow)+len(r.Overlay))
 	b = append(b, `{"epoch":`...)
@@ -367,35 +366,118 @@ func (r *Response) AppendJSON(b []byte) ([]byte, error) {
 		b = append(b, `,"reason":`...)
 		b = wirejson.AppendString(b, r.Reason)
 	}
-	var err error
 	if len(r.Tenants) > 0 {
-		b, err = appendMarshal(b, `,"tenants":`, r.Tenants, err)
+		b = append(b, `,"tenants":[`...)
+		for i, t := range r.Tenants {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendTenant(b, t)
+		}
+		b = append(b, ']')
 	}
 	if len(r.Classes) > 0 {
-		b, err = appendMarshal(b, `,"classes":`, r.Classes, err)
+		b = append(b, `,"classes":[`...)
+		for i, c := range r.Classes {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendClass(b, c)
+		}
+		b = append(b, ']')
 	}
 	if r.Utilization != 0 {
 		b = append(b, `,"utilization":`...)
 		b = strconv.AppendInt(b, r.Utilization, 10)
 	}
 	if len(r.Links) > 0 {
-		b, err = appendMarshal(b, `,"links":`, r.Links, err)
-	}
-	if err != nil {
-		return nil, err
+		b = append(b, `,"links":[`...)
+		for i, l := range r.Links {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = appendLink(b, l); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, ']')
 	}
 	return append(b, '}'), nil
 }
 
-// appendMarshal appends key and encoding/json's encoding of v, keeping the
-// first error.
-func appendMarshal(b []byte, key string, v any, err error) ([]byte, error) {
-	data, merr := json.Marshal(v)
-	if err == nil {
-		err = merr
+// appendTenant appends t as encoding/json marshals a provision.TenantInfo.
+func appendTenant(b []byte, t provision.TenantInfo) []byte {
+	b = append(b, `{"ticket":`...)
+	b = strconv.AppendUint(b, t.Ticket, 10)
+	if t.Tag != "" {
+		b = append(b, `,"tag":`...)
+		b = wirejson.AppendString(b, t.Tag)
 	}
-	b = append(b, key...)
-	return append(b, data...), err
+	b = append(b, `,"class":`...)
+	b = strconv.AppendInt(b, int64(t.Class), 10)
+	b = append(b, `,"src":`...)
+	b = strconv.AppendInt(b, int64(t.Src), 10)
+	b = append(b, `,"demand":`...)
+	b = strconv.AppendInt(b, t.Demand, 10)
+	if t.ExpiresMS != 0 {
+		b = append(b, `,"expires_ms":`...)
+		b = strconv.AppendInt(b, t.ExpiresMS, 10)
+	}
+	return append(b, '}')
+}
+
+// appendClass appends c as encoding/json marshals a provision.ClassCounters.
+func appendClass(b []byte, c provision.ClassCounters) []byte {
+	b = append(b, `{"class":`...)
+	b = strconv.AppendInt(b, int64(c.Class), 10)
+	b = append(b, `,"admitted":`...)
+	b = strconv.AppendInt(b, c.Admitted, 10)
+	b = append(b, `,"rejected":`...)
+	b = strconv.AppendInt(b, c.Rejected, 10)
+	b = append(b, `,"preempted":`...)
+	b = strconv.AppendInt(b, c.Preempted, 10)
+	b = append(b, `,"released":`...)
+	b = strconv.AppendInt(b, c.Released, 10)
+	b = append(b, `,"expired":`...)
+	b = strconv.AppendInt(b, c.Expired, 10)
+	if c.Migrated != 0 {
+		b = append(b, `,"migrated":`...)
+		b = strconv.AppendInt(b, c.Migrated, 10)
+	}
+	b = append(b, `,"active":`...)
+	b = strconv.AppendInt(b, int64(c.Active), 10)
+	return append(b, '}')
+}
+
+// appendLink appends l as encoding/json marshals it; a NaN or infinite
+// utilization is an error, as there.
+func appendLink(b []byte, l LinkStatus) ([]byte, error) {
+	b = append(b, `{"from":`...)
+	b = strconv.AppendInt(b, int64(l.From), 10)
+	b = append(b, `,"to":`...)
+	b = strconv.AppendInt(b, int64(l.To), 10)
+	b = append(b, `,"capacity":`...)
+	b = strconv.AppendInt(b, l.Capacity, 10)
+	if l.Load != 0 {
+		b = append(b, `,"load":`...)
+		b = strconv.AppendInt(b, l.Load, 10)
+	}
+	if l.Utilization != 0 {
+		b = append(b, `,"utilization":`...)
+		var err error
+		if b, err = wirejson.AppendFloat(b, l.Utilization); err != nil {
+			return nil, err
+		}
+	}
+	if l.Tenants != 0 {
+		b = append(b, `,"tenants":`...)
+		b = strconv.AppendInt(b, int64(l.Tenants), 10)
+	}
+	if l.Hot {
+		b = append(b, `,"hot":true`...)
+	}
+	return append(b, '}'), nil
 }
 
 // serverCodec frames the daemon side of the protocol: requests in, responses

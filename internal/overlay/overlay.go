@@ -15,6 +15,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"sflow/internal/qos"
 	"sflow/internal/topology"
@@ -35,13 +36,44 @@ type Link struct {
 }
 
 // Overlay is a service overlay graph. It implements qos.Graph over NIDs.
+//
+// Versions made by Clone share storage copy-on-write: after a Clone, each of
+// the two versions copies one of its four maps, shallowly, at its first write
+// to that map, and an adjacency or service list at its first write to that
+// list. A version never cloned writes in place. Every mutator keeps the
+// canonical form: lists sorted by neighbour (or NID), no empty entries.
 type Overlay struct {
+	// gen counts the Clones of this version (0: never cloned, nothing is
+	// shared); Clone moves it atomically, as concurrent Clones are reads.
+	// It comes first, where 32-bit platforms align 64-bit atomics.
+	gen uint64
+
 	instances map[int]Instance
 	bySID     map[int][]int
 	out       map[int][]qos.Arc
 	in        map[int][]qos.Arc
 	numLinks  int
+
+	// ownMaps (a bit per map) and owned (lists) record what this version
+	// copied during generation ownGen: the only storage it writes in place.
+	ownGen  uint64
+	ownMaps uint8
+	owned   map[listKey]struct{}
 }
+
+// listKey names one list: the bit of its map and its key there.
+type listKey struct {
+	m uint8
+	k int
+}
+
+// The map bits of Overlay.ownMaps.
+const (
+	mInstances uint8 = 1 << iota
+	mBySID
+	mOut
+	mIn
+)
 
 // New returns an empty overlay.
 func New() *Overlay {
@@ -53,13 +85,63 @@ func New() *Overlay {
 	}
 }
 
+// own returns map *m (bit) ready for a write, copied shallowly first if
+// another version may hold it, and whether the version was ever cloned (its
+// lists may then be shared too).
+func own[V any](o *Overlay, bit uint8, m *map[int]V) (map[int]V, bool) {
+	g := atomic.LoadUint64(&o.gen)
+	if g == 0 {
+		return *m, false
+	}
+	if o.ownGen != g {
+		o.ownGen, o.ownMaps = g, 0
+		clear(o.owned)
+	}
+	if o.ownMaps&bit == 0 {
+		*m, o.ownMaps = maps.Clone(*m), o.ownMaps|bit
+	}
+	return *m, true
+}
+
+// ownList returns list k of map *m (bit) ready for an in-place write, copied
+// first (with room for one more element) if another version may hold it.
+func ownList[E any](o *Overlay, bit uint8, m *map[int][]E, k int) []E {
+	mm, cloned := own(o, bit, m)
+	l := mm[k]
+	if !cloned {
+		return l
+	}
+	key := listKey{bit, k}
+	if _, ok := o.owned[key]; !ok {
+		if o.owned == nil {
+			o.owned = make(map[listKey]struct{})
+		}
+		o.owned[key] = struct{}{}
+		l = append(make([]E, 0, len(l)+1), l...)
+		mm[k] = l
+	}
+	return l
+}
+
+// put stores list l under k, dropping the entry once l is empty.
+func put[E any](m map[int][]E, k int, l []E) {
+	if len(l) == 0 {
+		delete(m, k)
+		return
+	}
+	m[k] = l
+}
+
 // AddInstance registers a service instance.
 func (o *Overlay) AddInstance(nid, sid, host int) error {
 	if _, ok := o.instances[nid]; ok {
 		return fmt.Errorf("overlay: duplicate NID %d", nid)
 	}
-	o.instances[nid] = Instance{NID: nid, SID: sid, Host: host}
-	o.bySID[sid] = insertSorted(o.bySID[sid], nid)
+	insts, _ := own(o, mInstances, &o.instances)
+	insts[nid] = Instance{NID: nid, SID: sid, Host: host}
+	ids := ownList(o, mBySID, &o.bySID, sid)
+	i, _ := slices.BinarySearch(ids, nid)
+	o.bySID[sid] = slices.Insert(ids, i, nid)
 	return nil
 }
 
@@ -81,8 +163,8 @@ func (o *Overlay) AddLink(from, to int, bandwidth, latency int64) error {
 	case o.HasLink(from, to):
 		return fmt.Errorf("overlay: duplicate link %d->%d", from, to)
 	}
-	o.out[from] = append(o.out[from], qos.Arc{To: to, Bandwidth: bandwidth, Latency: latency})
-	o.in[to] = append(o.in[to], qos.Arc{To: from, Bandwidth: bandwidth, Latency: latency})
+	o.insertArc(mOut, &o.out, from, qos.Arc{To: to, Bandwidth: bandwidth, Latency: latency})
+	o.insertArc(mIn, &o.in, to, qos.Arc{To: from, Bandwidth: bandwidth, Latency: latency})
 	o.numLinks++
 	return nil
 }
@@ -93,22 +175,11 @@ func (o *Overlay) GrowLinkBandwidth(from, to int, delta int64) error {
 	if delta < 0 {
 		return fmt.Errorf("overlay: negative growth %d on link %d->%d", delta, from, to)
 	}
-	found := false
-	for i, a := range o.out[from] {
-		if a.To == to {
-			o.out[from][i].Bandwidth += delta
-			found = true
-			break
-		}
-	}
-	if !found {
+	m, ok := o.LinkMetric(from, to)
+	if !ok {
 		return fmt.Errorf("overlay: no link %d->%d to grow", from, to)
 	}
-	for i, a := range o.in[to] {
-		if a.To == from {
-			o.in[to][i].Bandwidth += delta
-		}
-	}
+	o.setBandwidth(from, to, m.Bandwidth+delta)
 	return nil
 }
 
@@ -120,38 +191,51 @@ func (o *Overlay) RemoveInstance(nid int) error {
 		return fmt.Errorf("overlay: no instance %d to remove", nid)
 	}
 	for _, a := range o.out[nid] {
-		o.in[a.To] = dropArc(o.in[a.To], nid)
+		o.dropArc(mIn, &o.in, a.To, nid)
 		o.numLinks--
 	}
 	for _, a := range o.in[nid] {
-		o.out[a.To] = dropArc(o.out[a.To], nid)
+		o.dropArc(mOut, &o.out, a.To, nid)
 		o.numLinks--
 	}
-	delete(o.out, nid)
-	delete(o.in, nid)
-	delete(o.instances, nid)
-	ids := o.bySID[inst.SID]
-	for i, v := range ids {
-		if v == nid {
-			o.bySID[inst.SID] = append(ids[:i], ids[i+1:]...)
-			break
-		}
-	}
-	if len(o.bySID[inst.SID]) == 0 {
-		delete(o.bySID, inst.SID)
-	}
+	out, _ := own(o, mOut, &o.out)
+	in, _ := own(o, mIn, &o.in)
+	insts, _ := own(o, mInstances, &o.instances)
+	delete(out, nid)
+	delete(in, nid)
+	delete(insts, nid)
+	ids := ownList(o, mBySID, &o.bySID, inst.SID)
+	i, _ := slices.BinarySearch(ids, nid)
+	put(o.bySID, inst.SID, slices.Delete(ids, i, i+1))
 	return nil
 }
 
-// dropArc removes every arc pointing at `to` from a slice of arcs.
-func dropArc(arcs []qos.Arc, to int) []qos.Arc {
-	out := arcs[:0]
-	for _, a := range arcs {
-		if a.To != to {
-			out = append(out, a)
-		}
-	}
-	return out
+// ownArcs returns u's list of *adj ready for an in-place write and the
+// position of the arc to v in it (where it would go, if absent).
+func (o *Overlay) ownArcs(bit uint8, adj *map[int][]qos.Arc, u, v int) ([]qos.Arc, int) {
+	arcs := ownList(o, bit, adj, u)
+	i, _ := slices.BinarySearchFunc(arcs, v, func(a qos.Arc, v int) int { return cmp.Compare(a.To, v) })
+	return arcs, i
+}
+
+// insertArc adds arc a to u's list of *adj at its sorted position.
+func (o *Overlay) insertArc(bit uint8, adj *map[int][]qos.Arc, u int, a qos.Arc) {
+	arcs, i := o.ownArcs(bit, adj, u, a.To)
+	(*adj)[u] = slices.Insert(arcs, i, a)
+}
+
+// dropArc removes the arc to v, which is there, from u's list of *adj.
+func (o *Overlay) dropArc(bit uint8, adj *map[int][]qos.Arc, u, v int) {
+	arcs, i := o.ownArcs(bit, adj, u, v)
+	put(*adj, u, slices.Delete(arcs, i, i+1))
+}
+
+// setBandwidth rewrites the bandwidth of the existing link from -> to in its
+// out-list and its in-list.
+func (o *Overlay) setBandwidth(from, to int, bw int64) {
+	out, i := o.ownArcs(mOut, &o.out, from, to)
+	in, j := o.ownArcs(mIn, &o.in, to, from)
+	out[i].Bandwidth, in[j].Bandwidth = bw, bw
 }
 
 // ReduceLinkBandwidth subtracts delta from the bandwidth of the directed
@@ -161,60 +245,34 @@ func (o *Overlay) ReduceLinkBandwidth(from, to int, delta int64) error {
 	if delta < 0 {
 		return fmt.Errorf("overlay: negative reservation %d on link %d->%d", delta, from, to)
 	}
-	idx := -1
-	for i, a := range o.out[from] {
-		if a.To == to {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	m, ok := o.LinkMetric(from, to)
+	if !ok {
 		return fmt.Errorf("overlay: no link %d->%d to reserve on", from, to)
 	}
-	residual := o.out[from][idx].Bandwidth - delta
-	if residual > 0 {
-		o.out[from][idx].Bandwidth = residual
-		for i, a := range o.in[to] {
-			if a.To == from {
-				o.in[to][i].Bandwidth = residual
-			}
-		}
+	if residual := m.Bandwidth - delta; residual > 0 {
+		o.setBandwidth(from, to, residual)
 		return nil
 	}
 	// Saturated: remove the link entirely.
-	o.out[from] = append(o.out[from][:idx], o.out[from][idx+1:]...)
-	for i, a := range o.in[to] {
-		if a.To == from {
-			o.in[to] = append(o.in[to][:i], o.in[to][i+1:]...)
-			break
-		}
-	}
-	o.numLinks--
+	o.dropLink(from, to)
 	return nil
 }
 
 // RemoveLink deletes the directed service link from -> to (modelling a
 // link failure, as opposed to ReduceLinkBandwidth's gradual saturation).
 func (o *Overlay) RemoveLink(from, to int) error {
-	idx := -1
-	for i, a := range o.out[from] {
-		if a.To == to {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	if !o.HasLink(from, to) {
 		return fmt.Errorf("overlay: no link %d->%d to remove", from, to)
 	}
-	o.out[from] = append(o.out[from][:idx], o.out[from][idx+1:]...)
-	for i, a := range o.in[to] {
-		if a.To == from {
-			o.in[to] = append(o.in[to][:i], o.in[to][i+1:]...)
-			break
-		}
-	}
-	o.numLinks--
+	o.dropLink(from, to)
 	return nil
+}
+
+// dropLink removes the existing link from -> to from both of its lists.
+func (o *Overlay) dropLink(from, to int) {
+	o.dropArc(mOut, &o.out, from, to)
+	o.dropArc(mIn, &o.in, to, from)
+	o.numLinks--
 }
 
 // HasLink reports whether a service link from -> to exists.
@@ -290,21 +348,22 @@ func (o *Overlay) Nodes() []int {
 	return out
 }
 
-// Out implements qos.Graph: the out-links of an instance. The returned slice
-// must not be modified.
+// Out implements qos.Graph: the out-links of an instance, sorted by
+// neighbour. The returned slice must not be modified. Once a Clone shares
+// it, it is immutable: a later write to either version replaces the list
+// and never changes it in place. Only a list a version holds alone (in an
+// overlay never cloned, or copied since its last Clone) is written in place.
 func (o *Overlay) Out(u int) []qos.Arc { return o.out[u] }
 
 // In returns the in-links of an instance as arcs whose To field holds the
-// upstream NID. The returned slice must not be modified.
+// upstream NID, sorted by it. The returned slice follows Out's rules.
 func (o *Overlay) In(u int) []qos.Arc { return o.in[u] }
 
 // Links returns every service link sorted by (From, To).
 func (o *Overlay) Links() []Link {
 	out := make([]Link, 0, o.numLinks)
 	for _, from := range o.Nodes() {
-		arcs := append([]qos.Arc(nil), o.out[from]...)
-		sort.Slice(arcs, func(i, j int) bool { return arcs[i].To < arcs[j].To })
-		for _, a := range arcs {
+		for _, a := range o.out[from] {
 			out = append(out, Link{From: from, To: a.To, Bandwidth: a.Bandwidth, Latency: a.Latency})
 		}
 	}
@@ -348,40 +407,15 @@ func (o *Overlay) LocalView(nid, hops int) *Overlay {
 	return view
 }
 
-// Clone returns a deep copy of the overlay in canonical form: every
-// adjacency list sorted by neighbour id and no entry for an empty one — the
-// overlay that replaying Instances and Links into New would build, copied
-// directly.
+// Clone returns a new version of the overlay that shares all of its storage
+// with o: each of the two copies a map or a list only at its first write to
+// it (see Overlay), so a Clone costs O(1) and a write to either version
+// never shows in the other. Both are in canonical form, the overlay that
+// replaying Instances and Links into New would build. Concurrent Clones of
+// one overlay are safe, like any other reads.
 func (o *Overlay) Clone() *Overlay {
-	c := &Overlay{
-		instances: maps.Clone(o.instances),
-		bySID:     make(map[int][]int, len(o.bySID)),
-		out:       cloneArcs(o.out),
-		in:        cloneArcs(o.in),
-		numLinks:  o.numLinks,
-	}
-	for sid, nids := range o.bySID {
-		c.bySID[sid] = slices.Clone(nids)
-	}
-	return c
-}
-
-// cloneArcs deep-copies an adjacency map, dropping empty lists and sorting
-// each list by neighbour id unless it already is.
-func cloneArcs(adj map[int][]qos.Arc) map[int][]qos.Arc {
-	out := make(map[int][]qos.Arc, len(adj))
-	byTo := func(a, b qos.Arc) int { return cmp.Compare(a.To, b.To) }
-	for u, arcs := range adj {
-		if len(arcs) == 0 {
-			continue
-		}
-		arcs = slices.Clone(arcs)
-		if !slices.IsSortedFunc(arcs, byTo) {
-			slices.SortFunc(arcs, byTo)
-		}
-		out[u] = arcs
-	}
-	return out
+	atomic.AddUint64(&o.gen, 1)
+	return &Overlay{instances: o.instances, bySID: o.bySID, out: o.out, in: o.in, numLinks: o.numLinks, gen: 1}
 }
 
 // Compatibility is the directed relation "output of service a feeds service
@@ -490,12 +524,4 @@ func bestLocal(under *topology.Network, host int) qos.Metric {
 		best = qos.InfBandwidth
 	}
 	return qos.Metric{Bandwidth: best, Latency: 0}
-}
-
-func insertSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
 }

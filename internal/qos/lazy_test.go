@@ -3,6 +3,7 @@ package qos
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -268,6 +269,35 @@ func TestLazySnapshotPinned(t *testing.T) {
 	assertLazyMatchesEager(t, lt, g)
 }
 
+// TestLazySnapshotSurvivesPatchedCopy: a live table whose snapshot still
+// owes rows brings its freeze up to date by patching a copy of the arc
+// arrays, not by a re-freeze, and the snapshot's later rows still come from
+// the graph as of the snapshot.
+func TestLazySnapshotSurvivesPatchedCopy(t *testing.T) {
+	g := randomTestGraph(5, 25, 3)
+	lt := New(g, Options{Lazy: true})
+	lt.From(0)
+	wantOld := ComputeAllPairsWorkers(g, 1)
+	snap := lt.Snapshot()
+	for u := range 25 {
+		// Widen each node's first arc unless the node holds it twice (an
+		// arc without a single slot re-freezes).
+		a := g.Out(u)[0]
+		if slices.IndexFunc(g.Out(u)[1:], func(b Arc) bool { return b.To == a.To }) < 0 {
+			g.setArc(u, a.To, a.Bandwidth+500, a.Latency)
+			lt.ArcChanged(u, a.To, a.Bandwidth, a.Bandwidth+500)
+		}
+	}
+	lt.Flush()
+	if st := lt.Stats(); st.Patches != 1 || st.RefreezesArc+st.RefreezesNodes != 0 {
+		t.Fatalf("live stats %+v, want one patch and no re-freeze", st)
+	}
+	if !TablesEqual(snap, wantOld) {
+		t.Fatal("snapshot diverged from the graph as of the snapshot")
+	}
+	assertLazyMatchesEager(t, lt, g)
+}
+
 // TestLazyAdoptsSnapshotRows: rows a snapshot's readers computed move into
 // the live table at its next report, and the report's rules then run over
 // them like over any resident row. Of two adopted rows the batch's worsened
@@ -289,7 +319,8 @@ func TestLazyAdoptsSnapshotRows(t *testing.T) {
 	g.setArc(1, 2, 20, 1)
 	lt.ArcChanged(1, 2, 50, 20) // row 1's tree arc narrows
 	lt.Flush()
-	if got, want := lt.Stats(), (Stats{DirtiedWorsening: 1, Evicted: 1}); got != want {
+	// The flush patches a copy of the freeze the snapshot routes on.
+	if got, want := lt.Stats(), (Stats{DirtiedWorsening: 1, Evicted: 1, Patches: 1}); got != want {
 		t.Fatalf("live stats %+v, want %+v", got, want)
 	}
 	if got, want := snap.Stats(), (Stats{Computed: 2}); got != want {
@@ -301,7 +332,7 @@ func TestLazyAdoptsSnapshotRows(t *testing.T) {
 	if lt.From(3) != kept {
 		t.Fatal("the surviving row is not the snapshot's")
 	}
-	if got, want := lt.Stats(), (Stats{DirtiedWorsening: 1, Evicted: 1, Hits: 1}); got != want {
+	if got, want := lt.Stats(), (Stats{DirtiedWorsening: 1, Evicted: 1, Patches: 1, Hits: 1}); got != want {
 		t.Fatalf("live stats after reading the kept row %+v, want %+v", got, want)
 	}
 	assertLazyMatchesEager(t, lt, g)

@@ -30,8 +30,9 @@
 //
 // Snapshot copies the row-pointer slice; rows are immutable once published,
 // so the two tables share them. A snapshot that still owes rows (lazy mode)
-// also shares the freeze to compute them from, and the live table then
-// re-freezes into fresh arrays instead of patching the shared ones. An eager
+// also shares the freeze to compute them from, and the live table's next
+// patch then copies the freeze's arc arrays and patches the copy, sharing
+// the immutable node mapping; a node-set change re-freezes. An eager
 // snapshot is always complete and shares no freeze, and carries the row store
 // only: the maintenance state lives behind a pointer only the live table
 // allocates, the lazy fill's behind one only a lazy table allocates.
@@ -134,11 +135,10 @@ type Stats struct {
 	DirtiedWorsening, DirtiedImprovement int64
 	// RefreezesNodes counts re-freezes forced by a node-set change,
 	// RefreezesArc those forced by an arc the freeze had no single slot for.
-	// Neither the freeze built at construction nor one forced by a snapshot
-	// sharing the freeze is counted.
+	// The freeze built at construction is not counted.
 	RefreezesNodes, RefreezesArc int64
 	// Patches counts flushes that brought the freeze up to date by
-	// rewriting arc slots in place.
+	// rewriting arc slots, in place or in a copy a snapshot does not share.
 	Patches int64
 
 	// The lazy fill's counts: rows computed on read or by Prefetch, reads
@@ -967,16 +967,17 @@ func (t *AllPairs) freeze() {
 	}
 }
 
-// syncFreeze brings the freeze up to date with the graph: patched in place
-// when every reported arc has exactly one slot, the node list held and no
-// snapshot shares the freeze; re-frozen otherwise.
+// syncFreeze brings the freeze up to date with the graph: patched when
+// every reported arc has exactly one slot and the node list held, in place
+// or, while a snapshot routes on the freeze, in a copy of its arc arrays that
+// shares its node mapping; re-frozen otherwise.
 func (t *AllPairs) syncFreeze() {
 	up := t.live
 	if up.refreeze == "" && len(up.patches) > 0 {
-		switch {
-		case up.shared:
-			t.freeze() // into fresh arrays: a snapshot routes on these
-		case !t.patch():
+		if up.shared {
+			t.frozen, up.shared = t.frozen.CloneArcs(), false
+		}
+		if !t.patch() {
 			up.refreeze = causeArc
 		}
 	}

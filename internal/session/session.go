@@ -327,8 +327,10 @@ func (s *Session) Abstract(req *require.Requirement) (*abstract.Graph, error) {
 type Snapshot struct {
 	// Epoch numbers the publication, strictly increasing per session.
 	Epoch uint64
-	// Overlay is a private clone; the session's later mutations do not
-	// touch it. Readers must still treat it as read-only among themselves.
+	// Overlay is a copy-on-write clone of the session's overlay: it shares
+	// every map and list the session has not written since, and the
+	// session's later mutations copy what they write, so they never show
+	// here. Readers must still treat it as read-only among themselves.
 	Overlay *overlay.Overlay
 	// AllPairs answers exactly like a fresh qos.New(Overlay, …) for every
 	// row read and shares no mutable state with the session's live table: a
@@ -340,10 +342,12 @@ type Snapshot struct {
 }
 
 // Snapshot flushes pending recomputation and publishes the current state as
-// an immutable Snapshot. The overlay is deep-cloned and the table snapshotted
-// (a copy of its row pointers over immutable per-source results), so the
-// cost is O(overlay + sources), independent of how much routing state the
-// epoch carries.
+// an immutable Snapshot. The overlay is cloned copy-on-write in O(1) and the
+// table snapshotted (a copy of its row pointers over immutable per-source
+// results), so the cost is O(sources), independent of how much routing state
+// the epoch carries. The session's next write to the overlay copies the maps
+// and lists it touches; in lazy mode its next flush patches a copy of the
+// freeze's arc arrays the snapshot still routes on.
 func (s *Session) Snapshot() *Snapshot {
 	s.enter("Snapshot")
 	defer s.exit()

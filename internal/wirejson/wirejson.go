@@ -2,10 +2,11 @@
 // types (daemon.Request/Response, require.Requirement, flow.Graph).
 //
 // The encoder half appends values exactly as encoding/json would marshal
-// them: integers in plain decimal (strconv.AppendInt, as encoding/json does)
-// and strings with the same escaping (HTML-safe, U+2028/U+2029 escaped,
-// invalid UTF-8 replaced by U+FFFD). Callers append struct fields in
-// declaration order and apply omitempty themselves.
+// them: integers in plain decimal (strconv.AppendInt, as encoding/json does),
+// floats in its shortest round-trip form, and strings with the same escaping
+// (HTML-safe, U+2028/U+2029 escaped, invalid UTF-8 replaced by U+FFFD).
+// Callers append struct fields in declaration order and apply omitempty
+// themselves.
 //
 // The decoder half, Reader, parses only the canonical shape the wire clients
 // emit: objects with known, unescaped keys, each at most once; integers
@@ -18,6 +19,8 @@
 package wirejson
 
 import (
+	"fmt"
+	"math"
 	"strconv"
 	"unicode/utf8"
 )
@@ -214,6 +217,26 @@ func AppendInts(dst []byte, vs []int) []byte {
 		dst = strconv.AppendInt(dst, int64(v), 10)
 	}
 	return append(dst, ']')
+}
+
+// AppendFloat appends f as encoding/json marshals a float64: the shortest
+// decimal that round-trips, in exponent form below 1e-6 and from 1e21 on
+// (with the exponent's leading zero dropped, e-7 not e-07), and an error for
+// NaN and the infinities, which JSON cannot carry.
+func AppendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
 }
 
 // AppendString appends s as a JSON string with encoding/json's escaping:

@@ -32,6 +32,30 @@ func TestAppendIntsMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+func TestAppendFloatMatchesEncodingJSON(t *testing.T) {
+	for _, f := range []float64{
+		0, math.Copysign(0, -1), 1, -2.5, 0.5, 1.0 / 3, 2.0 / 3, 0.1 + 0.2,
+		1e-6, 9.99e-7, 1e-7, 1.5e-10, 5e-324, 123456789, 1e20, 1e21, 3e300, math.MaxFloat64,
+	} {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendFloat([]byte("x"), f)
+		if err != nil || string(got) != "x"+string(want) {
+			t.Errorf("AppendFloat(%v) = %s, %v; want x%s", f, got, err, want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := json.Marshal(f); err == nil {
+			t.Fatalf("encoding/json accepts %v", f)
+		}
+		if _, err := AppendFloat(nil, f); err == nil {
+			t.Errorf("AppendFloat(%v) succeeded; encoding/json refuses it", f)
+		}
+	}
+}
+
 // TestReaderIntegers checks the integer grammar and range limits: what the
 // Reader accepts must be what encoding/json decodes into the same type, and
 // everything else must fail rather than guess.
