@@ -12,7 +12,7 @@ FUZZTIME ?= 30s
 # artifact when a gate fails (compare against the committed baseline offline).
 FRESHDIR ?= .bench-fresh
 
-.PHONY: all build test race race-hot race-session race-daemon race-admit race-reopt race-lazy check smoke cover cover-check bench bench-hotpath bench-json bench-check bench-kernel bench-reopt reopt-check bench-lazy lazy-check vet fmt fmt-check lint staticcheck vulncheck fuzz figures results-check examples examples-check clean
+.PHONY: all build test race race-hot race-session race-daemon race-admit race-reopt race-lazy check smoke cover cover-check bench bench-hotpath bench-json bench-check bench-kernel bench-reopt reopt-check bench-lazy lazy-check vet fmt fmt-check lint staticcheck vulncheck fuzz figures results-check examples examples-check loc clean
 
 all: build test
 
@@ -29,6 +29,13 @@ smoke:
 
 build:
 	$(GO) build ./...
+
+# Code size, the two numbers the design aims track: non-test Go lines of the
+# tracked files outside benchmark/, and of internal/qos. Informational only;
+# nothing gates on them.
+loc:
+	@printf 'non-test Go lines outside benchmark/: '; git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
+	@printf 'non-test Go lines of internal/qos:    '; git ls-files 'internal/qos/*.go' | grep -v _test.go | xargs cat | wc -l
 
 test:
 	$(GO) test ./...

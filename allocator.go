@@ -108,13 +108,18 @@ var (
 // NewAllocator starts a multi-tenant admission controller over a private
 // residual copy of ov. Call Close when done.
 func NewAllocator(ov *Overlay, opts AllocatorOptions) *Allocator {
-	return &Allocator{a: provision.NewAllocator(ov, provision.AllocatorOptions{
-		Classes:          opts.Classes,
-		Quotas:           opts.Quotas,
-		Preempt:          opts.Preempt,
-		InstanceCapacity: opts.InstanceCapacity,
-		Metrics:          opts.Metrics,
-	})}
+	return &Allocator{a: provision.NewAllocator(ov, opts.provisionOptions())}
+}
+
+// provisionOptions converts the facade's options to the allocator's own.
+func (o AllocatorOptions) provisionOptions() provision.AllocatorOptions {
+	return provision.AllocatorOptions{
+		Classes:          o.Classes,
+		Quotas:           o.Quotas,
+		Preempt:          o.Preempt,
+		InstanceCapacity: o.InstanceCapacity,
+		Metrics:          o.Metrics,
+	}
 }
 
 // Admit submits one admission request. On success the returned Ticket is the
@@ -179,12 +184,9 @@ func ReplayAdmissions(ov *Overlay, opts AllocatorOptions, log []AdmissionEvent, 
 			return RegistryAlgorithm(ev.Tag, SolveOptions{})
 		}
 	}
-	a, err := provision.Replay(ov, provision.AllocatorOptions{
-		Classes:          opts.Classes,
-		Quotas:           opts.Quotas,
-		Preempt:          opts.Preempt,
-		InstanceCapacity: opts.InstanceCapacity,
-	}, log, func(ev provision.Event) provision.Algorithm { return algFor(ev) })
+	// Replay drops Metrics itself: the replay is an oracle.
+	a, err := provision.Replay(ov, opts.provisionOptions(), log,
+		func(ev provision.Event) provision.Algorithm { return algFor(ev) })
 	if err != nil {
 		return nil, err
 	}

@@ -38,6 +38,7 @@ import (
 	"sflow"
 	"sflow/internal/daemon"
 	"sflow/internal/provision"
+	"sflow/internal/reopt"
 )
 
 // parseQuotas turns "100,50,0" into per-class admission quotas.
@@ -124,10 +125,7 @@ func run(args []string) error {
 
 	reg := sflow.NewMetrics()
 	srv := daemon.New(sc.Overlay, daemon.Options{
-		Workers: *workers,
-		Lazy:    *lazy,
-		MaxRows: *maxRows,
-		Metrics: reg,
+		Routing: daemon.Routing{Workers: *workers, Lazy: *lazy, MaxRows: *maxRows, Metrics: reg},
 		Admission: provision.AllocatorOptions{
 			Classes:          *classes,
 			Quotas:           quotas,
@@ -135,10 +133,9 @@ func run(args []string) error {
 			InstanceCapacity: *percap,
 		},
 		Reopt: daemon.ReoptOptions{
-			Enabled:      *reoptOn,
-			HotThreshold: *hotTh,
-			Sustain:      *sustain,
-			Interval:     *reoptIvl,
+			Enabled:  *reoptOn,
+			Detector: reopt.DetectorConfig{HotThreshold: *hotTh, Sustain: *sustain},
+			Interval: *reoptIvl,
 		},
 	})
 	if err := srv.Serve(*addr); err != nil {

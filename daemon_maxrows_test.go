@@ -84,7 +84,7 @@ func TestDaemonLazyMaxRowsDriftingReadSet(t *testing.T) {
 	var published []*session.Snapshot
 	reg := metrics.New()
 	srv := daemon.New(sc.Overlay, daemon.Options{
-		Workers: 1, Lazy: true, MaxRows: maxRows, Metrics: reg,
+		Routing: daemon.Routing{Workers: 1, Lazy: true, MaxRows: maxRows, Metrics: reg},
 		PublishHook: func(sn *session.Snapshot) {
 			oracle.record(sn)
 			mu.Lock()
@@ -177,7 +177,7 @@ func TestDaemonLazyConcurrentEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := &epochOracle{byID: make(map[uint64]*session.Snapshot)}
-	srv := daemon.New(sc.Overlay, daemon.Options{Lazy: true, MaxRows: maxRows, PublishHook: oracle.record})
+	srv := daemon.New(sc.Overlay, daemon.Options{Routing: daemon.Routing{Lazy: true, MaxRows: maxRows}, PublishHook: oracle.record})
 	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestDaemonServingEquivalenceBattery(t *testing.T) {
 			}
 
 			oracle := &epochOracle{byID: make(map[uint64]*session.Snapshot)}
-			srv := daemon.New(sc.Overlay, daemon.Options{Workers: 1, PublishHook: oracle.record})
+			srv := daemon.New(sc.Overlay, daemon.Options{Routing: daemon.Routing{Workers: 1}, PublishHook: oracle.record})
 			if err := srv.Serve("127.0.0.1:0"); err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestDaemonRepairEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle := &epochOracle{byID: make(map[uint64]*session.Snapshot)}
-	srv := daemon.New(sc.Overlay, daemon.Options{Workers: 1, PublishHook: oracle.record})
+	srv := daemon.New(sc.Overlay, daemon.Options{Routing: daemon.Routing{Workers: 1}, PublishHook: oracle.record})
 	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

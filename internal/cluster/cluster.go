@@ -144,27 +144,15 @@ type Result struct {
 	K int
 }
 
-// Options tunes Federate's routing-table strategy.
-type Options struct {
-	// Lazy prices cluster pairs and solves the intra-cluster problem from
-	// demand-driven tables instead of eager all-pairs computations: only the
-	// rows the greedy assignment and the final solve actually read are ever
-	// routed. The result is byte-identical to eager mode.
-	Lazy bool
-	// Workers bounds the tables' fan-out, as qos.Options.Workers does.
-	Workers int
-}
-
 // Federate runs the hierarchical algorithm: cluster the overlay into k
 // groups, pick one cluster per required service greedily on summarised
 // inter-cluster link quality, then solve the instance-level federation
-// inside the chosen clusters with the reduction heuristics.
-func Federate(ov *overlay.Overlay, req *require.Requirement, src int, k int) (*Result, error) {
-	return FederateWith(ov, req, src, k, Options{})
-}
-
-// FederateWith is Federate with an explicit table strategy.
-func FederateWith(ov *overlay.Overlay, req *require.Requirement, src int, k int, opts Options) (*Result, error) {
+// inside the chosen clusters with the reduction heuristics. opts configures
+// both routing tables, the one pricing cluster pairs and the one behind the
+// intra-cluster solve; with Lazy they route only the rows the greedy
+// assignment and the final solve read, and the result is byte-identical to
+// eager mode.
+func Federate(ov *overlay.Overlay, req *require.Requirement, src int, k int, opts qos.Options) (*Result, error) {
 	if got := ov.SIDOf(src); got != req.Source() {
 		return nil, fmt.Errorf("cluster: source instance %d provides service %d, requirement starts at %d",
 			src, got, req.Source())
@@ -189,8 +177,7 @@ func FederateWith(ov *overlay.Overlay, req *require.Requirement, src int, k int,
 	// Cluster-level link quality: the best achievable metric between any
 	// instance of one cluster and any instance of the other — the summary
 	// a cluster head would advertise for its group. Memoised per pair.
-	tableOpts := qos.Options{Lazy: opts.Lazy, Workers: opts.Workers}
-	ap := qos.New(ov, tableOpts)
+	ap := qos.New(ov, opts)
 	members := cl.Clusters()
 	memo := make(map[[2]int]qos.Metric)
 	clusterMetric := func(a, b int) qos.Metric {
@@ -269,7 +256,7 @@ func FederateWith(ov *overlay.Overlay, req *require.Requirement, src int, k int,
 			}
 		}
 	}
-	ag, err := abstract.BuildWith(sub, req, tableOpts)
+	ag, err := abstract.BuildWith(sub, req, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sflow/internal/abstract"
 	"sflow/internal/exact"
 	"sflow/internal/overlay"
+	"sflow/internal/qos"
 	"sflow/internal/require"
 	"sflow/internal/scenario"
 )
@@ -87,7 +88,7 @@ func TestBuildValidation(t *testing.T) {
 func TestFederateHierarchical(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		s := testScenario(t, seed)
-		res, err := Federate(s.Overlay, s.Req, s.SourceNID, 4)
+		res, err := Federate(s.Overlay, s.Req, s.SourceNID, 4, qos.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -128,7 +129,7 @@ func TestFederateHierarchical(t *testing.T) {
 func TestFederateSingleClusterEqualsHeuristic(t *testing.T) {
 	// With k=1 the hierarchy is a no-op: the whole overlay is one cluster.
 	s := testScenario(t, 5)
-	res, err := Federate(s.Overlay, s.Req, s.SourceNID, 1)
+	res, err := Federate(s.Overlay, s.Req, s.SourceNID, 1, qos.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +153,10 @@ func TestFederateInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Federate(o, req, 1, 2); !errors.Is(err, ErrInfeasible) {
+	if _, err := Federate(o, req, 1, 2, qos.Options{}); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
-	if _, err := Federate(o, req, 2, 2); err == nil {
+	if _, err := Federate(o, req, 2, 2, qos.Options{}); err == nil {
 		t.Fatal("wrong source accepted")
 	}
 }

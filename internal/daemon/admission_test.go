@@ -38,8 +38,10 @@ func mustAllocator(t testing.TB, srv *Server) *provision.Allocator {
 
 func TestAdmitReleaseTenantsRPC(t *testing.T) {
 	sc := testScenario(t, 5)
-	srv := startServer(t, sc, Options{Workers: 1,
-		Admission: provision.AllocatorOptions{Classes: 2}})
+	srv := startServer(t, sc, Options{
+		Routing:   Routing{Workers: 1},
+		Admission: provision.AllocatorOptions{Classes: 2},
+	})
 
 	c, err := Dial(srv.Addr())
 	if err != nil {
@@ -123,7 +125,7 @@ func TestConcurrentAdmitRPCMatchesSequentialReplay(t *testing.T) {
 		Quotas:  []int{30, 0, 0},
 		Preempt: true,
 	}
-	srv := startServer(t, sc, Options{Workers: 1, Admission: admOpts})
+	srv := startServer(t, sc, Options{Routing: Routing{Workers: 1}, Admission: admOpts})
 
 	algs := []string{"heuristic", "fixed", "random"}
 	var wg sync.WaitGroup
@@ -214,7 +216,7 @@ func TestConcurrentAdmitRPCMatchesSequentialReplay(t *testing.T) {
 // mutations: an epoch change must not disturb admitted reservations.
 func TestAdmissionIndependentOfEpochMutations(t *testing.T) {
 	sc := testScenario(t, 3)
-	srv := startServer(t, sc, Options{Workers: 1})
+	srv := startServer(t, sc, Options{Routing: Routing{Workers: 1}})
 	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func TestHandleAllocationCeilings(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	sc := testScenario(t, 1)
-	srv := New(sc.Overlay, Options{Workers: 1})
+	srv := New(sc.Overlay, Options{Routing: Routing{Workers: 1}})
 	defer srv.Close()
 	src := sc.Req.Source()
 	path, err := require.NewPath(src, sc.Req.Downstream(src)[0])

@@ -85,7 +85,7 @@ func TestDaemonBootBuildsServingStateOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.New()
-	srv := New(eager.Overlay, Options{Metrics: reg})
+	srv := New(eager.Overlay, Options{Routing: Routing{Metrics: reg}})
 	defer srv.Close()
 	if got := counterValue(reg, "qos_shortest_widest_runs_total"); got != 89 {
 		t.Errorf("churn-eager boot ran %d shortest-widest rows, want 89", got)
@@ -112,7 +112,7 @@ func TestDaemonBootBuildsServingStateOnly(t *testing.T) {
 	reg = metrics.New()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	lazy := New(large.Overlay, Options{Lazy: true, MaxRows: 16, Metrics: reg})
+	lazy := New(large.Overlay, Options{Routing: Routing{Lazy: true, MaxRows: 16, Metrics: reg}})
 	runtime.ReadMemStats(&after)
 	defer lazy.Close()
 	if got := counterValue(reg, "qos_shortest_widest_runs_total"); got != 0 {
@@ -138,7 +138,7 @@ func TestFirstAdmitAfterEpochsMatchesBootAllocator(t *testing.T) {
 	admOpts := provision.AllocatorOptions{Classes: 2, Preempt: true}
 	ref := provision.NewAllocator(sc.Overlay, admOpts)
 	defer ref.Close()
-	srv := New(sc.Overlay, Options{Workers: 1, Admission: admOpts})
+	srv := New(sc.Overlay, Options{Routing: Routing{Workers: 1}, Admission: admOpts})
 	defer srv.Close()
 
 	links := sc.Overlay.Links()
@@ -226,13 +226,13 @@ func TestLinksOnFreshDaemonListsBootLinks(t *testing.T) {
 		}
 	}
 
-	fresh := New(sc.Overlay, Options{Workers: 1})
+	fresh := New(sc.Overlay, Options{Routing: Routing{Workers: 1}})
 	defer fresh.Close()
 	links(fresh, "on a fresh daemon")
 	removeLink(fresh, want[0])
 	links(fresh, "after a mutation epoch")
 
-	mutated := New(sc.Overlay, Options{Workers: 1})
+	mutated := New(sc.Overlay, Options{Routing: Routing{Workers: 1}})
 	defer mutated.Close()
 	removeLink(mutated, want[1])
 	links(mutated, "first requested after a mutation epoch")
@@ -259,8 +259,10 @@ func TestConcurrentFirstAdmitsBuildOneAllocator(t *testing.T) {
 	sc := testScenario(t, 6)
 	reg := metrics.New()
 	obs := &countingObserver{}
-	srv := startServer(t, sc, Options{Workers: 1, Metrics: reg,
-		Admission: provision.AllocatorOptions{Observer: obs}})
+	srv := startServer(t, sc, Options{
+		Routing:   Routing{Workers: 1, Metrics: reg},
+		Admission: provision.AllocatorOptions{Observer: obs},
+	})
 
 	const clients = 6
 	var wg sync.WaitGroup
@@ -311,8 +313,10 @@ func TestConcurrentFirstAdmitsBuildOneAllocator(t *testing.T) {
 func TestCloseWithoutAdmissionLeavesNoGoroutine(t *testing.T) {
 	sc := testScenario(t, 1)
 	base := runtime.NumGoroutine()
-	srv := New(sc.Overlay, Options{Workers: 1,
-		Reopt: ReoptOptions{Enabled: true, Interval: time.Hour}})
+	srv := New(sc.Overlay, Options{
+		Routing: Routing{Workers: 1},
+		Reopt:   ReoptOptions{Enabled: true, Interval: time.Hour},
+	})
 	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +358,10 @@ func TestCloseWithoutAdmissionLeavesNoGoroutine(t *testing.T) {
 func TestReoptimizeOnceWithoutHotLinkBuildsNoMirror(t *testing.T) {
 	ov, req := hotOverlay(t, 2)
 	reg := metrics.New()
-	srv := New(ov, Options{Workers: 1, Metrics: reg,
-		Reopt: ReoptOptions{HotThreshold: 0.85, Sustain: 1}})
+	srv := New(ov, Options{
+		Routing: Routing{Workers: 1, Metrics: reg},
+		Reopt:   ReoptOptions{Detector: reopt.DetectorConfig{HotThreshold: 0.85, Sustain: 1}},
+	})
 	defer srv.Close()
 	boot := counterValue(reg, "qos_shortest_widest_runs_total")
 	if boot == 0 {

@@ -141,7 +141,7 @@ func buildCorpus(t testing.TB) *corpus {
 	c := &corpus{}
 	for seed := int64(1); seed <= 3; seed++ {
 		sc := testScenario(t, seed)
-		srv := New(sc.Overlay, Options{Workers: 1})
+		srv := New(sc.Overlay, Options{Routing: Routing{Workers: 1}})
 		reqs := []*require.Requirement{sc.Req}
 		for _, next := range sc.Req.Downstream(sc.Req.Source()) {
 			if p, err := require.NewPath(sc.Req.Source(), next); err == nil {
@@ -353,7 +353,7 @@ func TestRequestIsZeroCoversEveryField(t *testing.T) {
 // codec), and encoding the response into a reused frame buffer.
 func TestCodecAllocationCeilings(t *testing.T) {
 	sc := testScenario(t, 1)
-	srv := New(sc.Overlay, Options{Workers: 1})
+	srv := New(sc.Overlay, Options{Routing: Routing{Workers: 1}})
 	defer srv.Close()
 	req := &Request{Op: OpSolve, Algorithm: "heuristic", Requirement: sc.Req, Source: sc.SourceNID}
 	data, err := clientCodec{}.Encode(req)

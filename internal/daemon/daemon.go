@@ -54,23 +54,21 @@ type epoch struct {
 	readers atomic.Int64
 }
 
+// Routing is the routing configuration a Server hands whole to every table
+// it builds: the serving session (and so every published epoch) and the
+// reoptimizer's mirror session. Lazy serves demand-driven: no all-pairs
+// computation at boot, rows materialize the first time a solve reads them,
+// churn evicts instead of recomputing, and served answers are byte-identical
+// to eager mode. MaxRows bounds each lazy table's resident rows. Metrics
+// also receives the server's counters and latency histograms, and is the
+// default registry of the admission side.
+type Routing = qos.Options
+
 // Options tunes a Server. The zero value is ready to use.
 type Options struct {
-	// Workers bounds the session's recompute fan-out (see session.Options).
-	Workers int
-	// Lazy runs the session and every published epoch demand-driven (see
-	// session.Options.Lazy): no all-pairs computation at boot, rows
-	// materialize the first time a solve reads them, churn evicts instead of
-	// recomputing. Served answers are byte-identical to eager mode.
-	Lazy bool
-	// MaxRows bounds the lazy session's resident row cache (see
-	// session.Options.MaxRows): under a drifting read-set load the server
-	// holds at most MaxRows materialized rows per table, evicting the least
-	// recently read. <= 0 means unbounded; ignored unless Lazy is set.
-	MaxRows int
-	// Metrics, when non-nil, receives server counters and latency
-	// histograms in addition to the session's own instrumentation.
-	Metrics *metrics.Registry
+	// Routing is embedded, so opts.Lazy, opts.MaxRows, opts.Workers and
+	// opts.Metrics select its fields.
+	Routing
 	// PublishHook, when non-nil, runs on the writer goroutine with every
 	// snapshot immediately before it becomes visible to readers. Tests use
 	// it to record the exact state each epoch was published with.
@@ -90,7 +88,7 @@ type Options struct {
 	// the first admission-side request (admit, release, tenants, links, a
 	// reoptimizer step or Allocator), so a server that never admits never
 	// builds any of them and registers no alloc_* or reopt_* metric.
-	// Admission.Metrics defaults to Options.Metrics.
+	// Admission.Metrics defaults to Routing.Metrics.
 	Admission provision.AllocatorOptions
 	// Reopt configures the congestion-driven reoptimizer. The link-load
 	// ledger behind the `links` RPC is built with the allocator, whatever
@@ -106,11 +104,9 @@ type ReoptOptions struct {
 	// tenants off sustained-hot links (no-regression gated; see
 	// internal/reopt).
 	Enabled bool
-	// HotThreshold, ClearThreshold and Sustain configure the detector (see
+	// Detector configures the hysteresis congestion detector (see
 	// reopt.DetectorConfig for defaults).
-	HotThreshold   float64
-	ClearThreshold float64
-	Sustain        int
+	Detector reopt.DetectorConfig
 	// Interval is the planner's step period. <=0 defaults to 1s.
 	Interval time.Duration
 	// MaxMovesPerLink caps migrations per hot link per step (default 8).
@@ -192,10 +188,7 @@ var ErrClosed = errors.New("daemon: shutting down")
 // Call Serve to accept clients and Close to shut down.
 func New(ov *overlay.Overlay, opts Options) *Server {
 	s := &Server{
-		sess: session.New(ov, session.Options{
-			Workers: opts.Workers, Metrics: opts.Metrics,
-			Lazy: opts.Lazy, MaxRows: opts.MaxRows,
-		}),
+		sess:      session.New(ov, opts.Routing),
 		hook:      opts.PublishHook,
 		opts:      opts,
 		reoptDone: make(chan struct{}),
@@ -251,7 +244,7 @@ func (s *Server) admission() (*admissionState, error) {
 func newAdmission(boot *overlay.Overlay, opts Options) *admissionState {
 	aopts := opts.Admission
 	if aopts.Metrics == nil {
-		aopts.Metrics = opts.Metrics
+		aopts.Metrics = opts.Routing.Metrics
 	}
 	// The link ledger observes every committed allocator transition, so it
 	// is installed before the allocator exists. A caller-provided observer
@@ -267,16 +260,9 @@ func newAdmission(boot *overlay.Overlay, opts Options) *admissionState {
 		alloc:  alloc,
 		ledger: ledger,
 		planner: reopt.NewPlanner(alloc, ledger, boot, reopt.PlannerConfig{
-			Detector: reopt.DetectorConfig{
-				HotThreshold:   opts.Reopt.HotThreshold,
-				ClearThreshold: opts.Reopt.ClearThreshold,
-				Sustain:        opts.Reopt.Sustain,
-			},
+			Detector:        opts.Reopt.Detector,
 			MaxMovesPerLink: opts.Reopt.MaxMovesPerLink,
-			Workers:         opts.Workers,
-			Lazy:            opts.Lazy,
-			MaxRows:         opts.MaxRows,
-			Metrics:         opts.Metrics,
+			Routing:         opts.Routing,
 		}),
 	}
 }

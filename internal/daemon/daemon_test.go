@@ -44,7 +44,7 @@ func startServer(t testing.TB, sc *scenario.Scenario, opts Options) *Server {
 
 func TestSolveOverTCPMatchesDirectComputation(t *testing.T) {
 	sc := testScenario(t, 1)
-	srv := startServer(t, sc, Options{Workers: 1})
+	srv := startServer(t, sc, Options{Routing: Routing{Workers: 1}})
 
 	c, err := Dial(srv.Addr())
 	if err != nil {
@@ -88,7 +88,7 @@ func TestSolveOverTCPMatchesDirectComputation(t *testing.T) {
 
 func TestMutatePublishesNewEpochAndReadsOwnWrites(t *testing.T) {
 	sc := testScenario(t, 2)
-	srv := startServer(t, sc, Options{Workers: 1})
+	srv := startServer(t, sc, Options{Routing: Routing{Workers: 1}})
 
 	c, err := Dial(srv.Addr())
 	if err != nil {
@@ -142,7 +142,7 @@ func TestMutatePublishesNewEpochAndReadsOwnWrites(t *testing.T) {
 
 func TestRepairRemovesUnresponsiveInstances(t *testing.T) {
 	sc := testScenario(t, 3)
-	srv := startServer(t, sc, Options{Workers: 1})
+	srv := startServer(t, sc, Options{Routing: Routing{Workers: 1}})
 
 	c, err := Dial(srv.Addr())
 	if err != nil {
@@ -186,7 +186,7 @@ func TestRepairRemovesUnresponsiveInstances(t *testing.T) {
 
 func TestEpochRetirementWaitsForReaders(t *testing.T) {
 	sc := testScenario(t, 4)
-	srv := New(sc.Overlay, Options{Workers: 1})
+	srv := New(sc.Overlay, Options{Routing: Routing{Workers: 1}})
 	defer srv.Close()
 
 	// Pin the current epoch as a slow reader would.
@@ -222,7 +222,7 @@ func TestEpochRetirementWaitsForReaders(t *testing.T) {
 func TestRetiredCounterMatchesSweeps(t *testing.T) {
 	sc := testScenario(t, 5)
 	reg := metrics.New()
-	srv := New(sc.Overlay, Options{Workers: 1, Metrics: reg})
+	srv := New(sc.Overlay, Options{Routing: Routing{Workers: 1, Metrics: reg}})
 	defer srv.Close()
 
 	for i := 0; i < 4; i++ {
@@ -260,7 +260,7 @@ func lockOwner(stack []string) string {
 // mutex in sync and does show up here now and then.
 func TestSolveReadPathAcquiresNoMutexes(t *testing.T) {
 	sc := testScenario(t, 6)
-	srv := New(sc.Overlay, Options{Workers: 1, Metrics: metrics.New()})
+	srv := New(sc.Overlay, Options{Routing: Routing{Workers: 1, Metrics: metrics.New()}})
 	defer srv.Close()
 
 	// Warm up once so lazy initialisation (JSON type caches and friends)
@@ -340,7 +340,7 @@ func TestLockOwner(t *testing.T) {
 // equivalence battery.
 func TestConcurrentClientsUnderChurn(t *testing.T) {
 	sc := testScenario(t, 7)
-	srv := startServer(t, sc, Options{Workers: 1})
+	srv := startServer(t, sc, Options{Routing: Routing{Workers: 1}})
 
 	links := sc.Overlay.Links()
 	if len(links) < 2 {

@@ -95,7 +95,7 @@ func goldenSequence(t *testing.T, sc *scenario.Scenario) []func(prev []*Response
 // hand codec must be byte-identical to them on every op.
 func TestGoldenFrames(t *testing.T) {
 	sc := testScenario(t, 1)
-	srv := New(sc.Overlay, Options{Workers: 1})
+	srv := New(sc.Overlay, Options{Routing: Routing{Workers: 1}})
 	defer srv.Close()
 
 	var got bytes.Buffer

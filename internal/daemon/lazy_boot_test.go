@@ -20,7 +20,7 @@ func TestLazyBootRunsNoRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.New()
-	srv := New(s.Overlay, Options{Workers: 1, Lazy: true, Metrics: reg})
+	srv := New(s.Overlay, Options{Routing: Routing{Workers: 1, Lazy: true, Metrics: reg}})
 	defer srv.Close()
 	for _, c := range reg.Snapshot().Counters {
 		switch c.Key {

@@ -9,6 +9,7 @@ import (
 
 	"sflow/internal/overlay"
 	"sflow/internal/provision"
+	"sflow/internal/reopt"
 	"sflow/internal/require"
 )
 
@@ -45,7 +46,7 @@ func hotOverlay(t testing.TB, alts int) (*overlay.Overlay, *require.Requirement)
 // exactly the links their flows reserve, releases drain it back to zero.
 func TestLinksRPCTracksAdmittedLoad(t *testing.T) {
 	ov, req := hotOverlay(t, 2)
-	srv := New(ov, Options{Workers: 1})
+	srv := New(ov, Options{Routing: Routing{Workers: 1}})
 	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -113,12 +114,14 @@ func TestLinksRPCTracksAdmittedLoad(t *testing.T) {
 func TestReoptLoopRelievesHotLink(t *testing.T) {
 	const alts = 4
 	ov, req := hotOverlay(t, alts)
-	srv := New(ov, Options{Workers: 1, Reopt: ReoptOptions{
-		Enabled:      true,
-		HotThreshold: 0.85,
-		Sustain:      2,
-		Interval:     5 * time.Millisecond,
-	}})
+	srv := New(ov, Options{
+		Routing: Routing{Workers: 1},
+		Reopt: ReoptOptions{
+			Enabled:  true,
+			Detector: reopt.DetectorConfig{HotThreshold: 0.85, Sustain: 2},
+			Interval: 5 * time.Millisecond,
+		},
+	})
 	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +233,9 @@ func TestReoptimizeOnceAndObserverFanout(t *testing.T) {
 	obs := &transitionLog{}
 	ov, req := hotOverlay(t, alts)
 	srv := New(ov, Options{
-		Workers:   1,
+		Routing:   Routing{Workers: 1},
 		Admission: provision.AllocatorOptions{Observer: obs},
-		Reopt:     ReoptOptions{HotThreshold: 0.85, Sustain: 2},
+		Reopt:     ReoptOptions{Detector: reopt.DetectorConfig{HotThreshold: 0.85, Sustain: 2}},
 	})
 	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -307,7 +310,7 @@ func TestReoptimizeOnceAndObserverFanout(t *testing.T) {
 // never as a dropped connection — for every read- and write-side op.
 func TestRPCErrorResponses(t *testing.T) {
 	ov, req := hotOverlay(t, 2)
-	srv := New(ov, Options{Workers: 1})
+	srv := New(ov, Options{Routing: Routing{Workers: 1}})
 	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func Admission(cfg Config) (*Series, error) {
 				trialSeed(cfg.Seed, size, trial)+13)), cfg.Metrics),
 		}
 		for name, alg := range algs {
-			m := provision.NewManagerMetrics(s.Overlay, cfg.Metrics)
+			m := provision.NewManager(s.Overlay, cfg.Metrics)
 			n, err := m.AdmitUntilRejected(s.Req, s.SourceNID, admissionDemand, alg, admissionCap)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)

@@ -109,7 +109,7 @@ func Blocking(cfg Config) (*Series, error) {
 // overlay and returns the fraction of blocked requests.
 func blockingRun(s *scenario.Scenario, alg provision.Algorithm, load int, rng *rand.Rand, reg *metrics.Registry) (float64, error) {
 	sim := des.New()
-	mgr := provision.NewManagerMetrics(s.Overlay, reg)
+	mgr := provision.NewManager(s.Overlay, reg)
 	interarrival := float64(blockingHolding) / float64(load)
 
 	var (

@@ -6,6 +6,7 @@ import (
 	"sflow/internal/cluster"
 	"sflow/internal/core"
 	"sflow/internal/exact"
+	"sflow/internal/qos"
 )
 
 // Hierarchy compares full sFlow against the cluster-based divide-and-conquer
@@ -39,7 +40,7 @@ func Hierarchy(cfg Config) (*Series, error) {
 			if n := s.Overlay.NumInstances(); kk > n {
 				kk = n
 			}
-			h, err := cluster.Federate(s.Overlay, s.Req, s.SourceNID, kk)
+			h, err := cluster.Federate(s.Overlay, s.Req, s.SourceNID, kk, qos.Options{})
 			if err != nil {
 				// The hierarchy can genuinely fail to connect a
 				// requirement its clusters split badly; score zero.

@@ -142,8 +142,7 @@ func Reopt(cfg Config) (*Series, error) {
 
 		p := reopt.NewPlanner(alloc, ledger, ov, reopt.PlannerConfig{
 			Detector: reopt.DetectorConfig{HotThreshold: hotThreshold, Sustain: 2},
-			Workers:  1,
-			Metrics:  cfg.Metrics,
+			Routing:  qos.Options{Workers: 1, Metrics: cfg.Metrics},
 		})
 		migrations := 0
 		for step := 0; step < 10; step++ {

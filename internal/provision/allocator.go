@@ -275,7 +275,7 @@ func newAllocator(ov *overlay.Overlay, opts AllocatorOptions, async bool) *Alloc
 	// registry only for client-visible outcomes.
 	a := &Allocator{
 		opts:    opts,
-		mgr:     NewManager(ov),
+		mgr:     NewManager(ov, nil),
 		async:   async,
 		cmds:    make(chan allocCmd),
 		stop:    make(chan struct{}),

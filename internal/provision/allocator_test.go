@@ -60,7 +60,7 @@ func sortedLinks(ov *overlay.Overlay) []overlay.Link {
 // rejection must carry a typed machine-readable reason.
 func TestRejectionTypedWithoutMetrics(t *testing.T) {
 	o, req := chainOverlay(t)
-	m := NewManager(o) // no registry: nil *metrics.Registry throughout
+	m := NewManager(o, nil) // no registry: nil *metrics.Registry throughout
 
 	// Bandwidth rejection: no link is 200 wide.
 	_, err := m.Admit(req, 10, 200, optimalAlg)
@@ -73,7 +73,7 @@ func TestRejectionTypedWithoutMetrics(t *testing.T) {
 	}
 
 	// Compute rejection: saturate the source instance's compute capacity.
-	m2 := NewManager(o)
+	m2 := NewManager(o, nil)
 	m2.SetInstanceCapacity(1)
 	if _, err := m2.Admit(req, 10, 10, optimalAlg); err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestRejectionTypedWithoutMetrics(t *testing.T) {
 	}
 
 	// No-flow rejection: saturate both links away entirely.
-	m3 := NewManager(o)
+	m3 := NewManager(o, nil)
 	if _, err := m3.Admit(req, 10, 100, optimalAlg); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRejectionTypedWithoutMetrics(t *testing.T) {
 // snapshot copy has to fail and must not corrupt the books.
 func TestAdmittedSnapshotsCarryNoReservations(t *testing.T) {
 	o, req := chainOverlay(t)
-	m := NewManager(o)
+	m := NewManager(o, nil)
 	a, err := m.Admit(req, 10, 40, optimalAlg)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestAdmittedSnapshotsCarryNoReservations(t *testing.T) {
 // preemption rollback path depends on it.
 func TestRestoreInvertsRelease(t *testing.T) {
 	o, req := chainOverlay(t)
-	m := NewManager(o)
+	m := NewManager(o, nil)
 	m.SetInstanceCapacity(4)
 	a, err := m.Admit(req, 10, 100, optimalAlg) // saturates 10->20 away
 	if err != nil {

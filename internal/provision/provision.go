@@ -134,15 +134,10 @@ type Manager struct {
 }
 
 // NewManager starts provisioning on a copy of the given overlay; the
-// original is never modified.
-func NewManager(ov *overlay.Overlay) *Manager {
-	return NewManagerMetrics(ov, nil)
-}
-
-// NewManagerMetrics is NewManager with instrumentation into reg (nil reg
-// disables it): admissions, rejections, releases and a residual-bandwidth
-// utilization histogram observed after every admission.
-func NewManagerMetrics(ov *overlay.Overlay, reg *metrics.Registry) *Manager {
+// original is never modified. reg, when non-nil, receives admissions,
+// rejections, releases and a residual-bandwidth utilization histogram
+// observed after every admission.
+func NewManager(ov *overlay.Overlay, reg *metrics.Registry) *Manager {
 	m := &Manager{residual: ov.Clone(), inUse: make(map[int]int), metrics: reg}
 	for _, l := range m.residual.Links() {
 		m.totalBW += l.Bandwidth

@@ -50,7 +50,7 @@ func chainOverlay(t *testing.T) (*overlay.Overlay, *require.Requirement) {
 
 func TestAdmitReservesAndReroutes(t *testing.T) {
 	o, req := chainOverlay(t)
-	m := NewManager(o)
+	m := NewManager(o, nil)
 
 	// First request (demand 50): optimal picks the 100-link to 20.
 	a1, err := m.Admit(req, 10, 50, optimalAlg)
@@ -94,7 +94,7 @@ func TestAdmitReservesAndReroutes(t *testing.T) {
 
 func TestAdmitSaturationRemovesLink(t *testing.T) {
 	o, req := chainOverlay(t)
-	m := NewManager(o)
+	m := NewManager(o, nil)
 	// Demand exactly the full 60 on the 10->21 route: pin by saturating
 	// 10->20 first.
 	if _, err := m.Admit(req, 10, 100, optimalAlg); err != nil {
@@ -117,7 +117,7 @@ func TestAdmitSaturationRemovesLink(t *testing.T) {
 
 func TestAdmitLeavesOriginalUntouched(t *testing.T) {
 	o, req := chainOverlay(t)
-	m := NewManager(o)
+	m := NewManager(o, nil)
 	if _, err := m.Admit(req, 10, 100, optimalAlg); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestAdmitLeavesOriginalUntouched(t *testing.T) {
 
 func TestAdmitValidation(t *testing.T) {
 	o, req := chainOverlay(t)
-	m := NewManager(o)
+	m := NewManager(o, nil)
 	if _, err := m.Admit(req, 10, 0, optimalAlg); err == nil {
 		t.Fatal("zero demand accepted")
 	}
@@ -139,7 +139,7 @@ func TestAdmitValidation(t *testing.T) {
 
 func TestAdmitUntilRejected(t *testing.T) {
 	o, req := chainOverlay(t)
-	m := NewManager(o)
+	m := NewManager(o, nil)
 	// Demand 30: 100-link fits 3, 60-link fits 2 => 5 admissions.
 	n, err := m.AdmitUntilRejected(req, 10, 30, optimalAlg, 100)
 	if err != nil {
@@ -149,7 +149,7 @@ func TestAdmitUntilRejected(t *testing.T) {
 		t.Fatalf("admitted %d, want 5", n)
 	}
 	// Cap respected.
-	m2 := NewManager(o)
+	m2 := NewManager(o, nil)
 	n, err = m2.AdmitUntilRejected(req, 10, 30, optimalAlg, 2)
 	if err != nil || n != 2 {
 		t.Fatalf("capped admissions = %d, %v", n, err)
@@ -177,7 +177,7 @@ func TestReduceLinkBandwidthErrors(t *testing.T) {
 
 func TestReleaseRestoresCapacity(t *testing.T) {
 	o, req := chainOverlay(t)
-	m := NewManager(o)
+	m := NewManager(o, nil)
 	a, err := m.Admit(req, 10, 100, optimalAlg) // saturates 10->20 away
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestReleaseRestoresCapacity(t *testing.T) {
 
 func TestAdmitReleaseCycleIsLossless(t *testing.T) {
 	o, req := chainOverlay(t)
-	m := NewManager(o)
+	m := NewManager(o, nil)
 	for cycle := 0; cycle < 20; cycle++ {
 		a, err := m.Admit(req, 10, 70, optimalAlg)
 		if err != nil {
@@ -239,7 +239,7 @@ func TestAdmitReleaseCycleIsLossless(t *testing.T) {
 
 func TestInstanceCapacity(t *testing.T) {
 	o, req := chainOverlay(t)
-	m := NewManager(o)
+	m := NewManager(o, nil)
 	m.SetInstanceCapacity(1)
 
 	// Source capacity 1: only one admission can run at a time through the
@@ -279,7 +279,7 @@ func TestInstanceCapacityShiftsLoad(t *testing.T) {
 	if err := o.AddLink(11, 21, 90, 5); err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(o)
+	m := NewManager(o, nil)
 	m.SetInstanceCapacity(1)
 	first, err := m.Admit(req, 10, 10, optimalAlg)
 	if err != nil {

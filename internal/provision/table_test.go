@@ -50,7 +50,7 @@ func TestReleaseRecreatesSaturatedLinksInOrder(t *testing.T) {
 	}
 	orders := make(map[string]int)
 	for rep := 0; rep < 100; rep++ {
-		m := NewManager(o)
+		m := NewManager(o, nil)
 		adm, err := m.Admit(req, 1, 50, optimalAlg)
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"sflow/internal/abstract"
 	"sflow/internal/provision"
+	"sflow/internal/qos"
 	"sflow/internal/reduce"
 )
 
@@ -35,7 +36,7 @@ func BenchmarkPlannerMigration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := NewPlanner(alloc, ledger, ov, PlannerConfig{Workers: 1})
+	p := NewPlanner(alloc, ledger, ov, PlannerConfig{Routing: qos.Options{Workers: 1}})
 
 	// firstHop finds the link the mover currently leaves the source on — the
 	// link to mask so the next solve must re-place it elsewhere.

@@ -22,23 +22,14 @@ type PlannerConfig struct {
 	// MaxMovesPerLink caps how many migrations one Step may commit off one
 	// hot link. <=0 defaults to 8.
 	MaxMovesPerLink int
-	// Workers bounds the private session's incremental-recompute fan-out
-	// (see session.Options.Workers).
-	Workers int
-	// Lazy runs the mirror session demand-driven (session.Options.Lazy): no
-	// all-pairs computation when the planner is built, and link mutations
-	// between candidates evict rows instead of recomputing them. Candidate
-	// re-federations read the same answers either way; this exists so a
-	// planner over a 10k–100k-node overlay costs nothing until a hotspot
-	// actually fires.
-	Lazy bool
-	// MaxRows bounds the mirror session's resident row cache in Lazy mode
-	// (see session.Options.MaxRows). <= 0 means unbounded.
-	MaxRows int
-	// Metrics, when non-nil, receives planner counters
+	// Routing configures the mirror session's table, passed to session.New
+	// unchanged. Lazy makes a planner over a 10k–100k-node overlay cost
+	// nothing until a hotspot fires: link mutations between candidates
+	// evict rows instead of recomputing them, and candidates read the same
+	// answers either way. Metrics also receives the planner's counters
 	// (reopt_migrations_total, reopt_vetoes_total, reopt_failures_total,
 	// reopt_steps_total).
-	Metrics *metrics.Registry
+	Routing qos.Options
 }
 
 // withDefaults resolves zero fields to their documented defaults.
@@ -106,7 +97,7 @@ type Planner struct {
 // then (the ledger reads it for the planner's lifetime anyway).
 func NewPlanner(alloc *provision.Allocator, ledger *Ledger, boot *overlay.Overlay, cfg PlannerConfig) *Planner {
 	cfg = cfg.withDefaults()
-	reg := cfg.Metrics
+	reg := cfg.Routing.Metrics
 	return &Planner{
 		alloc:      alloc,
 		ledger:     ledger,
@@ -125,10 +116,7 @@ func NewPlanner(alloc *provision.Allocator, ledger *Ledger, boot *overlay.Overla
 // first use. Called only inside Migrate closures.
 func (p *Planner) mirror() *session.Session {
 	if p.sess == nil {
-		p.sess = session.New(p.boot, session.Options{
-			Workers: p.cfg.Workers, Lazy: p.cfg.Lazy,
-			MaxRows: p.cfg.MaxRows, Metrics: p.cfg.Metrics,
-		})
+		p.sess = session.New(p.boot, p.cfg.Routing)
 	}
 	return p.sess
 }

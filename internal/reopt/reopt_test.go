@@ -385,6 +385,46 @@ func admitConcentrated(t *testing.T, alloc *provision.Allocator, req *require.Re
 	return smalls
 }
 
+// One Routing struct reaches every table the planner builds: after a Step
+// that re-places a tenant, the mirror session runs in the configured fill
+// policy, its table holds the configured row bound, and the table's lazy
+// counters and the planner's own land in the configured registry.
+func TestPlannerRoutingReachesMirrorTable(t *testing.T) {
+	const alts = 4
+	ov, req, _ := concentrateOverlay(t, alts)
+	ledger := NewLedger(ov, nil)
+	alloc := provision.NewAllocator(ov, provision.AllocatorOptions{Observer: ledger})
+	defer alloc.Close()
+	admitConcentrated(t, alloc, req, alts)
+
+	reg := metrics.New()
+	p := NewPlanner(alloc, ledger, ov, PlannerConfig{
+		Detector: DetectorConfig{HotThreshold: 0.85, Sustain: 1},
+		Routing:  qos.Options{Workers: 1, Lazy: true, MaxRows: 2, Metrics: reg},
+	})
+	if p.sess != nil {
+		t.Fatal("NewPlanner built its mirror session before any re-placement")
+	}
+	if rep := p.Step(); rep.Migrations+rep.Vetoes+rep.Failures == 0 {
+		t.Fatalf("step re-placed no tenant: %+v", rep)
+	}
+	if p.sess == nil {
+		t.Fatal("a step that re-placed a tenant left the mirror session unbuilt")
+	}
+	if !p.sess.Lazy() {
+		t.Error("mirror session is eager, want Routing.Lazy")
+	}
+	if got := p.sess.Table().MaxRows(); got != 2 {
+		t.Errorf("mirror table MaxRows = %d, want Routing.MaxRows 2", got)
+	}
+	if reg.Counter("qos_lazy_rows_computed_total").Value() == 0 {
+		t.Error("mirror table computed rows outside Routing.Metrics")
+	}
+	if reg.Counter("reopt_steps_total").Value() != 1 {
+		t.Error("planner counted its step outside Routing.Metrics")
+	}
+}
+
 // The tentpole end-to-end property: traffic concentrates on the fat path,
 // the detector flags it after the sustain guard, the planner migrates the
 // cheapest tenants onto the parallel alts, the hot link drops below the
@@ -629,8 +669,8 @@ func TestPlannerBuildsMirrorAtFirstReplacement(t *testing.T) {
 	reg := metrics.New()
 	runs := reg.Counter("qos_shortest_widest_runs_total")
 	p := NewPlanner(alloc, ledger, ov, PlannerConfig{
+		Routing:  qos.Options{Metrics: reg},
 		Detector: DetectorConfig{HotThreshold: 0.85, Sustain: 2},
-		Metrics:  reg,
 	})
 	if got := runs.Value(); got != 0 {
 		t.Fatalf("NewPlanner ran %d rows", got)

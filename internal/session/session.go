@@ -34,30 +34,11 @@ import (
 	"sflow/internal/require"
 )
 
-// Options tunes a session. The zero value is ready to use.
-type Options struct {
-	// Workers bounds the fan-out of the initial all-pairs computation and
-	// of every incremental flush: 0 uses runtime.GOMAXPROCS(0) from 24
-	// nodes up, 1 forces sequential recomputation (results are identical
-	// either way).
-	Workers int
-	// Metrics, when non-nil, receives session counters (events by kind,
-	// recomputed vs saved sources) and a volatile flush-latency histogram.
-	Metrics *metrics.Registry
-	// Lazy maintains the shortest-widest table demand-driven instead of
-	// eagerly: no all-pairs computation runs at session start, rows
-	// materialize the first time a solve reads them, and churn evicts (never
-	// recomputes) exactly the affected rows. Answers are byte-identical to
-	// eager mode for every row read. This is the mode for 10k–100k-node
-	// overlays, where the full N² table is neither affordable nor needed.
-	Lazy bool
-	// MaxRows bounds how many lazily computed rows stay memoized in Lazy
-	// mode (<= 0 means unbounded): beyond the bound, the least recently read
-	// row is dropped and recomputes byte-identically on its next read —
-	// capping resident memory under drifting read sets. Ignored when Lazy is
-	// false.
-	MaxRows int
-}
+// Options tunes a session: its table's fan-out, fill policy, row bound and
+// instrumentation, passed to qos.New unchanged. The zero value is an eager,
+// uninstrumented session. Metrics also receives the session's own counters
+// (events by kind) and a volatile flush-latency histogram.
+type Options = qos.Options
 
 // Stats accumulates what a session did over its lifetime. All fields are
 // deterministic for a deterministic event stream.
@@ -129,9 +110,8 @@ func (s *Session) exit() { s.inUse.Store(0) }
 func New(ov *overlay.Overlay, opts Options) *Session {
 	own := ov.Clone()
 	s := &Session{
-		ov: own,
-		inc: qos.New(own, qos.Options{Workers: opts.Workers, Lazy: opts.Lazy,
-			MaxRows: opts.MaxRows, Metrics: opts.Metrics}),
+		ov:   own,
+		inc:  qos.New(own, opts),
 		lazy: opts.Lazy,
 	}
 	if opts.Metrics != nil {

@@ -114,7 +114,7 @@ func Simulate(ov *overlay.Overlay, reqs []Request, alg provision.Algorithm) (*Re
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Arrival < ordered[j].Arrival })
 
 	sim := des.New()
-	mgr := provision.NewManager(ov)
+	mgr := provision.NewManager(ov, nil)
 	res := &Result{}
 	var failure error
 	concurrent := 0

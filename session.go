@@ -1,7 +1,7 @@
 package sflow
 
 import (
-	"sflow/internal/cluster"
+	"sflow/internal/qos"
 	"sflow/internal/session"
 )
 
@@ -42,33 +42,18 @@ func NewSession(ov *Overlay, opts SessionOptions) *Session {
 
 // Solve runs the named centralised federation algorithm (the same registry as
 // the package-level Solve; see Algorithms) against the session's maintained
-// caches instead of rebuilding the abstract graph. SolveOptions.Workers is
-// ignored here — the session's own worker bound governs its flushes.
+// caches instead of rebuilding the abstract graph; the session's own worker
+// bound governs its flushes.
 //
 // "hierarchical" is the one algorithm that cannot be served from the caches:
 // the cluster hierarchy summarises the raw overlay itself, so it runs
-// directly over the session's current overlay.
+// directly over the session's current overlay, in the session's fill policy.
+// It is the one algorithm that reads SolveOptions.Workers here, as the
+// fan-out of its cluster tables (or of the contracted path's solve).
 func (s *Session) Solve(name string, req *Requirement, src int, opts SolveOptions) (*Solution, error) {
 	if name == "hierarchical" {
-		k := opts.ClusterK
-		if k == 0 {
-			k = 4
-		}
-		ov := s.Session.Overlay()
-		if n := ov.NumInstances(); k > n {
-			k = n
-		}
-		var r *cluster.Result
-		var err error
-		if opts.Contracted {
-			r, err = cluster.FederateContracted(ov, req, src, k, opts.Workers)
-		} else {
-			r, err = cluster.FederateWith(ov, req, src, k, cluster.Options{Lazy: s.Session.Lazy(), Workers: opts.Workers})
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
+		return hierarchical(s.Session.Overlay(), req, src, opts,
+			qos.Options{Workers: opts.Workers, Lazy: s.Session.Lazy()})
 	}
 	fn, err := abstractSolver(name, opts)
 	if err != nil {

@@ -17,8 +17,8 @@
 // requirements, the reduction heuristic for general DAGs, the exhaustive
 // optimal, the fixed / random / servicepath controls and the hierarchical
 // cluster federation — run through the unified Solve entry point (see
-// Algorithms for the names); the historical per-algorithm functions remain
-// as deprecated wrappers.
+// Algorithms for the names), the one function for every centralised
+// algorithm.
 //
 // Passing a NewMetrics registry through Options.Metrics,
 // SolveOptions.Metrics or ExperimentConfig.Metrics collects counters,
@@ -346,14 +346,7 @@ type (
 var ErrRejected = provision.ErrRejected
 
 // NewProvisioner starts admission control over a copy of ov.
-func NewProvisioner(ov *Overlay) *Provisioner { return provision.NewManager(ov) }
-
-// NewProvisionerMetrics is NewProvisioner with instrumentation into reg
-// (nil reg disables it): admission/rejection/release counts and a
-// residual-bandwidth utilization histogram.
-func NewProvisionerMetrics(ov *Overlay, reg *Metrics) *Provisioner {
-	return provision.NewManagerMetrics(ov, reg)
-}
+func NewProvisioner(ov *Overlay) *Provisioner { return provision.NewManager(ov, nil) }
 
 // Theorem 1 surface: the reduction from SAT to the Maximum Service Flow
 // Graph Problem, machine-checkable in both directions.

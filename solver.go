@@ -100,6 +100,30 @@ func buildAbstract(ov *Overlay, req *Requirement, opts SolveOptions) (*abstract.
 	return abstract.BuildWith(ov, req, qos.Options{Workers: opts.Workers, Lazy: opts.Lazy, Metrics: opts.Metrics})
 }
 
+// hierarchical runs the "hierarchical" algorithm over ov, with table
+// configuring its routing tables (see cluster.Federate); the contracted path
+// reads only its Workers.
+func hierarchical(ov *Overlay, req *Requirement, src int, opts SolveOptions, table qos.Options) (*Solution, error) {
+	k := opts.ClusterK
+	if k == 0 {
+		k = 4
+	}
+	if n := ov.NumInstances(); k > n {
+		k = n
+	}
+	var r *cluster.Result
+	var err error
+	if opts.Contracted {
+		r, err = cluster.FederateContracted(ov, req, src, k, table.Workers)
+	} else {
+		r, err = cluster.Federate(ov, req, src, k, table)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
+}
+
 // abstractSolver resolves a registry algorithm (every name but
 // "hierarchical"), with "random" drawing from opts.Rng when one is given.
 func abstractSolver(name string, opts SolveOptions) (solve.Func, error) {
@@ -145,24 +169,7 @@ func Algorithms() []string {
 // The returned Solution is non-nil exactly when the error is nil.
 func Solve(name string, ov *Overlay, req *Requirement, src int, opts SolveOptions) (*Solution, error) {
 	if name == "hierarchical" {
-		k := opts.ClusterK
-		if k == 0 {
-			k = 4
-		}
-		if n := ov.NumInstances(); k > n {
-			k = n
-		}
-		var r *cluster.Result
-		var err error
-		if opts.Contracted {
-			r, err = cluster.FederateContracted(ov, req, src, k, opts.Workers)
-		} else {
-			r, err = cluster.FederateWith(ov, req, src, k, cluster.Options{Lazy: opts.Lazy, Workers: opts.Workers})
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Solution{Flow: r.Flow, Metric: r.Metric}, nil
+		return hierarchical(ov, req, src, opts, qos.Options{Workers: opts.Workers, Lazy: opts.Lazy})
 	}
 	fn, err := abstractSolver(name, opts)
 	if err != nil {
